@@ -45,7 +45,7 @@ EXIT_UNTRUSTED = 10
 
 
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 def _note(text: str) -> None:
@@ -207,6 +207,8 @@ def _read_scores(path: str) -> list[ScoredSample]:
             label = int(parts[1])
         except ValueError as exc:
             raise DomainError(f"bad scores row {ln!r}: {exc}") from exc
+        if not math.isfinite(score):
+            raise DomainError(f"score must be finite, got {parts[0]!r}")
         if label not in (0, 1):
             raise DomainError(f"label must be 0 or 1, got {label}")
         samples.append(ScoredSample(score=score, label=bool(label)))

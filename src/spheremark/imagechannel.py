@@ -32,6 +32,14 @@ from .streams import stream
 MIN_SIDE = 32
 PSNR_RANGE = (30.0, 60.0)
 
+# Largest carrier stack (d * H * W float64 samples) generate() will
+# allocate; 256 carriers over 1024x1024 is exactly at the limit.
+MAX_CARRIER_BYTES = 2**31
+
+# Target size of one block of carrier rows during generation, small
+# enough that its passes run in cache.
+_BLOCK_BYTES = 2**20
+
 # Fixed luma transform (BT.601 weights); adding a delta to every RGB
 # channel adds exactly that delta to this luma.
 LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
@@ -74,16 +82,45 @@ class CarrierSet:
 
     @classmethod
     def generate(cls, key: SecretKey, dim: int, height: int, width: int) -> "CarrierSet":
+        """Draw, centre and normalize the d carriers for one plane.
+
+        Each carrier sample takes one bit b from the key's Philox
+        stream and starts as (2b - 1) / sqrt(H*W).  The bits are the
+        top bit of each 32-bit half of the raw 64-bit Philox words,
+        low half first, carrier-major.  That is exactly the sequence
+        ``Generator.integers(0, 2)`` yields: for a range of two it
+        draws one 32-bit value per sample (the halves of each word,
+        low first) and keeps its top bit, with no rejection.
+
+        Rows are built in blocks of about _BLOCK_BYTES, so the only
+        full-size array is the output.  Each block holds an even
+        number of rows, so it consumes whole words, and runs the same
+        per-row mean and norm reductions as one full-plane pass;
+        every output is bit-equal to that pass.
+        """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
         if height < MIN_SIDE or width < MIN_SIDE:
             raise ImageSizeError(f"plane {width}x{height} below {MIN_SIDE}x{MIN_SIDE}")
-        rng = stream(key.seed, _CARRIER_DOMAIN, dim, height, width)
         n_px = height * width
-        signs = rng.integers(0, 2, size=(dim, n_px)).astype(np.float64)
-        flat = (2.0 * signs - 1.0) / math.sqrt(n_px)
-        flat -= flat.mean(axis=1, keepdims=True)
-        flat /= np.linalg.norm(flat, axis=1, keepdims=True)
+        if 8 * dim * n_px > MAX_CARRIER_BYTES:
+            raise ImageSizeError(
+                f"{dim} carriers over a {width}x{height} plane need "
+                f"{8 * dim * n_px} bytes, above the {MAX_CARRIER_BYTES}-byte limit")
+        bitgen = stream(key.seed, _CARRIER_DOMAIN, dim, height, width).bit_generator
+        level = 1.0 / math.sqrt(n_px)
+        rows = max(2, _BLOCK_BYTES // (8 * n_px) // 2 * 2)
+        flat = np.empty((dim, n_px))
+        for start in range(0, dim, rows):
+            block = flat[start:start + rows]
+            n_bits = block.size
+            words = bitgen.random_raw((n_bits + 1) // 2).astype("<u8", copy=False)
+            # ~half has top bit 1 - b, so as int32 it is negative iff
+            # b == 0: copysign gives +level for b == 1, -level for 0
+            np.invert(words, out=words)
+            np.copysign(level, words.view("<i4")[:n_bits], out=block.reshape(-1))
+            block -= block.mean(axis=1, keepdims=True)
+            block /= np.linalg.norm(block, axis=1, keepdims=True)
         pats = flat.reshape(dim, height, width)
         pats.flags.writeable = False
         return cls(key=key, dim=dim, height=height, width=width, patterns=pats)

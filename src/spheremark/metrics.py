@@ -195,7 +195,3 @@ def write_roc_csv(result: RocResult, path: str) -> None:
         fh.write("inf,0.000000,0.000000\n")
         for theta, (fpr, tpr) in zip(result.thresholds, result.points[1:]):
             fh.write(f"{theta:.10g},{fpr:.6f},{tpr:.6f}\n")
-
-
-def roc_summary(result: RocResult, n_pos: int, n_neg: int) -> dict:
-    return {"auc": result.auc, "n_pos": n_pos, "n_neg": n_neg}

@@ -1,7 +1,8 @@
 """8-bit raster images with binary netpbm (PGM/PPM) round-trip.
 
 Grayscale images are written as P5, 3-channel as P6, always maxval
-255.  Readers tolerate '#' comments anywhere in the header; writers
+255.  Readers accept maxval 1..255 and rescale samples to the 0..255
+range; they tolerate '#' comments anywhere in the header; writers
 never emit them.
 """
 from __future__ import annotations
@@ -104,7 +105,12 @@ def read_image(path: str) -> RasterImage:
     if len(data) != need:
         raise ImageFormatError(f"{path}: expected {need} pixel bytes, got {len(data)}")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
-    return RasterImage(arr.copy())
+    if maxval < MAXVAL:
+        if int(arr.max()) > maxval:
+            raise ImageFormatError(f"{path}: sample {int(arr.max())} above maxval {maxval}")
+        # round half up to the nearest 0..255 level
+        arr = (arr.astype(np.uint16) * MAXVAL + maxval // 2) // maxval
+    return RasterImage(arr.astype(np.uint8))
 
 
 def write_image(img: RasterImage, path: str) -> None:

@@ -10,10 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-# Name of the pinned bit generator; recorded so downstream tooling can
-# assert it never changes silently.
-GENERATOR_NAME = "philox4x64"
-
 
 def stream(*entropy: int) -> np.random.Generator:
     """Deterministic generator addressed by an integer tuple."""

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from spheremark import read_image, write_image
+from spheremark import RasterImage, read_image, write_image
 from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
-                            EXIT_USAGE, main)
+                            EXIT_USAGE, _emit, main)
 from conftest import make_image
 
 
@@ -164,6 +165,28 @@ class TestSealOpen:
         rc, _, _ = run_cli(capsys, "open", "--in", str(junk), "--key", keyfile)
         assert rc == EXIT_IMAGE_IO
 
+    def test_oversized_image_refused_before_allocating(self, tmp_path, capsys,
+                                                       keyfile):
+        # 256 carriers over 2048x2048 would take 8 GiB of float64
+        big = tmp_path / "big.pgm"
+        write_image(RasterImage(np.zeros((2048, 2048), dtype=np.uint8)), str(big))
+        tracemalloc.start()
+        try:
+            rc_seal, _, err_seal = run_cli(
+                capsys, "seal", "--in", str(big), "--out",
+                str(tmp_path / "out.pgm"), "--key", keyfile, "--message", "m",
+                "--seed", "1")
+            rc_open, _, err_open = run_cli(capsys, "open", "--in", str(big),
+                                           "--key", keyfile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc_seal == rc_open == EXIT_IMAGE_IO
+        assert "Traceback" not in err_seal + err_open
+        assert "limit" in err_seal and "limit" in err_open
+        assert peak < 64 * 2**20
+        assert not (tmp_path / "out.pgm").exists()
+
 
 class TestAttack:
     def test_identity_psnr_inf(self, tmp_path, capsys, host_image):
@@ -312,6 +335,20 @@ class TestRoc:
             rc, _, _ = run_cli(capsys, "roc", "--scores", scores,
                                "--out", str(tmp_path / "r.csv"))
             assert rc == EXIT_USAGE, row
+
+    def test_non_finite_scores_rejected(self, tmp_path, capsys):
+        for row in ("nan,1", "inf,0", "-inf,1"):
+            scores = self._scores(tmp_path, ["1.0,1", "0.5,0", row])
+            rc, payload, err = run_cli(capsys, "roc", "--scores", scores,
+                                       "--out", str(tmp_path / "r.csv"))
+            assert rc == EXIT_USAGE, row
+            assert payload is None
+            assert "finite" in err
+
+    def test_emit_refuses_non_strict_json(self, capsys):
+        with pytest.raises(ValueError):
+            _emit({"threshold": float("nan")})
+        assert capsys.readouterr().out == ""
 
 
 class TestBenchCalibrate:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,8 +7,11 @@ import pytest
 from spheremark import (CarrierSet, DomainError, ImageSizeError, Message,
                         RasterImage, SecretKey, SignCodec, UnknownTransformError,
                         attack, cosine, embed, extract, psnr, rotate,
-                        sample_rotation, transform_names, unrotate)
-from spheremark.imagechannel import _Q_LUMA, _scaled_quant_table, luma
+                        sample_rotation, transform_names, unrotate,
+                        write_image)
+from spheremark import imagechannel
+from spheremark.imagechannel import (_CARRIER_DOMAIN, _Q_LUMA,
+                                     _scaled_quant_table, luma)
 from spheremark.streams import stream
 from conftest import make_image
 
@@ -16,8 +20,9 @@ DIM = 256
 WRONG_KEY_BOUND = 5.0 / math.sqrt(DIM)
 
 
-def _sealed(seed=0, color=True, message=b"hello image chan"):
-    img = make_image(seed, color=color)
+def _sealed(seed=0, color=True, message=b"hello image chan",
+            height=256, width=256):
+    img = make_image(seed, height=height, width=width, color=color)
     codec = SignCodec(DIM)
     rot = sample_rotation(KEY, DIM)
     v = rotate(rot, codec.encode(Message(message)))
@@ -52,6 +57,30 @@ class TestCarriers:
         with pytest.raises(ImageSizeError):
             CarrierSet.generate(KEY, 8, 31, 64)
 
+    @pytest.mark.parametrize("dim, height, width", [
+        (2, 32, 32),
+        (3, 33, 35),     # odd d, odd H*W: the last word is half used
+        (67, 64, 64),    # odd d over three row blocks
+        (256, 33, 35),   # odd H*W over three row blocks
+    ])
+    def test_bit_equal_to_integers_reference(self, dim, height, width):
+        rng = stream(KEY.seed, _CARRIER_DOMAIN, dim, height, width)
+        n_px = height * width
+        signs = rng.integers(0, 2, size=(dim, n_px)).astype(np.float64)
+        ref = (2.0 * signs - 1.0) / math.sqrt(n_px)
+        ref -= ref.mean(axis=1, keepdims=True)
+        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+        got = CarrierSet.generate(KEY, dim, height, width).patterns
+        assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
+                              ref.view(np.uint64))
+
+    def test_refuses_plane_above_memory_limit(self, monkeypatch):
+        # the limit is inclusive: exactly MAX_CARRIER_BYTES is accepted
+        monkeypatch.setattr(imagechannel, "MAX_CARRIER_BYTES", 8 * 4 * 32 * 32)
+        assert CarrierSet.generate(KEY, 4, 32, 32).dim == 4
+        with pytest.raises(ImageSizeError):
+            CarrierSet.generate(KEY, 5, 32, 32)
+
 
 class TestEmbed:
     def test_hits_target_psnr(self):
@@ -83,6 +112,22 @@ class TestEmbed:
         v = SignCodec(DIM).encode(Message(b"x"))
         with pytest.raises(ImageSizeError):
             embed(img, v, KEY)
+
+
+class TestSealedBytes:
+    # digests of sealed files written before carrier generation was
+    # streamed in row blocks; the rewrite keeps every byte
+    @pytest.mark.parametrize("color, height, width, digest", [
+        (True, 256, 256,
+         "85fee2aa34555276ddcba94b0e211e1182f7e4868e40d05eea9aeeee542fb730"),
+        (False, 33, 35,
+         "48b2a06dc8dfc366871471dc85aa963daa5e2cf062bb3c0447ccb1608cb41b08"),
+    ])
+    def test_sealed_file_digest(self, tmp_path, color, height, width, digest):
+        _, _, wm = _sealed(5, color=color, height=height, width=width)
+        path = tmp_path / ("sealed.ppm" if color else "sealed.pgm")
+        write_image(wm, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestExtract:

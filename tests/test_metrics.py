@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from spheremark import (DegenerateLabelsError, DomainError, NgramIndex,
                         OperatingPoint, ScoredSample, bleu4, exact_match,
                         novelty_score, roc, threshold_at_fpr)
-from spheremark.metrics import roc_summary, write_roc_csv
+from spheremark.metrics import write_roc_csv
 
 # brute-force oracle, frozen by hand:
 # 100 * (5/6 * 3/5 * 1/2 * 1/3) ** 0.25
@@ -279,7 +279,3 @@ class TestRocOutputs:
         assert lines[1] == "inf,0.000000,0.000000"
         assert len(lines) == 2 + len(res.thresholds)
         assert lines[-1].endswith("1.000000,1.000000")
-
-    def test_summary(self):
-        res = roc(_mk([3.0], [0.5]))
-        assert roc_summary(res, 1, 1) == {"auc": 1.0, "n_pos": 1, "n_neg": 1}

@@ -78,7 +78,21 @@ class TestReadWrite:
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n2 1\n15\n\x00\x0f")
         img = read_image(path)
-        assert img.pixels.ravel().tolist() == [0, 15]
+        assert img.pixels.ravel().tolist() == [0, 255]
+
+    def test_reader_rescales_low_maxval_rounding_half_up(self, tmp_path):
+        path = tmp_path / "c.ppm"
+        body = bytes([0, 1, 2, 3, 4, 5])
+        path.write_bytes(b"P6\n2 1\n6\n" + body)
+        img = read_image(path)
+        # (p * 255 + 3) // 6: 42.5 rounds up to 43, 127.5 to 128
+        assert img.pixels.ravel().tolist() == [0, 43, 85, 128, 170, 213]
+
+    def test_reader_rejects_sample_above_maxval(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n2 1\n15\n\x00\x10")
+        with pytest.raises(ImageFormatError):
+            read_image(path)
 
     def test_reader_rejects_wide_maxval(self, tmp_path):
         path = tmp_path / "c.pgm"
