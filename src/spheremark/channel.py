@@ -21,6 +21,7 @@ from importlib import resources
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .codec import Codec, Message
 from .confidence import assess
 from .errors import DomainError
@@ -195,7 +196,7 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r.profile},{r.n},{r.mean_cosine:.6f},{r.exact_match:.6f},"

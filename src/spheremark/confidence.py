@@ -142,6 +142,19 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     return math.log1p(-tail)
 
 
+def _tail_x(c: float, dim: int) -> float | None:
+    """Shared argument checks: x = 1 - c^2 of the clamped cosine for the
+    tail integral, or None when c <= 0 (see spherical_p_value)."""
+    if dim < 2:
+        raise DimensionError(f"dimension {dim} < 2")
+    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
+        raise DomainError(f"cosine {c} outside [-1, 1]")
+    c = min(1.0, max(-1.0, c))
+    if c <= 0.0:
+        return None
+    return (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
+
+
 def spherical_p_value(c: float, dim: int) -> float:
     """Chance probability of cosine alignment at least |c| in dimension d.
 
@@ -149,14 +162,9 @@ def spherical_p_value(c: float, dim: int) -> float:
     Cosines beyond |1| by more than a rounding tolerance are domain
     errors; within it they are clamped.
     """
-    if dim < 2:
-        raise DimensionError(f"dimension {dim} < 2")
-    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
-        raise DomainError(f"cosine {c} outside [-1, 1]")
-    c = min(1.0, max(-1.0, c))
-    if c <= 0.0:
+    x = _tail_x(c, dim)
+    if x is None:
         return 1.0
-    x = (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
     a = (dim - 1) / 2.0
     if x == 0.0:
         return 0.0
@@ -171,14 +179,9 @@ def spherical_log10_p(c: float, dim: int) -> float:
     Diagnostic accessor: reported ell values come from the p-value
     itself so that ell == -log10(p_value) holds exactly.
     """
-    if dim < 2:
-        raise DimensionError(f"dimension {dim} < 2")
-    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
-        raise DomainError(f"cosine {c} outside [-1, 1]")
-    c = min(1.0, max(-1.0, c))
-    if c <= 0.0:
+    x = _tail_x(c, dim)
+    if x is None:
         return 0.0
-    x = (1.0 - c) * (1.0 + c)
     if x == 0.0:
         return -math.inf
     return log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)

@@ -9,11 +9,13 @@ training-corpus index.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+from ._fileio import atomic_write
 from .errors import DegenerateLabelsError, DomainError
 
 BLEU_EPS = 1e-9
@@ -62,6 +64,10 @@ class ScoredSample:
     score: float
     label: bool  # True = watermarked (positive)
 
+    def __post_init__(self):
+        if not math.isfinite(float(self.score)):
+            raise DomainError(f"score must be finite, got {self.score!r}")
+
 
 @dataclass(frozen=True)
 class RocResult:
@@ -72,13 +78,17 @@ class RocResult:
     auc: float
 
 
-def _split_counts(samples: Sequence[ScoredSample]) -> tuple[int, int]:
-    n_pos = sum(s.label for s in samples)
-    n_neg = len(samples) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise DegenerateLabelsError(
-            f"need both classes, got {n_pos} positives / {n_neg} negatives")
-    return n_pos, n_neg
+def _sweep(samples: Sequence[ScoredSample]) -> list[tuple[float, int, int]]:
+    """(inf, 0, 0), then per distinct score, descending, (score, #pos >= it, #neg >= it)."""
+    by_score: dict[float, list[int]] = {}
+    for s in samples:
+        by_score.setdefault(float(s.score), [0, 0])[0 if s.label else 1] += 1
+    groups, tp, fp = [(math.inf, 0, 0)], 0, 0
+    for t in sorted(by_score, reverse=True):
+        dp, dn = by_score[t]
+        tp, fp = tp + dp, fp + dn
+        groups.append((t, tp, fp))
+    return groups
 
 
 def roc(samples: Sequence[ScoredSample]) -> RocResult:
@@ -89,23 +99,17 @@ def roc(samples: Sequence[ScoredSample]) -> RocResult:
     Mann-Whitney count, ties worth half) and divides once, so equal
     inputs give bit-equal results regardless of group order.
     """
-    n_pos, n_neg = _split_counts(samples)
-    by_score: dict[float, list[int]] = {}
-    for s in samples:
-        cell = by_score.setdefault(float(s.score), [0, 0])
-        cell[0 if s.label else 1] += 1
-    thresholds = sorted(by_score, reverse=True)
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    twice_u = 0
-    for t in thresholds:
-        dp, dn = by_score[t]
-        twice_u += dn * (2 * tp + dp)
-        tp += dp
-        fp += dn
-        points.append((fp / n_neg, tp / n_pos))
-    auc = twice_u / (2 * n_pos * n_neg)
-    return RocResult(thresholds=tuple(thresholds), points=tuple(points), auc=auc)
+    groups = _sweep(samples)
+    n_pos, n_neg = groups[-1][1:]
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError(
+            f"need both classes, got {n_pos} positives / {n_neg} negatives")
+    # a negative loses to the tp0 positives above it, ties the rest of tp
+    twice_u = sum((fp - fp0) * (tp0 + tp)
+                  for (_, tp0, fp0), (_, tp, fp) in zip(groups, groups[1:]))
+    return RocResult(thresholds=tuple(g[0] for g in groups[1:]),
+                     points=tuple((fp / n_neg, tp / n_pos) for _, tp, fp in groups),
+                     auc=twice_u / (2 * n_pos * n_neg))
 
 
 @dataclass(frozen=True)
@@ -132,31 +136,27 @@ class OperatingPoint:
 def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> OperatingPoint:
     """Smallest observed score whose false-positive rate is within target.
 
-    When even the largest score misses the target, the returned
-    threshold is max score + 1 (rejects everything).  Positives are
-    optional; with none, achieved_tpr is 0.
+    One O(n log n) descending sweep shared with `roc`: the threshold is
+    the last distinct score in that order with fp / n_neg <= target_fpr,
+    compared as that exact float division.  If even the largest score
+    misses, the threshold is max score + 1 (rejects everything).
+    Positives are optional; with none, achieved_tpr is 0.
     """
     if not 0.0 < target_fpr <= 1.0:
         raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
-    neg_scores = sorted(float(s.score) for s in samples if not s.label)
-    if not neg_scores:
+    groups = _sweep(samples)
+    n_pos, n_neg = groups[-1][1:]
+    if n_neg == 0:
         raise DegenerateLabelsError("need at least one negative sample")
-    pos_scores = [float(s.score) for s in samples if s.label]
-    n_neg = len(neg_scores)
-
-    def fpr_at(theta: float) -> float:
-        return sum(s >= theta for s in neg_scores) / n_neg
-
-    chosen = None
-    for theta in sorted({float(s.score) for s in samples}):
-        if fpr_at(theta) <= target_fpr:
-            chosen = theta
-            break
-    if chosen is None:
-        chosen = max(float(s.score) for s in samples) + 1.0
-    tpr = (sum(s >= chosen for s in pos_scores) / len(pos_scores)) if pos_scores else 0.0
+    # fp never falls along the sweep, so the passing groups are a prefix
+    k = bisect.bisect_right(groups, target_fpr, key=lambda g: g[2] / n_neg)
+    chosen, tp, fp = groups[k - 1]
+    if k == 1:  # only the anchor passes; past 2**53 the + 1 is lost
+        chosen = groups[1][0] + 1.0
+        tp, fp = groups[1][1:] if chosen == groups[1][0] else (0, 0)
     return OperatingPoint(target_fpr=target_fpr, threshold=chosen,
-                          achieved_tpr=tpr, achieved_fpr=fpr_at(chosen))
+                          achieved_tpr=tp / n_pos if n_pos else 0.0,
+                          achieved_fpr=fp / n_neg)
 
 
 @dataclass(frozen=True)
@@ -190,7 +190,7 @@ def novelty_score(tokens: Sequence[str], index: NgramIndex) -> float | None:
 
 def write_roc_csv(result: RocResult, path: str) -> None:
     """threshold,fpr,tpr rows; the (0,0) anchor gets threshold inf."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,fpr,tpr\n")
         fh.write("inf,0.000000,0.000000\n")
         for theta, (fpr, tpr) in zip(result.thresholds, result.points[1:]):

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .errors import DimensionMismatchError, ImageFormatError
 
 MAXVAL = 255
@@ -116,7 +117,7 @@ def read_image(path: str) -> RasterImage:
 def write_image(img: RasterImage, path: str) -> None:
     magic = b"P5" if img.channels == 1 else b"P6"
     header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, MAXVAL)
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(header)
         fh.write(img.pixels.tobytes())
 

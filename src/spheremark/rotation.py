@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._fileio import atomic_write
 from .errors import (DimensionError, DimensionMismatchError, DomainError,
                      KeyFileError)
 from .sphere import UnitVector, unit
@@ -51,7 +52,7 @@ class SecretKey:
 
 def save_key(key: SecretKey, path: str) -> None:
     payload = {"seed": key.seed, "label": key.label}
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
         fh.write("\n")
 

@@ -101,6 +101,15 @@ class TestSphericalPValue:
         with pytest.raises(DimensionError):
             spherical_p_value(0.5, 1)
 
+    def test_log10_shares_validation(self):
+        assert spherical_log10_p(1.0 + 5e-13, 256) == -math.inf
+        assert spherical_log10_p(-0.7, 256) == 0.0
+        for bad in (1.01, -1.01, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                spherical_log10_p(bad, 256)
+        with pytest.raises(DimensionError):
+            spherical_log10_p(0.5, 1)
+
     def test_dim3_closed_form(self):
         # on S^2 the two-sided tail is exactly 1 - c
         for c in (0.01, 0.1, 0.5, 0.9, 0.999):

@@ -1,12 +1,13 @@
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from spheremark import (DegenerateLabelsError, DomainError, NgramIndex,
-                        OperatingPoint, ScoredSample, bleu4, exact_match,
-                        novelty_score, roc, threshold_at_fpr)
+                        OperatingPoint, RocResult, ScoredSample, bleu4,
+                        exact_match, novelty_score, roc, threshold_at_fpr)
 from spheremark.metrics import write_roc_csv
 
 # brute-force oracle, frozen by hand:
@@ -219,6 +220,148 @@ class TestThresholdAtFpr:
     def test_needs_negatives(self):
         with pytest.raises(DegenerateLabelsError):
             threshold_at_fpr([ScoredSample(1.0, True)], 0.1)
+
+
+def roc_reference(samples):
+    """The dict-of-groups ROC that the shared sweep replaced, kept as the
+    reference for bit-equal results."""
+    n_pos = sum(s.label for s in samples)
+    n_neg = len(samples) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise DegenerateLabelsError(
+            f"need both classes, got {n_pos} positives / {n_neg} negatives")
+    by_score = {}
+    for s in samples:
+        cell = by_score.setdefault(float(s.score), [0, 0])
+        cell[0 if s.label else 1] += 1
+    thresholds = sorted(by_score, reverse=True)
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    twice_u = 0
+    for t in thresholds:
+        dp, dn = by_score[t]
+        twice_u += dn * (2 * tp + dp)
+        tp += dp
+        fp += dn
+        points.append((fp / n_neg, tp / n_pos))
+    auc = twice_u / (2 * n_pos * n_neg)
+    return RocResult(thresholds=tuple(thresholds), points=tuple(points), auc=auc)
+
+
+def threshold_at_fpr_reference(samples, target_fpr):
+    """The quadratic rescan that the shared sweep replaced, kept as the
+    reference for bit-equal results."""
+    if not 0.0 < target_fpr <= 1.0:
+        raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
+    neg_scores = sorted(float(s.score) for s in samples if not s.label)
+    if not neg_scores:
+        raise DegenerateLabelsError("need at least one negative sample")
+    pos_scores = [float(s.score) for s in samples if s.label]
+    n_neg = len(neg_scores)
+
+    def fpr_at(theta):
+        return sum(s >= theta for s in neg_scores) / n_neg
+
+    chosen = None
+    for theta in sorted({float(s.score) for s in samples}):
+        if fpr_at(theta) <= target_fpr:
+            chosen = theta
+            break
+    if chosen is None:
+        chosen = max(float(s.score) for s in samples) + 1.0
+    tpr = (sum(s >= chosen for s in pos_scores) / len(pos_scores)) if pos_scores else 0.0
+    return OperatingPoint(target_fpr=target_fpr, threshold=chosen,
+                          achieved_tpr=tpr, achieved_fpr=fpr_at(chosen))
+
+
+def _outcome(fn, *args):
+    """repr of the result (bit-exact, sign of zero included) or the
+    name of the error raised."""
+    try:
+        return repr(fn(*args))
+    except (DomainError, DegenerateLabelsError) as exc:
+        return type(exc).__name__
+
+
+# quarter-integers in a small range tie often; both zeros test which
+# representative a tied group keeps
+TIED_SCORES = st.integers(-8, 8).map(lambda k: k / 4) | st.sampled_from([0.0, -0.0])
+TIED_SAMPLES = st.lists(st.builds(ScoredSample, TIED_SCORES, st.booleans()), max_size=40)
+TARGETS = (st.floats(min_value=0.0, max_value=1.0)
+           | st.sampled_from([1.0, 5e-324, 1e-300, 0.1, -0.5, 1.5]))
+
+
+@st.composite
+def tied_samples_and_target(draw):
+    samples = draw(TIED_SAMPLES)
+    n_neg = sum(not s.label for s in samples)
+    if n_neg and draw(st.booleans()):
+        # an achievable rate or one ulp below it, where fp / n_neg <= t
+        # and fp <= t * n_neg can disagree (fp=5, n_neg=6, t=5/6)
+        t = draw(st.integers(1, n_neg)) / n_neg
+        return samples, draw(st.sampled_from([t, math.nextafter(t, 0.0)]))
+    return samples, draw(TARGETS)
+
+
+class TestSweepMatchesReference:
+    CASES = {
+        "no positives": _mk([], [1.0, 2.0, 2.0, 3.0]),
+        "single distinct score": _mk([2.0, 2.0], [2.0]),
+        "unreachable target": _mk([5.0], [7.0, 7.0, 7.0]),
+        "six distinct negatives": _mk([9.0, 2.5], [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]),
+        "no negatives": _mk([1.0, 2.0], []),
+        "empty": [],
+        # max score + 1 rounds back to max: neither version may claim fpr 0
+        "beyond 2**53": _mk([1.0], [2.0 ** 53, 2.0 ** 53]),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("target", [1.0, 5 / 6, math.nextafter(5 / 6, 0.0),
+                                        0.5, 0.2, 1e-9])
+    def test_named_cases(self, name, target):
+        samples = self.CASES[name]
+        assert (_outcome(threshold_at_fpr, samples, target)
+                == _outcome(threshold_at_fpr_reference, samples, target))
+        assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+
+    def test_named_case_outcomes(self):
+        assert threshold_at_fpr(self.CASES["no positives"], 0.5).achieved_tpr == 0.0
+        op = threshold_at_fpr(self.CASES["unreachable target"], 0.2)
+        assert (op.threshold, op.achieved_tpr, op.achieved_fpr) == (8.0, 0.0, 0.0)
+        op = threshold_at_fpr(self.CASES["single distinct score"], 1.0)
+        assert (op.threshold, op.achieved_tpr, op.achieved_fpr) == (2.0, 1.0, 1.0)
+        with pytest.raises(DomainError):
+            threshold_at_fpr(self.CASES["beyond 2**53"], 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples_and_target())
+@example(([ScoredSample(-0.0, False), ScoredSample(0.0, True)], 1.0))
+@example(([ScoredSample(0.0, False), ScoredSample(-0.0, True)], 1.0))
+def test_sweep_equals_reference_on_ties(samples_target):
+    samples, target = samples_target
+    assert (_outcome(threshold_at_fpr, samples, target)
+            == _outcome(threshold_at_fpr_reference, samples, target))
+    assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+
+
+def test_threshold_at_fpr_is_not_quadratic():
+    # the quadratic rescan took tens of seconds here
+    samples = [ScoredSample(score=k * 0.37, label=k % 3 == 0) for k in range(20000)]
+    t0 = time.perf_counter()
+    for target in (1e-3, 1e-2, 1e-1):
+        threshold_at_fpr(samples, target)
+    assert time.perf_counter() - t0 < 2.0
+
+
+class TestScoredSample:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            ScoredSample(score=bad, label=True)
+
+    def test_finite_accepted(self):
+        assert ScoredSample(score=-1e308, label=False).score == -1e308
 
 
 class TestOperatingPoint:
