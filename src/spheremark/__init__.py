@@ -21,8 +21,7 @@ from .imagechannel import CarrierSet, attack, embed, extract, transform_names
 from .metrics import (NgramIndex, OperatingPoint, RocResult, ScoredSample,
                       bleu4, exact_match, novelty_score, roc, threshold_at_fpr)
 from .netpbm import RasterImage, psnr, read_image, write_image
-from .rotation import (GenerationTiming, RotationMatrix, SecretKey,
-                       benchmark_generation, load_key, rotate,
+from .rotation import (RotationMatrix, SecretKey, load_key, rotate,
                        sample_rotation, save_key, unrotate)
 from .sphere import (DEFAULT_DIM, UnitVector, cosine, cosine_loss,
                      sample_uniform, unit)

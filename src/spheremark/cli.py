@@ -17,8 +17,11 @@ import json
 import math
 import os
 import secrets
+import statistics
 import sys
+import time
 
+from ._fileio import atomic_write
 from .channel import (default_profiles, load_profiles, run_sweep,
                       write_sweep_csv)
 from .channel import calibrate as channel_calibrate
@@ -33,8 +36,8 @@ from .imagechannel import embed, extract, transform_names
 from .metrics import (NgramIndex, ScoredSample, bleu4, novelty_score, roc,
                       threshold_at_fpr, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
-from .rotation import (SecretKey, benchmark_generation, load_key, rotate,
-                       sample_rotation, save_key, unrotate)
+from .rotation import (SecretKey, load_key, rotate, sample_rotation, save_key,
+                       unrotate)
 from .streams import label_entropy, stream
 
 EXIT_OK = 0
@@ -216,7 +219,8 @@ def _read_scores(path: str) -> list[ScoredSample]:
 def cmd_roc(args) -> int:
     samples = _read_scores(args.scores)
     result = roc(samples)
-    points = [threshold_at_fpr(samples, f).to_json_dict() for f in args.target_fpr]
+    points = [threshold_at_fpr(samples, f).to_json_dict()
+              for f in args.target_fpr or [0.01]]
     out = _resolve_out(args, args.out)
     write_roc_csv(result, out)
     n_pos = sum(s.label for s in samples)
@@ -226,18 +230,42 @@ def cmd_roc(args) -> int:
     return EXIT_OK
 
 
+def _int_list(flag: str, text: str) -> list[int]:
+    try:
+        values = [int(v) for v in text.split(",") if v]
+    except ValueError as exc:
+        raise DomainError(f"{flag} wants comma-separated integers, got {text!r}") from exc
+    if any(v < 1 for v in values):
+        raise DomainError(f"{flag} values must be >= 1, got {text!r}")
+    return values
+
+
+def _median_rotation_ms(dim: int, batch: int, repeats: int) -> float:
+    """Median per-matrix ms of sample_rotation over ``repeats`` timed
+    batches of ``batch`` distinct keys, after 2 * batch untimed calls."""
+    for i in range(2 * batch):
+        sample_rotation(SecretKey(seed=i), dim)
+    per_run = []
+    for r in range(repeats):
+        keys = [SecretKey(seed=(r + 1) * batch + j) for j in range(batch)]
+        t0 = time.perf_counter()
+        for k in keys:
+            sample_rotation(k, dim)
+        per_run.append((time.perf_counter() - t0) * 1000.0 / batch)
+    return float(statistics.median(per_run))
+
+
 def cmd_bench(args) -> int:
-    dims = [int(d) for d in args.dims.split(",") if d]
-    batches = [int(b) for b in args.batches.split(",") if b]
-    rows = []
-    for dim in dims:
-        for batch in batches:
-            timing = benchmark_generation(dim, batch, repeats=args.repeats)
-            rows.append({"dim": dim, "batch": batch,
-                         "median_ms": timing.median_ms})
+    dims = _int_list("--dims", args.dims)
+    batches = _int_list("--batches", args.batches)
+    if args.repeats < 1:
+        raise DomainError(f"--repeats must be >= 1, got {args.repeats}")
+    rows = [{"dim": dim, "batch": batch,
+             "median_ms": _median_rotation_ms(dim, batch, args.repeats)}
+            for dim in dims for batch in batches]
     if args.out:
         out = _resolve_out(args, args.out)
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("dim,batch,median_ms\n")
             for r in rows:
                 fh.write(f"{r['dim']},{r['batch']},{r['median_ms']:.4f}\n")
@@ -311,7 +339,7 @@ def cmd_corpus(args) -> int:
     rot = sample_rotation(key, args.dim)
     carrier_vec = rotate(rot, codec.encode(message))
     out = _resolve_out(args, args.out)
-    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")
         for name in names:
             img = read_image(os.path.join(args.dir, name))
@@ -438,8 +466,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     if getattr(args, "seed", None) is None:
         args.seed = secrets.randbits(63)
-    if args.command == "roc" and args.target_fpr is None:
-        args.target_fpr = [0.01]
     try:
         return args.func(args)
     except CapacityExceededError as exc:

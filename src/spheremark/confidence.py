@@ -10,11 +10,12 @@ where I_x(a, b) is the regularized incomplete beta function.  The
 score is reported as ell = -log10(p): the number of decimal orders
 of magnitude by which chance alignment is ruled out.
 
-The incomplete beta here is evaluated by a modified Lentz continued
-fraction with the symmetry I_x(a,b) = 1 - I_{1-x}(b,a), plus a
-log-space variant: payload cosines near 1 drive p below the smallest
-positive float, so the linear-space value alone cannot discriminate
-genuine detections from each other.
+The incomplete beta is evaluated one way, in log space: a modified
+Lentz continued fraction times a prefactor, with the symmetry
+I_x(a,b) = 1 - I_{1-x}(b,a) for the upper range (Press et al.,
+Numerical Recipes, 3rd ed., section 6.4).  Payload cosines near 1 drive
+p below the smallest positive float; the log value stays finite there,
+so spherical_log10_p still tells genuine detections apart.
 """
 from __future__ import annotations
 
@@ -29,9 +30,6 @@ from .sphere import UnitVector, cosine
 # cap exceeds every representable -log10(p), so capped scores still
 # order above all finite-p scores.
 ELL_CAP = 700.0
-
-# Switch to log-space evaluation when 1 - c^2 drops below this.
-_LOG_SPACE_X = 1e-4
 
 # Lentz continued-fraction controls.
 _MAX_ITER = 500
@@ -66,27 +64,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, _MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = 1.0 + aa / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # one Lentz update for the even, then the odd coefficient
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) <= _LENTZ_EPS:
             return h
     raise ArithmeticError(
@@ -114,18 +103,10 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
     -------
     float
         I_x(a, b) to about 1e-12 relative accuracy over the tested
-        parameter range (a, b up to a few hundred).
+        parameter range (a, b up to a few hundred); exp of
+        log_reg_inc_beta, so it underflows to 0.0 in the deep tail.
     """
-    _check_beta_args(x, a, b)
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return math.exp(ln_front) * _beta_cf(a, b, x) / a
-    # front factor is symmetric in (a <-> b, x <-> 1-x)
-    return 1.0 - math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
+    return math.exp(log_reg_inc_beta(x, a, b))
 
 
 def log_reg_inc_beta(x: float, a: float, b: float) -> float:
@@ -165,12 +146,7 @@ def spherical_p_value(c: float, dim: int) -> float:
     x = _tail_x(c, dim)
     if x is None:
         return 1.0
-    a = (dim - 1) / 2.0
-    if x == 0.0:
-        return 0.0
-    if x < _LOG_SPACE_X:
-        return math.exp(log_reg_inc_beta(x, a, 0.5))  # may underflow to 0.0
-    return reg_inc_beta(x, a, 0.5)
+    return reg_inc_beta(x, (dim - 1) / 2.0, 0.5)  # may underflow to 0.0
 
 
 def spherical_log10_p(c: float, dim: int) -> float:
@@ -182,8 +158,6 @@ def spherical_log10_p(c: float, dim: int) -> float:
     x = _tail_x(c, dim)
     if x is None:
         return 0.0
-    if x == 0.0:
-        return -math.inf
     return log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)
 
 
@@ -196,12 +170,6 @@ class ConfidenceReport:
     ell: float
     idempotent: bool
     verdict: str
-
-    CSV_HEADER = "cosine,p_value,ell,idempotent,verdict"
-
-    def to_csv_row(self) -> str:
-        return (f"{self.cosine:.10f},{self.p_value:.10e},{self.ell:.6f},"
-                f"{str(self.idempotent).lower()},{self.verdict}")
 
     def to_json_dict(self) -> dict:
         return {

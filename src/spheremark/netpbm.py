@@ -2,8 +2,8 @@
 
 Grayscale images are written as P5, 3-channel as P6, always maxval
 255.  Readers accept maxval 1..255 and rescale samples to the 0..255
-range; they tolerate '#' comments anywhere in the header; writers
-never emit them.
+range; header numbers must be plain ASCII decimal digits; readers
+tolerate '#' comments anywhere in the header; writers never emit them.
 """
 from __future__ import annotations
 
@@ -93,10 +93,13 @@ def read_image(path: str) -> RasterImage:
     else:
         raise ImageFormatError(f"{path}: unsupported magic {magic!r}, want P5 or P6")
     tokens, data_start = _read_header_tokens(buf, 2, 3)
+    # int() would also take "+10" and "1_0"; netpbm wants ASCII digits
+    if not all(t.isdigit() for t in tokens):
+        raise ImageFormatError(f"{path}: non-numeric header field")
     try:
         width, height, maxval = (int(t) for t in tokens)
-    except ValueError as exc:
-        raise ImageFormatError(f"{path}: non-numeric header field") from exc
+    except ValueError as exc:  # more digits than int() will convert
+        raise ImageFormatError(f"{path}: header field too long") from exc
     if width < 1 or height < 1:
         raise ImageFormatError(f"{path}: bad dimensions {width}x{height}")
     if not 0 < maxval <= MAXVAL:

@@ -17,15 +17,12 @@ different dimensions because the stream is derived from (seed, dim).
 from __future__ import annotations
 
 import json
-import statistics
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._fileio import atomic_write
-from .errors import (DimensionError, DimensionMismatchError, DomainError,
-                     KeyFileError)
+from .errors import DimensionError, DimensionMismatchError, KeyFileError
 from .sphere import UnitVector, unit
 from .streams import stream
 
@@ -149,41 +146,3 @@ def unrotate(m: RotationMatrix, v: UnitVector) -> UnitVector:
         raise DimensionMismatchError(f"matrix dim {m.dim} != vector dim {v.dim}")
     return unit(m.entries.T @ v.components)
 
-
-@dataclass(frozen=True)
-class GenerationTiming:
-    """Wall-clock cost of sampling rotations at one (dim, batch) point."""
-
-    dim: int
-    batch: int
-    repeats: int
-    per_run_ms: tuple[float, ...]  # per-matrix milliseconds, one entry per run
-
-    @property
-    def median_ms(self) -> float:
-        return float(statistics.median(self.per_run_ms))
-
-
-def benchmark_generation(dim: int, batch: int = 1, repeats: int = 10,
-                         warmup: int = 2) -> GenerationTiming:
-    """Time sample_rotation; returns median per-matrix milliseconds.
-
-    Runs ``warmup`` untimed batches first, then ``repeats`` timed runs
-    of ``batch`` matrices each with distinct keys.
-    """
-    if dim < 1:
-        raise DimensionError(f"rotation dimension {dim} < 1")
-    if batch < 1 or repeats < 1:
-        raise DomainError("batch and repeats must both be >= 1")
-    for i in range(warmup * batch):
-        sample_rotation(SecretKey(seed=i), dim)
-    per_run = []
-    for r in range(repeats):
-        keys = [SecretKey(seed=(r + 1) * batch + j) for j in range(batch)]
-        t0 = time.perf_counter()
-        for k in keys:
-            sample_rotation(k, dim)
-        elapsed = time.perf_counter() - t0
-        per_run.append(elapsed * 1000.0 / batch)
-    return GenerationTiming(dim=dim, batch=batch, repeats=repeats,
-                            per_run_ms=tuple(per_run))

@@ -1,13 +1,16 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from spheremark import RasterImage, read_image, write_image
+from spheremark import cli
 from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
                             EXIT_USAGE, _emit, main)
 from conftest import make_image
+from test_fileio import _failing_atomic_write
 
 
 def run_cli(capsys, *argv):
@@ -189,6 +192,16 @@ class TestSealOpen:
 
 
 class TestAttack:
+    def test_non_decimal_header_is_image_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(b"P5\n1_0 4\n2_55\n" + bytes(40))
+        rc, payload, err = run_cli(capsys, "attack", "--in", str(bad),
+                                   "--transform", "identity",
+                                   "--out", str(tmp_path / "o.pgm"))
+        assert rc == EXIT_IMAGE_IO
+        assert payload is None
+        assert "non-numeric header field" in err
+
     def test_identity_psnr_inf(self, tmp_path, capsys, host_image):
         out = tmp_path / "same.ppm"
         rc, payload, _ = run_cli(capsys, "attack", "--in", host_image,
@@ -364,6 +377,45 @@ class TestBenchCalibrate:
         assert lines[0] == "dim,batch,median_ms"
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("flags", [
+        ("--dims", "abc"), ("--dims", "8,x"), ("--batches", "x"),
+        ("--dims", "0"), ("--batches", "0"), ("--batches", "-1"),
+        ("--repeats", "0"),
+    ])
+    def test_bench_refuses_bad_input(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench.csv"
+        out.write_text("previous\n")
+        rc, payload, err = run_cli(capsys, "bench", "--dims", "2",
+                                   "--repeats", "1", *flags, "--out", str(out))
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert out.read_text() == "previous\n"
+
+    def test_bench_warms_up_then_times_distinct_keys(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "sample_rotation",
+                            lambda key, dim: calls.append((key.seed, dim)))
+        rc, payload, _ = run_cli(capsys, "bench", "--dims", "4",
+                                 "--batches", "3", "--repeats", "2")
+        assert rc == EXIT_OK
+        assert [r["batch"] for r in payload["results"]] == [3]
+        # 2 * batch warm-up seeds, then batch (r + 1) uses seeds (r + 1) * batch + j
+        assert calls == [(s, 4) for s in [0, 1, 2, 3, 4, 5, 3, 4, 5, 6, 7, 8]]
+
+    def test_bench_csv_written_atomically(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "bench.csv"
+        out.write_text("previous\n")
+        # the header goes through, then the first row fails halfway
+        monkeypatch.setattr(cli, "atomic_write", _failing_atomic_write)
+        rc, payload, err = run_cli(capsys, "bench", "--dims", "2,3",
+                                   "--repeats", "1", "--out", str(out))
+        assert rc == EXIT_IMAGE_IO
+        assert payload is None
+        assert "No space left" in err
+        assert out.read_text() == "previous\n"
+        assert os.listdir(tmp_path) == ["bench.csv"]
+
     def test_calibrate(self, capsys):
         rc, payload, _ = run_cli(capsys, "calibrate",
                                  "--target-cosine", "0.984")
@@ -459,6 +511,24 @@ class TestCorpus:
         assert rc == EXIT_OK
         line = out.read_text().splitlines()[1]
         assert line.split(",")[4] == "trusted"
+
+    @pytest.mark.parametrize("transform", ["nosuch", "identity:3"])
+    def test_failed_run_keeps_previous_csv(self, tmp_path, capsys, keyfile,
+                                           transform):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        write_image(make_image(5), str(imgdir / "a.ppm"))
+        out = tmp_path / "corpus.csv"
+        argv = ("corpus", "--dir", str(imgdir), "--key", keyfile,
+                "--message", "m", "--out", str(out), "--seed", "4")
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        good = out.read_bytes()
+        assert len(good.splitlines()) == 2
+        rc, payload, _ = run_cli(capsys, *argv, "--transform", transform)
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert out.read_bytes() == good
+        assert sorted(os.listdir(tmp_path)) == ["corpus.csv", "imgs", "key.json"]
 
     def test_empty_dir(self, tmp_path, capsys, keyfile):
         imgdir = tmp_path / "imgs"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import mpmath as mp
 import numpy as np
@@ -10,10 +11,107 @@ from spheremark import (ELL_CAP, DimensionError, DomainError, Message,
                         SignCodec, assess, ell_from_p, log_reg_inc_beta,
                         reg_inc_beta, sample_uniform, spherical_log10_p,
                         spherical_p_value)
-from spheremark.confidence import VERDICT_TRUSTED, VERDICT_UNTRUSTED
+from spheremark.confidence import (_FPMIN, _LENTZ_EPS, _MAX_ITER,
+                                   VERDICT_TRUSTED, VERDICT_UNTRUSTED,
+                                   _beta_cf, _check_beta_args, _ln_beta,
+                                   _tail_x)
 from spheremark.streams import stream
 
 mp.mp.dps = 50
+
+# Smallest positive normal float64: below it p carries fewer than 53
+# bits, so differences there are measured against this floor.
+TINY = sys.float_info.min
+
+
+# Verbatim copies of the two-path evaluation that the single log-space
+# core replaced (renamed with an ``old_`` prefix), kept as references.
+_LOG_SPACE_X = 1e-4
+
+
+def old_beta_cf(a: float, b: float, x: float) -> float:
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        # even step
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        h *= d * c
+        # odd step
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 + aa * d
+        if abs(d) < _FPMIN:
+            d = _FPMIN
+        c = 1.0 + aa / c
+        if abs(c) < _FPMIN:
+            c = _FPMIN
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _LENTZ_EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
+
+
+def old_reg_inc_beta(x: float, a: float, b: float) -> float:
+    _check_beta_args(x, a, b)
+    if x == 0.0:
+        return 0.0
+    if x == 1.0:
+        return 1.0
+    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(ln_front) * old_beta_cf(a, b, x) / a
+    # front factor is symmetric in (a <-> b, x <-> 1-x)
+    return 1.0 - math.exp(ln_front) * old_beta_cf(b, a, 1.0 - x) / b
+
+
+def old_spherical_p_value(c: float, dim: int) -> float:
+    x = _tail_x(c, dim)
+    if x is None:
+        return 1.0
+    a = (dim - 1) / 2.0
+    if x == 0.0:
+        return 0.0
+    if x < _LOG_SPACE_X:
+        return math.exp(log_reg_inc_beta(x, a, 0.5))  # may underflow to 0.0
+    return old_reg_inc_beta(x, a, 0.5)
+
+
+def old_spherical_log10_p(c: float, dim: int) -> float:
+    x = _tail_x(c, dim)
+    if x is None:
+        return 0.0
+    if x == 0.0:
+        return -math.inf
+    return log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)
+
+
+def _outcome(fn, *args) -> str:
+    try:
+        return repr(fn(*args))
+    except ArithmeticError as exc:
+        return f"stalled: {exc}"
+
+
+def _cosine_grid() -> list[float]:
+    near_one = [1.0 - k * 2.0 ** -53 for k in range(10)]  # within 1e-15 of 1
+    return [float(c) for c in np.linspace(1e-3, 1.0, 3001)] + near_one
 
 
 def quad_oracle(x: float, a: float, b: float) -> mp.mpf:
@@ -80,6 +178,47 @@ def test_reg_inc_beta_tracks_mpmath(a, b, x):
     want = float(mp.betainc(mp.mpf(repr(a)), mp.mpf(repr(b)),
                             0, mp.mpf(repr(x)), regularized=True))
     assert reg_inc_beta(x, a, b) == pytest.approx(want, rel=1e-10)
+
+
+class TestSingleLogSpaceCore:
+    """The log-space core against verbatim copies of the two-path code."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=300.0),
+           st.one_of(st.just(0.5), st.floats(min_value=0.5, max_value=300.0)),
+           st.floats(min_value=0.0, max_value=1.0))
+    def test_beta_cf_bit_equal(self, a, b, x):
+        assert _outcome(_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
+
+    def test_beta_cf_bit_equal_seeded(self):
+        rng = stream(4096)
+        for a, b, x in zip(rng.uniform(0.5, 300.0, 3000),
+                           rng.uniform(0.5, 300.0, 3000), rng.uniform(size=3000)):
+            a, b, x = float(a), float(b), float(x)
+            assert _outcome(_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
+            assert (_outcome(_beta_cf, a, 0.5, x)
+                    == _outcome(old_beta_cf, a, 0.5, x))
+
+    @pytest.mark.parametrize("dim", [64, 256, 512])
+    def test_p_value_matches_two_path_code(self, dim):
+        for c in _cosine_grid():
+            got, want = spherical_p_value(c, dim), old_spherical_p_value(c, dim)
+            assert (got == 0.0) == (want == 0.0), c
+            assert abs(got - want) <= 2e-13 * max(want, TINY), c
+
+    @pytest.mark.parametrize("dim", [64, 256, 512])
+    def test_log10_p_bit_equal(self, dim):
+        for c in _cosine_grid():
+            assert (repr(spherical_log10_p(c, dim))
+                    == repr(old_spherical_log10_p(c, dim))), c
+
+    def test_reg_inc_beta_matches_linear_code(self):
+        for a in (0.5, 2.5, 31.5, 127.5, 255.5):
+            for b in (0.5, 2.0, 40.0):
+                for x in np.linspace(0.0, 1.0, 201):
+                    x = float(x)
+                    got, want = reg_inc_beta(x, a, b), old_reg_inc_beta(x, a, b)
+                    assert abs(got - want) <= 2e-13 * max(want, TINY), (a, b, x)
 
 
 class TestSphericalPValue:
@@ -230,9 +369,6 @@ class TestAssess:
     def test_report_serialization(self):
         codec = SignCodec(256)
         rep = assess(codec, codec.encode(Message(b"row")), ell_threshold=5.0)
-        row = rep.to_csv_row()
-        assert row.count(",") == 4
-        assert row.split(",")[4] == VERDICT_TRUSTED
         d = rep.to_json_dict()
         assert set(d) == {"cosine", "p_value", "ell", "idempotent", "verdict"}
         assert d["idempotent"] is True

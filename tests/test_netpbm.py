@@ -1,7 +1,11 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spheremark import (DimensionMismatchError, ImageFormatError, RasterImage,
                         psnr, read_image, write_image)
@@ -117,6 +121,71 @@ class TestReadWrite:
         path.write_bytes(b"P5\n2 1\n255\n\x00\x01extra")
         with pytest.raises(ImageFormatError):
             read_image(path)
+
+    @pytest.mark.parametrize("header", [
+        b"P5\n1_0 4\n2_55\n",  # int() reads these as 10 and 255
+        b"P5\n+10 4\n255\n",
+        b"P5\n10 4\n-255\n",
+        b"P5\n10 4\n\xd9\xa2\n",  # a non-ASCII digit
+    ])
+    def test_reader_rejects_non_decimal_header_numbers(self, tmp_path, header):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(header + bytes(40))
+        with pytest.raises(ImageFormatError, match="non-numeric"):
+            read_image(path)
+
+    def test_reader_refuses_overlong_header_number(self, tmp_path):
+        # int() refuses more than 4300 digits with a ValueError
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n" + b"1" * 5000 + b" 1\n255\n\x00")
+        with pytest.raises(ImageFormatError):
+            read_image(path)
+
+    def test_reader_accepts_leading_zeros(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n002 01\n0255\n\x07\x09")
+        assert read_image(path).pixels.ravel().tolist() == [7, 9]
+
+
+_JUNK_TOKEN = st.one_of(
+    st.sampled_from([b"1_0", b"+2", b"-1", b"0x10", b"2.0", b"#c\n", b""]),
+    st.binary(max_size=4),
+)
+
+
+@st.composite
+def _netpbm_like(draw):
+    """Mostly well-formed headers with body sizes near the right one,
+    with some tokens, separators and sizes corrupted."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P6", b"P6", b"P4", b""]))
+    width, height = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    fields = [str(n).encode() for n in (width, height, draw(st.integers(0, 300)))]
+    fields = [draw(_JUNK_TOKEN) if draw(st.integers(0, 4)) == 0 else f
+              for f in fields]
+    seps = draw(st.lists(st.sampled_from([b" ", b"\n", b"\t", b"#x\n", b""]),
+                         min_size=4, max_size=4))
+    header = magic + b"".join(s + f for s, f in zip(seps, fields)) + seps[3]
+    size = width * height * (3 if magic == b"P6" else 1)
+    size = max(0, size + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    return header + draw(st.binary(min_size=size, max_size=size))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.binary(max_size=64), _netpbm_like()))
+@example(b"P5\n1_0 4\n2_55\n" + bytes(40))
+@example(b"P6\n1 1\n15\n\x10\x00\x00")
+def test_reader_reads_or_refuses_any_bytes(data):
+    """Any byte string is read or refused with ImageFormatError."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "fuzz.pgm")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        try:
+            img = read_image(path)
+        except ImageFormatError:
+            return
+    assert img.pixels.dtype == np.uint8
+    assert img.pixels.size == img.height * img.width * img.channels
 
 
 class TestPsnr:

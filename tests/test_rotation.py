@@ -4,9 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from spheremark import (DimensionError, DimensionMismatchError, DomainError,
-                        GenerationTiming, KeyFileError, RotationMatrix,
-                        SecretKey, benchmark_generation, load_key, rotate,
+from spheremark import (DimensionError, DimensionMismatchError, KeyFileError,
+                        RotationMatrix, SecretKey, load_key, rotate,
                         sample_rotation, sample_uniform, save_key, unrotate)
 from spheremark.streams import stream
 
@@ -191,21 +190,3 @@ class TestRotateUnrotate:
         assert off.size == 9900
         assert float(np.abs(off).max()) <= WRONG_KEY_BOUND
 
-
-class TestBenchmark:
-    def test_timing_fields(self):
-        t = benchmark_generation(32, batch=2, repeats=5, warmup=1)
-        assert isinstance(t, GenerationTiming)
-        assert t.dim == 32 and t.batch == 2 and t.repeats == 5
-        assert len(t.per_run_ms) == 5
-        assert all(x > 0.0 for x in t.per_run_ms)
-
-    def test_median_at_most_max(self):
-        t = benchmark_generation(64, repeats=7)
-        assert t.median_ms <= max(t.per_run_ms)
-
-    def test_rejects_bad_args(self):
-        with pytest.raises(DomainError):
-            benchmark_generation(64, repeats=0)
-        with pytest.raises(DomainError):
-            benchmark_generation(64, batch=0)
