@@ -19,7 +19,8 @@ from .confidence import (ELL_CAP, ConfidenceReport, assess, ell_from_p,
                          spherical_p_value)
 from .imagechannel import CarrierSet, attack, embed, extract, transform_names
 from .metrics import (NgramIndex, OperatingPoint, RocResult, ScoredSample,
-                      bleu4, exact_match, novelty_score, roc, threshold_at_fpr)
+                      bleu4, exact_match, novelty_score, operating_points, roc,
+                      threshold_at_fpr)
 from .netpbm import RasterImage, psnr, read_image, write_image
 from .rotation import (RotationMatrix, SecretKey, load_key, rotate,
                        sample_rotation, save_key, unrotate)

@@ -33,8 +33,8 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      UnknownTransformError)
 from .imagechannel import attack as apply_attack
 from .imagechannel import embed, extract, transform_names
-from .metrics import (NgramIndex, ScoredSample, bleu4, novelty_score, roc,
-                      threshold_at_fpr, write_roc_csv)
+from .metrics import (NgramIndex, ScoredSample, bleu4, novelty_score,
+                      operating_points, roc, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
 from .rotation import (SecretKey, load_key, rotate, sample_rotation, save_key,
                        unrotate)
@@ -219,8 +219,8 @@ def _read_scores(path: str) -> list[ScoredSample]:
 def cmd_roc(args) -> int:
     samples = _read_scores(args.scores)
     result = roc(samples)
-    points = [threshold_at_fpr(samples, f).to_json_dict()
-              for f in args.target_fpr or [0.01]]
+    points = [op.to_json_dict()
+              for op in operating_points(samples, args.target_fpr or [0.01])]
     out = _resolve_out(args, args.out)
     write_roc_csv(result, out)
     n_pos = sum(s.label for s in samples)

@@ -16,8 +16,10 @@ degradation shows up honestly in the recovered cosine.
 """
 from __future__ import annotations
 
-import functools
 import math
+import os
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +38,14 @@ PSNR_RANGE = (30.0, 60.0)
 # allocate; 256 carriers over 1024x1024 is exactly at the limit.
 MAX_CARRIER_BYTES = 2**31
 
-# Target size of one block of carrier rows during generation, small
-# enough that its passes run in cache.
+# Target size of the blocks of carrier rows that all generation
+# workers hold at once, small enough that their passes run in cache.
 _BLOCK_BYTES = 2**20
+
+# Most raw Philox words a generation worker draws at once (256 KiB).
+# Its larger buffers come from the calling thread, so the freed memory
+# that a worker thread's allocator keeps stays this small.
+_DRAW_WORDS = 2**15
 
 # Fixed luma transform (BT.601 weights); adding a delta to every RGB
 # channel adds exactly that delta to this luma.
@@ -92,11 +99,15 @@ class CarrierSet:
         draws one 32-bit value per sample (the halves of each word,
         low first) and keeps its top bit, with no rejection.
 
-        Rows are built in blocks of about _BLOCK_BYTES, so the only
-        full-size array is the output.  Each block holds an even
-        number of rows, so it consumes whole words, and runs the same
-        per-row mean and norm reductions as one full-plane pass;
-        every output is bit-equal to that pass.
+        Rows are built in blocks that consume whole words (one row
+        when H*W is even, else two, more on small planes), so the
+        only full-size array is the output.  The blocks are split
+        into one contiguous range per usable core, each filled on its
+        own thread from its own copy of the stream, skipped ahead to
+        the range's first word; all workers' blocks together stay
+        within about _BLOCK_BYTES.  Each block runs the same per-row
+        mean and norm reductions as one full-plane pass, so every
+        output is bit-equal to that pass for any number of cores.
         """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
@@ -107,28 +118,102 @@ class CarrierSet:
             raise ImageSizeError(
                 f"{dim} carriers over a {width}x{height} plane need "
                 f"{8 * dim * n_px} bytes, above the {MAX_CARRIER_BYTES}-byte limit")
-        bitgen = stream(key.seed, _CARRIER_DOMAIN, dim, height, width).bit_generator
-        level = 1.0 / math.sqrt(n_px)
-        rows = max(2, _BLOCK_BYTES // (8 * n_px) // 2 * 2)
+        entropy = (key.seed, _CARRIER_DOMAIN, dim, height, width)
+        cpus = _usable_cpus()
+        step = 1 + n_px % 2  # rows per block must fill whole 64-bit words
+        rows = max(step, _BLOCK_BYTES // (8 * n_px * cpus) // step * step)
+        n_blocks = -(-dim // rows)
+        workers = min(cpus, n_blocks)
+        bounds = [min(dim, rows * (n_blocks * i // workers)) for i in range(workers + 1)]
         flat = np.empty((dim, n_px))
-        for start in range(0, dim, rows):
-            block = flat[start:start + rows]
-            n_bits = block.size
-            words = bitgen.random_raw((n_bits + 1) // 2).astype("<u8", copy=False)
-            # ~half has top bit 1 - b, so as int32 it is negative iff
-            # b == 0: copysign gives +level for b == 1, -level for 0
-            np.invert(words, out=words)
-            np.copysign(level, words.view("<i4")[:n_bits], out=block.reshape(-1))
-            block -= block.mean(axis=1, keepdims=True)
-            block /= np.linalg.norm(block, axis=1, keepdims=True)
+        squares = np.empty((workers, rows, n_px))
+        errors: list[BaseException] = []
+
+        def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+            try:
+                _fill_rows(flat, scratch, entropy, lo, hi)
+            except BaseException as exc:  # re-raised once every worker is done
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fill, args=span)
+                   for span in zip(bounds[1:-1], bounds[2:], squares[1:])]
+        for t in threads:
+            t.start()
+        fill(bounds[0], bounds[1], squares[0])
+        for t in threads:
+            t.join()
+        if errors:
+            raise errors[0]
         pats = flat.reshape(dim, height, width)
         pats.flags.writeable = False
         return cls(key=key, dim=dim, height=height, width=width, patterns=pats)
 
 
-@functools.lru_cache(maxsize=3)
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_SIGN_BIT = np.uint64(1 << 63)
+
+
+def _fill_rows(flat: np.ndarray, scratch: np.ndarray, entropy: tuple,
+               lo: int, hi: int) -> None:
+    """Fill carrier rows lo..hi-1 of flat, one block of len(scratch)
+    rows at a time; scratch holds a block's squared samples.
+
+    lo * H*W is even, so the range starts on a whole word.  Philox4x64
+    makes four words per counter step: advancing word // 4 steps and
+    discarding word % 4 words puts this copy of the stream exactly
+    where the serial draw would be at row lo.
+    """
+    rows, n_px = scratch.shape
+    philox = stream(*entropy).bit_generator
+    word = lo * n_px // 2
+    philox.advance(word // 4)
+    philox.random_raw(word % 4)
+    # b == 1 must give +level: the top bit of each half, moved to the
+    # float64 sign and flipped, over the bit pattern of level
+    flip = _SIGN_BIT | np.float64(1.0 / math.sqrt(n_px)).view(np.uint64)
+    for start in range(lo, hi, rows):
+        block = flat[start:min(start + rows, hi)]
+        bits = block.view(np.uint64).reshape(-1)
+        for at in range(0, bits.size, 2 * _DRAW_WORDS):
+            part = bits[at:at + 2 * _DRAW_WORDS]
+            halves = philox.random_raw((part.size + 1) // 2).astype("<u8", copy=False)
+            np.left_shift(halves.view("<u4")[:part.size], np.uint64(32), out=part,
+                          dtype=np.uint64)
+        np.bitwise_and(bits, _SIGN_BIT, out=bits)
+        np.bitwise_xor(bits, flip, out=bits)
+        block -= (np.add.reduce(block, axis=1) / n_px)[:, np.newaxis]
+        square = np.square(block, out=scratch[:len(block)])
+        block /= np.sqrt(np.add.reduce(square, axis=1))[:, np.newaxis]
+
+
+# Least recently used carrier sets, oldest first.  A miss evicts
+# before it generates, so the cache plus the stack being made never
+# exceed _CACHE_ENTRIES stacks or MAX_CARRIER_BYTES.
+_CACHE_ENTRIES = 3
+_carrier_cache: OrderedDict[tuple[int, int, int, int], CarrierSet] = OrderedDict()
+_carrier_cache_lock = threading.Lock()
+
+
 def _cached_carriers(seed: int, dim: int, height: int, width: int) -> CarrierSet:
-    return CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
+    k = (seed, dim, height, width)
+    with _carrier_cache_lock:
+        if k in _carrier_cache:
+            _carrier_cache.move_to_end(k)
+            return _carrier_cache[k]
+        room = MAX_CARRIER_BYTES - 8 * dim * height * width
+        while _carrier_cache and (
+                len(_carrier_cache) >= _CACHE_ENTRIES
+                or sum(c.patterns.nbytes for c in _carrier_cache.values()) > room):
+            _carrier_cache.popitem(last=False)
+        carriers = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
+        _carrier_cache[k] = carriers
+        return carriers
 
 
 def _require_size(img: RasterImage) -> None:

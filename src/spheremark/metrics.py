@@ -133,6 +133,36 @@ class OperatingPoint:
         }
 
 
+def operating_points(samples: Sequence[ScoredSample],
+                     target_fprs: Sequence[float]) -> list[OperatingPoint]:
+    """`threshold_at_fpr` for each target in turn, from one sweep.
+
+    Results and errors are those of the one-target calls made in
+    order: the samples are swept, and their negatives required, once
+    the first target has passed its range check.
+    """
+    points: list[OperatingPoint] = []
+    groups = None
+    for target_fpr in target_fprs:
+        if not 0.0 < target_fpr <= 1.0:
+            raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
+        if groups is None:
+            groups = _sweep(samples)
+            n_pos, n_neg = groups[-1][1:]
+            if n_neg == 0:
+                raise DegenerateLabelsError("need at least one negative sample")
+        # fp never falls along the sweep, so the passing groups are a prefix
+        k = bisect.bisect_right(groups, target_fpr, key=lambda g: g[2] / n_neg)
+        chosen, tp, fp = groups[k - 1]
+        if k == 1:  # only the anchor passes; past 2**53 the + 1 is lost
+            chosen = groups[1][0] + 1.0
+            tp, fp = groups[1][1:] if chosen == groups[1][0] else (0, 0)
+        points.append(OperatingPoint(target_fpr=target_fpr, threshold=chosen,
+                                     achieved_tpr=tp / n_pos if n_pos else 0.0,
+                                     achieved_fpr=fp / n_neg))
+    return points
+
+
 def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> OperatingPoint:
     """Smallest observed score whose false-positive rate is within target.
 
@@ -142,21 +172,7 @@ def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> Oper
     misses, the threshold is max score + 1 (rejects everything).
     Positives are optional; with none, achieved_tpr is 0.
     """
-    if not 0.0 < target_fpr <= 1.0:
-        raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
-    groups = _sweep(samples)
-    n_pos, n_neg = groups[-1][1:]
-    if n_neg == 0:
-        raise DegenerateLabelsError("need at least one negative sample")
-    # fp never falls along the sweep, so the passing groups are a prefix
-    k = bisect.bisect_right(groups, target_fpr, key=lambda g: g[2] / n_neg)
-    chosen, tp, fp = groups[k - 1]
-    if k == 1:  # only the anchor passes; past 2**53 the + 1 is lost
-        chosen = groups[1][0] + 1.0
-        tp, fp = groups[1][1:] if chosen == groups[1][0] else (0, 0)
-    return OperatingPoint(target_fpr=target_fpr, threshold=chosen,
-                          achieved_tpr=tp / n_pos if n_pos else 0.0,
-                          achieved_fpr=fp / n_neg)
+    return operating_points(samples, [target_fpr])[0]
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,9 @@
 import hashlib
 import math
+import os
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +32,17 @@ def _sealed(seed=0, color=True, message=b"hello image chan",
     v = rotate(rot, codec.encode(Message(message)))
     wm = embed(img, v, KEY, target_psnr_db=42.0)
     return img, v, wm
+
+
+def _integers_reference(dim, height, width):
+    """The carriers from Generator.integers signs and full-plane passes."""
+    rng = stream(KEY.seed, _CARRIER_DOMAIN, dim, height, width)
+    n_px = height * width
+    signs = rng.integers(0, 2, size=(dim, n_px)).astype(np.float64)
+    ref = (2.0 * signs - 1.0) / math.sqrt(n_px)
+    ref -= ref.mean(axis=1, keepdims=True)
+    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
+    return ref
 
 
 class TestCarriers:
@@ -64,15 +79,29 @@ class TestCarriers:
         (256, 33, 35),   # odd H*W over three row blocks
     ])
     def test_bit_equal_to_integers_reference(self, dim, height, width):
-        rng = stream(KEY.seed, _CARRIER_DOMAIN, dim, height, width)
-        n_px = height * width
-        signs = rng.integers(0, 2, size=(dim, n_px)).astype(np.float64)
-        ref = (2.0 * signs - 1.0) / math.sqrt(n_px)
-        ref -= ref.mean(axis=1, keepdims=True)
-        ref /= np.linalg.norm(ref, axis=1, keepdims=True)
         got = CarrierSet.generate(KEY, dim, height, width).patterns
         assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
-                              ref.view(np.uint64))
+                              _integers_reference(dim, height, width).view(np.uint64))
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
+    @pytest.mark.parametrize("dim, height, width", [
+        (2, 32, 32),     # one block: more workers than blocks
+        (67, 64, 64),    # a range per worker, each on a whole Philox counter
+        (256, 33, 35),   # odd H*W: ranges start mid counter
+        (5, 362, 363),   # H*W = 2 mod 4, one row per block: word offsets 1, 2, 3 mod 4
+        (5, 363, 363),   # odd H*W, two rows per block and a one-row tail
+    ])
+    def test_bit_equal_for_any_core_count(self, monkeypatch, cpus, dim, height, width):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                            raising=False)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = CarrierSet.generate(KEY, dim, height, width).patterns
+        finally:
+            sys.setswitchinterval(switch)
+        assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
+                              _integers_reference(dim, height, width).view(np.uint64))
 
     def test_refuses_plane_above_memory_limit(self, monkeypatch):
         # the limit is inclusive: exactly MAX_CARRIER_BYTES is accepted
@@ -80,6 +109,64 @@ class TestCarriers:
         assert CarrierSet.generate(KEY, 4, 32, 32).dim == 4
         with pytest.raises(ImageSizeError):
             CarrierSet.generate(KEY, 5, 32, 32)
+
+    @pytest.mark.parametrize("faulty", ["main thread", "worker thread"])
+    def test_worker_fault_reaches_caller(self, monkeypatch, faulty):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        fill = imagechannel._fill_rows
+        first = 0 if faulty == "main thread" else 128
+
+        def flaky(flat, scratch, entropy, lo, hi):
+            if lo == first:
+                raise MemoryError("injected")
+            fill(flat, scratch, entropy, lo, hi)
+
+        monkeypatch.setattr(imagechannel, "_fill_rows", flaky)
+        before = set(threading.enumerate())
+        with pytest.raises(MemoryError, match="injected"):
+            CarrierSet.generate(KEY, 192, 128, 128)
+        assert set(threading.enumerate()) == before
+
+
+@pytest.fixture
+def empty_carrier_cache():
+    imagechannel._carrier_cache.clear()
+    yield imagechannel._carrier_cache
+    imagechannel._carrier_cache.clear()
+
+
+class TestCarrierCache:
+    KEYS = [(seed, 64, 128, 128) for seed in range(1, 5)]
+    STACK = 8 * 64 * 128 * 128  # 8 MiB
+
+    def test_least_recently_used_goes_first(self, empty_carrier_cache):
+        a, b, c, d = self.KEYS
+        first = imagechannel._cached_carriers(*a)
+        for k in (b, c, a, d):
+            imagechannel._cached_carriers(*k)
+        assert list(empty_carrier_cache) == [c, a, d]
+        assert imagechannel._cached_carriers(*a) is first
+
+    @pytest.mark.parametrize("limit, held", [
+        (2**31, 3),        # the entry count binds
+        (2 * STACK, 2),    # the byte limit binds
+    ])
+    def test_miss_evicts_before_generating(self, monkeypatch, empty_carrier_cache,
+                                           limit, held):
+        monkeypatch.setattr(imagechannel, "MAX_CARRIER_BYTES", limit)
+        tracemalloc.start()
+        try:
+            for k in self.KEYS[:3]:
+                imagechannel._cached_carriers(*k)
+            tracemalloc.reset_peak()
+            imagechannel._cached_carriers(*self.KEYS[3])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(empty_carrier_cache) == held
+        # the stacks held after the miss, plus block temporaries
+        assert peak < (held + 0.5) * self.STACK
 
 
 class TestEmbed:

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from spheremark import (DegenerateLabelsError, DomainError, NgramIndex,
                         OperatingPoint, RocResult, ScoredSample, bleu4,
-                        exact_match, novelty_score, roc, threshold_at_fpr)
+                        exact_match, novelty_score, operating_points, roc,
+                        threshold_at_fpr)
 from spheremark.metrics import write_roc_csv
 
 # brute-force oracle, frozen by hand:
@@ -291,16 +292,31 @@ TARGETS = (st.floats(min_value=0.0, max_value=1.0)
            | st.sampled_from([1.0, 5e-324, 1e-300, 0.1, -0.5, 1.5]))
 
 
-@st.composite
-def tied_samples_and_target(draw):
-    samples = draw(TIED_SAMPLES)
+def _draw_target(draw, samples):
     n_neg = sum(not s.label for s in samples)
     if n_neg and draw(st.booleans()):
         # an achievable rate or one ulp below it, where fp / n_neg <= t
         # and fp <= t * n_neg can disagree (fp=5, n_neg=6, t=5/6)
         t = draw(st.integers(1, n_neg)) / n_neg
-        return samples, draw(st.sampled_from([t, math.nextafter(t, 0.0)]))
-    return samples, draw(TARGETS)
+        return draw(st.sampled_from([t, math.nextafter(t, 0.0)]))
+    return draw(TARGETS)
+
+
+@st.composite
+def tied_samples_and_target(draw):
+    samples = draw(TIED_SAMPLES)
+    return samples, _draw_target(draw, samples)
+
+
+@st.composite
+def tied_samples_and_targets(draw):
+    samples = draw(TIED_SAMPLES)
+    return samples, [_draw_target(draw, samples) for _ in range(draw(st.integers(0, 4)))]
+
+
+def operating_points_reference(samples, targets):
+    """One reference call per target, in order: the first error wins."""
+    return [threshold_at_fpr_reference(samples, t) for t in targets]
 
 
 class TestSweepMatchesReference:
@@ -324,6 +340,15 @@ class TestSweepMatchesReference:
                 == _outcome(threshold_at_fpr_reference, samples, target))
         assert _outcome(roc, samples) == _outcome(roc_reference, samples)
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    @pytest.mark.parametrize("targets", [
+        [1.0, 5 / 6, math.nextafter(5 / 6, 0.0), 0.5, 0.2, 1e-9],
+        [0.2, 0.2], [0.5, 1.5], [1.5, 0.5], [0.0], []])
+    def test_named_cases_several_targets(self, name, targets):
+        samples = self.CASES[name]
+        assert (_outcome(operating_points, samples, targets)
+                == _outcome(operating_points_reference, samples, targets))
+
     def test_named_case_outcomes(self):
         assert threshold_at_fpr(self.CASES["no positives"], 0.5).achieved_tpr == 0.0
         op = threshold_at_fpr(self.CASES["unreachable target"], 0.2)
@@ -343,6 +368,16 @@ def test_sweep_equals_reference_on_ties(samples_target):
     assert (_outcome(threshold_at_fpr, samples, target)
             == _outcome(threshold_at_fpr_reference, samples, target))
     assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tied_samples_and_targets())
+@example(([ScoredSample(1.0, True)], [0.5, 1.5]))
+@example((_mk([1.0], [2.0 ** 53, 2.0 ** 53]), [1.0, 0.5, 2.0]))
+def test_operating_points_equal_reference_on_ties(samples_targets):
+    samples, targets = samples_targets
+    assert (_outcome(operating_points, samples, targets)
+            == _outcome(operating_points_reference, samples, targets))
 
 
 def test_threshold_at_fpr_is_not_quadratic():
