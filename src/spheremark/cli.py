@@ -33,8 +33,8 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      UnknownTransformError)
 from .imagechannel import attack as apply_attack
 from .imagechannel import embed, extract, transform_names
-from .metrics import (NgramIndex, ScoredSample, bleu4, novelty_score,
-                      operating_points, roc, write_roc_csv)
+from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
+                      novelty_score, operating_points, roc, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
 from .rotation import (SecretKey, load_key, rotate, sample_rotation, save_key,
                        unrotate)
@@ -305,8 +305,8 @@ def cmd_metrics(args) -> int:
             _emit({"mode": "bleu4", "mean_bleu4": sum(scores) / len(scores),
                    "n": len(scores)})
         else:
-            matches = sum(c == r for c, r in zip(cand, ref))
-            _emit({"mode": "em", "exact_match": matches / len(cand), "n": len(cand)})
+            _emit({"mode": "em", "exact_match": exact_match(list(zip(cand, ref))),
+                   "n": len(cand)})
     elif args.mode == "novelty":
         if not args.candidates or not args.train:
             raise DomainError("mode novelty needs --candidates and --train")

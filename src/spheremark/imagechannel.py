@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -192,28 +191,23 @@ def _fill_rows(flat: np.ndarray, scratch: np.ndarray, entropy: tuple,
         block /= np.sqrt(np.add.reduce(square, axis=1))[:, np.newaxis]
 
 
-# Least recently used carrier sets, oldest first.  A miss evicts
-# before it generates, so the cache plus the stack being made never
-# exceed _CACHE_ENTRIES stacks or MAX_CARRIER_BYTES.
-_CACHE_ENTRIES = 3
-_carrier_cache: OrderedDict[tuple[int, int, int, int], CarrierSet] = OrderedDict()
-_carrier_cache_lock = threading.Lock()
+# The last carrier set used.  No caller comes back to an older plane,
+# so one set is held; a miss drops it before generating, which keeps
+# the process at one stack, within MAX_CARRIER_BYTES.
+_last_carriers: CarrierSet | None = None
+_carrier_lock = threading.Lock()
 
 
 def _cached_carriers(seed: int, dim: int, height: int, width: int) -> CarrierSet:
-    k = (seed, dim, height, width)
-    with _carrier_cache_lock:
-        if k in _carrier_cache:
-            _carrier_cache.move_to_end(k)
-            return _carrier_cache[k]
-        room = MAX_CARRIER_BYTES - 8 * dim * height * width
-        while _carrier_cache and (
-                len(_carrier_cache) >= _CACHE_ENTRIES
-                or sum(c.patterns.nbytes for c in _carrier_cache.values()) > room):
-            _carrier_cache.popitem(last=False)
-        carriers = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
-        _carrier_cache[k] = carriers
-        return carriers
+    global _last_carriers
+    with _carrier_lock:
+        held = _last_carriers
+        if held is not None and (held.key.seed, held.dim, held.height,
+                                 held.width) == (seed, dim, height, width):
+            return held
+        held = _last_carriers = None  # the local too: free the old stack first
+        _last_carriers = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
+        return _last_carriers
 
 
 def _require_size(img: RasterImage) -> None:
@@ -478,6 +472,8 @@ def attack(img: RasterImage, name: str, value: float | None = None,
         if value is None:
             raise DomainError(f"transform {name!r} requires parameter {param!r}")
         args = (float(value),)
+        if not math.isfinite(args[0]):
+            raise DomainError(f"transform {name!r} needs a finite {param}, got {value}")
     if rng is None:
         rng = stream(0)
     return fn(img, rng, *args)

@@ -11,6 +11,7 @@ from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
                             EXIT_USAGE, _emit, main)
 from conftest import make_image
 from test_fileio import _failing_atomic_write
+from test_imagechannel import PARAMETERISED
 
 
 def run_cli(capsys, *argv):
@@ -238,6 +239,17 @@ class TestAttack:
                            "--out", str(tmp_path / "x.ppm"),
                            "--transform", "rotate:fast")
         assert rc == EXIT_USAGE
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", PARAMETERISED)
+    def test_non_finite_parameter(self, tmp_path, capsys, host_image, name, bad):
+        out = tmp_path / "x.ppm"
+        rc, payload, err = run_cli(capsys, "attack", "--in", host_image,
+                                   "--out", str(out), "--transform", f"{name}:{bad}")
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()
 
 
 class TestSweep:
@@ -512,7 +524,8 @@ class TestCorpus:
         line = out.read_text().splitlines()[1]
         assert line.split(",")[4] == "trusted"
 
-    @pytest.mark.parametrize("transform", ["nosuch", "identity:3"])
+    @pytest.mark.parametrize("transform", ["nosuch", "identity:3", "rotate:nan",
+                                           "jpeg_like:inf"])
     def test_failed_run_keeps_previous_csv(self, tmp_path, capsys, keyfile,
                                            transform):
         imgdir = tmp_path / "imgs"

@@ -22,6 +22,7 @@ from conftest import make_image
 KEY = SecretKey(seed=99)
 DIM = 256
 WRONG_KEY_BOUND = 5.0 / math.sqrt(DIM)
+PARAMETERISED = sorted(n for n, (_, param) in imagechannel._TRANSFORMS.items() if param)
 
 
 def _sealed(seed=0, color=True, message=b"hello image chan",
@@ -130,43 +131,66 @@ class TestCarriers:
 
 
 @pytest.fixture
-def empty_carrier_cache():
-    imagechannel._carrier_cache.clear()
-    yield imagechannel._carrier_cache
-    imagechannel._carrier_cache.clear()
+def no_held_carriers(monkeypatch):
+    monkeypatch.setattr(imagechannel, "_last_carriers", None)
 
 
 class TestCarrierCache:
-    KEYS = [(seed, 64, 128, 128) for seed in range(1, 5)]
+    KEY = (1, 64, 128, 128)
     STACK = 8 * 64 * 128 * 128  # 8 MiB
 
-    def test_least_recently_used_goes_first(self, empty_carrier_cache):
-        a, b, c, d = self.KEYS
-        first = imagechannel._cached_carriers(*a)
-        for k in (b, c, a, d):
-            imagechannel._cached_carriers(*k)
-        assert list(empty_carrier_cache) == [c, a, d]
-        assert imagechannel._cached_carriers(*a) is first
+    def test_hit_returns_held_set(self, no_held_carriers):
+        first = imagechannel._cached_carriers(*self.KEY)
+        assert imagechannel._cached_carriers(*self.KEY) is first
 
-    @pytest.mark.parametrize("limit, held", [
-        (2**31, 3),        # the entry count binds
-        (2 * STACK, 2),    # the byte limit binds
-    ])
-    def test_miss_evicts_before_generating(self, monkeypatch, empty_carrier_cache,
-                                           limit, held):
-        monkeypatch.setattr(imagechannel, "MAX_CARRIER_BYTES", limit)
+    @pytest.mark.parametrize("field", range(4))  # seed, dim, height, width
+    def test_any_key_change_regenerates(self, no_held_carriers, field):
+        first = imagechannel._cached_carriers(*self.KEY)
+        changed = list(self.KEY)
+        changed[field] += 1
+        seed, dim, height, width = changed
+        got = imagechannel._cached_carriers(*changed)
+        assert got is not first
+        assert (got.key.seed, got.dim, got.height, got.width) == tuple(changed)
+        want = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
+        assert np.array_equal(got.patterns.view(np.uint64), want.patterns.view(np.uint64))
+
+    def test_miss_drops_held_set_before_generating(self, no_held_carriers):
         tracemalloc.start()
         try:
-            for k in self.KEYS[:3]:
-                imagechannel._cached_carriers(*k)
+            imagechannel._cached_carriers(*self.KEY)
             tracemalloc.reset_peak()
-            imagechannel._cached_carriers(*self.KEYS[3])
+            imagechannel._cached_carriers(2, *self.KEY[1:])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(empty_carrier_cache) == held
-        # the stacks held after the miss, plus block temporaries
-        assert peak < (held + 0.5) * self.STACK
+        # the new stack plus block temporaries, never both stacks
+        assert peak < 1.5 * self.STACK
+
+    def test_threads_alternating_planes_get_their_carriers(self, no_held_carriers):
+        planes = [(KEY.seed, 8, 32 + i, 40) for i in range(4)]
+        want = {p: CarrierSet.generate(KEY, *p[1:]).patterns for p in planes}
+        equal = []
+
+        def client(mine):
+            for i in range(40):
+                p = mine[i % 2]
+                got = imagechannel._cached_carriers(*p).patterns
+                equal.append(np.array_equal(got.view(np.uint64), want[p].view(np.uint64)))
+
+        threads = [threading.Thread(target=client, args=(planes[2 * t:2 * t + 2],))
+                   for t in range(2)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert len(equal) == 80 and all(equal)
 
 
 class TestEmbed:
@@ -375,6 +399,12 @@ class TestAttacks:
                           ("jpeg_like", 101.0), ("jpeg_like", 80.5)):
             with pytest.raises(DomainError):
                 attack(wm, name, bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", PARAMETERISED)
+    def test_non_finite_parameter_refused(self, name, bad):
+        with pytest.raises(DomainError, match="finite"):
+            attack(make_image(19, height=32, width=32), name, bad)
 
 
 class TestJpegTables:
