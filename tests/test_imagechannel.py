@@ -137,6 +137,7 @@ def no_held_carriers(monkeypatch):
 
 class TestCarrierCache:
     KEY = (1, 64, 128, 128)
+    KEYS = [(seed, 64, 128, 128) for seed in range(1, 5)]
     STACK = 8 * 64 * 128 * 128  # 8 MiB
 
     def test_hit_returns_held_set(self, no_held_carriers):
@@ -155,16 +156,27 @@ class TestCarrierCache:
         want = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
         assert np.array_equal(got.patterns.view(np.uint64), want.patterns.view(np.uint64))
 
-    def test_miss_drops_held_set_before_generating(self, no_held_carriers):
+    @pytest.mark.parametrize("limit, generated", [
+        (2**31, 3),        # the default byte limit
+        (2 * STACK, 2),    # a byte limit with room for two stacks
+    ])
+    def test_miss_evicts_before_generating(self, monkeypatch, no_held_carriers,
+                                           limit, generated):
+        # however many sets came before and whatever room the limit
+        # leaves, a miss drops the held set before generating the next
+        monkeypatch.setattr(imagechannel, "MAX_CARRIER_BYTES", limit)
         tracemalloc.start()
         try:
-            imagechannel._cached_carriers(*self.KEY)
+            for k in self.KEYS[:generated]:
+                imagechannel._cached_carriers(*k)
             tracemalloc.reset_peak()
-            imagechannel._cached_carriers(2, *self.KEY[1:])
+            got = imagechannel._cached_carriers(*self.KEYS[3])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the new stack plus block temporaries, never both stacks
+        assert imagechannel._last_carriers is got
+        assert got.key.seed == self.KEYS[3][0]
+        # the new stack plus block temporaries, never two stacks
         assert peak < 1.5 * self.STACK
 
     def test_threads_alternating_planes_get_their_carriers(self, no_held_carriers):
