@@ -6,8 +6,9 @@ probability of their alignment; channels are simulated by calibrated
 isotropic noise or exercised for real through a spread-spectrum
 raster-image backend.
 """
-from .channel import (ChannelProfile, SweepRow, calibrate, default_profiles,
-                      load_profiles, perturb, run_sweep, write_sweep_csv)
+from .channel import (ChannelProfile, SweepRow, Watermark, calibrate,
+                      default_profiles, load_profiles, perturb, run_sweep,
+                      write_sweep_csv)
 from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
                      ImageFormatError, ImageSizeError, KeyFileError,

@@ -7,10 +7,10 @@ dimension, so the noise scale that realizes a target is
 
     sigma = sqrt(1/c^2 - 1).
 
-run_sweep pushes messages through encode -> rotate -> perturb ->
-unrotate -> assess/decode and aggregates per-profile statistics.
-Each (profile, message) cell draws from its own derived substream,
-so results do not depend on evaluation order.
+run_sweep pushes messages through a Watermark's rotations, with perturb
+in place of the image, assesses them and aggregates per-profile
+statistics.  Each (profile, message) cell draws from its own derived
+substream, so results do not depend on evaluation order.
 """
 from __future__ import annotations
 
@@ -23,8 +23,10 @@ import numpy as np
 
 from ._fileio import atomic_write
 from .codec import Codec, Message
-from .confidence import assess
+from .confidence import ConfidenceReport, assess
 from .errors import DomainError
+from .imagechannel import extract
+from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
 from .sphere import UnitVector, cosine, unit
 from .streams import label_entropy, stream
@@ -123,6 +125,23 @@ def default_profiles(dim: int) -> list[ChannelProfile]:
     return profiles_from_dicts(json.loads(text), dim)
 
 
+class Watermark:
+    """The keyed chain every front end shares: sign encodes and rotates a
+    message; open extracts, unrotates and assesses an image's vector."""
+
+    def __init__(self, key: SecretKey, codec: Codec):
+        self.key = key
+        self.codec = codec
+        self.rotation = sample_rotation(key, codec.descriptor.dim)
+
+    def sign(self, message: Message) -> UnitVector:
+        return rotate(self.rotation, self.codec.encode(message))
+
+    def open(self, img: RasterImage, ell_threshold: float) -> ConfidenceReport:
+        v_hat = extract(img, self.key, self.codec.descriptor.dim)
+        return assess(self.codec, unrotate(self.rotation, v_hat), ell_threshold)
+
+
 @dataclass(frozen=True)
 class SweepRow:
     profile: str
@@ -161,9 +180,8 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise DomainError("profile names must be unique")
-    dim = codec.descriptor.dim
-    rot = sample_rotation(key, dim)
-    unrot = rot if unrotate_key is None else sample_rotation(unrotate_key, dim)
+    sender = Watermark(key, codec)
+    receiver = sender if unrotate_key is None else Watermark(unrotate_key, codec)
     # one root draw; cells re-derive from (root, profile name, index) so
     # the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
@@ -177,14 +195,12 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
             cell_rng = stream(root, label_entropy(profile.name), i)
             payload = _random_message(cell_rng, message_len)
             v = codec.encode(Message(payload))
-            sent = rotate(rot, v)
-            received = perturb(sent, profile.sigma, cell_rng)
-            v_hat = unrotate(unrot, received)
+            received = perturb(rotate(sender.rotation, v), profile.sigma, cell_rng)
+            v_hat = unrotate(receiver.rotation, received)
             report = assess(codec, v_hat, ell_threshold)
-            decoded = codec.decode(v_hat)
             cos_sum += cosine(v, v_hat)
             ell_sum += report.ell
-            match_count += decoded.data == payload
+            match_count += report.message.data == payload
             trusted_count += report.verdict == "trusted"
         rows.append(SweepRow(
             profile=profile.name, n=n_messages,

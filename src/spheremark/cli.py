@@ -22,22 +22,21 @@ import sys
 import time
 
 from ._fileio import atomic_write
-from .channel import (default_profiles, load_profiles, run_sweep,
+from .channel import (Watermark, default_profiles, load_profiles, run_sweep,
                       write_sweep_csv)
 from .channel import calibrate as channel_calibrate
 from .codec import Message, get_codec
-from .confidence import VERDICT_TRUSTED, assess
+from .confidence import VERDICT_TRUSTED
 from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
                      ImageFormatError, ImageSizeError, KeyFileError,
                      UnknownTransformError)
 from .imagechannel import attack as apply_attack
-from .imagechannel import embed, extract, transform_names
+from .imagechannel import embed, transform_names
 from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
                       novelty_score, operating_points, roc, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
-from .rotation import (SecretKey, load_key, rotate, sample_rotation, save_key,
-                       unrotate)
+from .rotation import SecretKey, load_key, sample_rotation, save_key
 from .streams import label_entropy, stream
 
 EXIT_OK = 0
@@ -45,6 +44,15 @@ EXIT_USAGE = 2
 EXIT_IMAGE_IO = 3
 EXIT_KEY = 4
 EXIT_UNTRUSTED = 10
+
+# Error classes a command may raise and their exit codes; the first
+# matching row wins, and any other exception keeps its traceback.
+EXIT_CODES = (
+    ((CapacityExceededError, DomainError, DimensionError, DimensionMismatchError,
+      UnknownTransformError, DegenerateLabelsError), EXIT_USAGE),
+    ((ImageFormatError, ImageSizeError, OSError), EXIT_IMAGE_IO),
+    ((KeyFileError,), EXIT_KEY),
+)
 
 
 def _emit(payload: dict) -> None:
@@ -111,19 +119,13 @@ def cmd_keygen(args) -> int:
     return EXIT_OK
 
 
-def _seal_pipeline(args, key, codec, message, img):
-    rot = sample_rotation(key, args.dim)
-    carrier_vec = rotate(rot, codec.encode(message))
-    marked = embed(img, carrier_vec, key, args.psnr)
-    return carrier_vec, marked
-
-
 def cmd_seal(args) -> int:
     key = load_key(args.key)
     codec = get_codec(args.codec, args.dim)
     message = _parse_message(args)
     img = read_image(args.infile)
-    carrier_vec, marked = _seal_pipeline(args, key, codec, message, img)
+    carrier_vec = Watermark(key, codec).sign(message)
+    marked = embed(img, carrier_vec, key, args.psnr)
     out = _resolve_out(args, args.out)
     write_image(marked, out)
     achieved = psnr(img, marked)
@@ -143,13 +145,9 @@ def cmd_open(args) -> int:
     key = load_key(args.key)
     codec = get_codec(args.codec, args.dim)
     img = read_image(args.infile)
-    rot = sample_rotation(key, args.dim)
-    v_hat = unrotate(rot, extract(img, key, args.dim))
-    report = assess(codec, v_hat, args.ell_threshold)
-    message = codec.decode(v_hat)
-    payload = {"message_text": message.text, "message_hex": message.data.hex()}
-    payload.update(report.to_json_dict())
-    _emit(payload)
+    report = Watermark(key, codec).open(img, args.ell_threshold)
+    _emit({"message_text": report.message.text,
+           "message_hex": report.message.data.hex(), **report.to_json_dict()})
     _note(f"verdict: {report.verdict} (ell={report.ell:.2f}, "
           f"threshold={args.ell_threshold:g})")
     return EXIT_OK if report.verdict == VERDICT_TRUSTED else EXIT_UNTRUSTED
@@ -318,8 +316,6 @@ def cmd_metrics(args) -> int:
         payload["mean_novelty"] = (sum(applicable) / len(applicable)
                                    if applicable else None)
         _emit(payload)
-    else:
-        raise DomainError(f"unknown metrics mode {args.mode!r}")
     return EXIT_OK
 
 
@@ -336,8 +332,8 @@ def cmd_corpus(args) -> int:
         raise ImageFormatError(f"no .pgm/.ppm images under {args.dir}")
     transform = _parse_transform(args.transform) if args.transform else None
     rng = _stage_rng(args, "corpus")
-    rot = sample_rotation(key, args.dim)
-    carrier_vec = rotate(rot, codec.encode(message))
+    watermark = Watermark(key, codec)
+    carrier_vec = watermark.sign(message)
     out = _resolve_out(args, args.out)
     with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")
@@ -347,9 +343,8 @@ def cmd_corpus(args) -> int:
             attacked = marked
             if transform is not None:
                 attacked = apply_attack(marked, transform[0], transform[1], rng=rng)
-            v_hat = unrotate(rot, extract(attacked, key, args.dim))
-            report = assess(codec, v_hat, args.ell_threshold)
-            match = codec.decode(v_hat).data == message.data
+            report = watermark.open(attacked, args.ell_threshold)
+            match = report.message.data == message.data
             db = psnr(img, marked)
             db_txt = "inf" if math.isinf(db) else f"{db:.4f}"
             fh.write(f"{name},{db_txt},{report.cosine:.6f},{report.ell:.4f},"
@@ -369,48 +364,49 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="codec name (default sign)")
     common.add_argument("--out-dir", default=".",
                         help="directory for relative output paths")
+    keyed = argparse.ArgumentParser(add_help=False)
+    keyed.add_argument("--key", required=True)
+    payload = argparse.ArgumentParser(add_help=False)
+    payload.add_argument("--message", default=None)
+    payload.add_argument("--message-hex", default=None)
+    payload.add_argument("--psnr", type=float, default=42.0)
+    judged = argparse.ArgumentParser(add_help=False)
+    judged.add_argument("--ell-threshold", type=float, default=100.0)
+    written = argparse.ArgumentParser(add_help=False)
+    written.add_argument("--out", required=True)
     parser = argparse.ArgumentParser(
         prog="spheremark",
         description="Keyed watermark channel on the unit hypersphere.")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("keygen", parents=[common], help="create a key file")
+    p = sub.add_parser("keygen", parents=[common, written], help="create a key file")
     p.add_argument("key_seed", nargs="?", type=int, default=None,
                    help="64-bit seed (default: OS entropy)")
     p.add_argument("--label", default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("seal", parents=[common], help="embed a message into an image")
+    p = sub.add_parser("seal", parents=[common, keyed, payload, written],
+                       help="embed a message into an image")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", default=None)
-    p.add_argument("--message-hex", default=None)
-    p.add_argument("--psnr", type=float, default=42.0)
     p.set_defaults(func=cmd_seal)
 
-    p = sub.add_parser("open", parents=[common], help="extract and judge a message")
+    p = sub.add_parser("open", parents=[common, keyed, judged],
+                       help="extract and judge a message")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--ell-threshold", type=float, default=100.0)
     p.set_defaults(func=cmd_open)
 
-    p = sub.add_parser("attack", parents=[common], help="apply a pixel transform")
+    p = sub.add_parser("attack", parents=[common, written], help="apply a pixel transform")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
     p.add_argument("--transform", required=True,
                    help="name or name:value, e.g. jpeg_like:50 "
                         f"(names: {', '.join(transform_names())})")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("sweep", parents=[common], help="simulate channel profiles")
-    p.add_argument("--key", required=True)
+    p = sub.add_parser("sweep", parents=[common, keyed, judged, written],
+                       help="simulate channel profiles")
     p.add_argument("--n", type=int, default=200)
-    p.add_argument("--out", required=True)
     p.add_argument("--profiles", default=None, help="profile JSON (default built in)")
     p.add_argument("--message-len", type=int, default=16)
-    p.add_argument("--ell-threshold", type=float, default=100.0)
     p.add_argument("--unrotate-key", default=None,
                    help="different key for the receive side (wrong-key runs)")
     p.set_defaults(func=cmd_sweep)
@@ -440,16 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", default=None)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("corpus", parents=[common],
+    p = sub.add_parser("corpus", parents=[common, keyed, payload, judged, written],
                        help="seal/attack/open every image in a directory")
     p.add_argument("--dir", required=True)
-    p.add_argument("--key", required=True)
-    p.add_argument("--message", default=None)
-    p.add_argument("--message-hex", default=None)
-    p.add_argument("--psnr", type=float, default=42.0)
     p.add_argument("--transform", default=None)
-    p.add_argument("--ell-threshold", type=float, default=100.0)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_corpus)
 
     return parser
@@ -468,22 +458,9 @@ def main(argv=None) -> int:
         args.seed = secrets.randbits(63)
     try:
         return args.func(args)
-    except CapacityExceededError as exc:
+    except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         _note(f"error: {exc}")
-        return EXIT_USAGE
-    except KeyFileError as exc:
-        _note(f"error: {exc}")
-        return EXIT_KEY
-    except (ImageFormatError, ImageSizeError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_IMAGE_IO
-    except (DomainError, DimensionError, DimensionMismatchError,
-            UnknownTransformError, DegenerateLabelsError) as exc:
-        _note(f"error: {exc}")
-        return EXIT_USAGE
-    except OSError as exc:
-        _note(f"error: {exc}")
-        return EXIT_IMAGE_IO
+        return next(code for classes, code in EXIT_CODES if isinstance(exc, classes))
 
 
 def run() -> None:

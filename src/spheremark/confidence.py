@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .codec import Codec, idempotence_check
+from .codec import Codec, Message, idempotence_check
 from .errors import DimensionError, DomainError
 from .sphere import UnitVector, cosine
 
@@ -170,6 +170,7 @@ class ConfidenceReport:
     ell: float
     idempotent: bool
     verdict: str
+    message: Message  # the decode of the scored vector; not serialized
 
     def to_json_dict(self) -> dict:
         return {
@@ -196,15 +197,14 @@ def assess(codec: Codec, v: UnitVector, ell_threshold: float) -> ConfidenceRepor
     The vector is decoded and re-encoded; failure of byte-exact
     idempotence is an immediate rejection.  Otherwise the cosine to
     the re-encoded vector is converted to a p-value and the verdict
-    compares ell = -log10(p) against the caller's threshold.
+    compares ell = -log10(p) against the caller's finite threshold.
     """
-    passes, reencoded, _ = idempotence_check(codec, v)
+    if not math.isfinite(ell_threshold):
+        raise DomainError(f"ell threshold {ell_threshold} must be finite")
+    passes, reencoded, decoded = idempotence_check(codec, v)
     c = cosine(v, reencoded)
-    if not passes:
-        return ConfidenceReport(cosine=c, p_value=1.0, ell=0.0,
-                                idempotent=False, verdict=VERDICT_UNTRUSTED)
-    p = spherical_p_value(c, v.dim)
-    ell = ell_from_p(p)
-    verdict = VERDICT_TRUSTED if ell >= ell_threshold else VERDICT_UNTRUSTED
-    return ConfidenceReport(cosine=c, p_value=p, ell=ell,
-                            idempotent=True, verdict=verdict)
+    p = spherical_p_value(c, v.dim) if passes else 1.0
+    ell = ell_from_p(p) if passes else 0.0
+    verdict = VERDICT_TRUSTED if passes and ell >= ell_threshold else VERDICT_UNTRUSTED
+    return ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=passes,
+                            verdict=verdict, message=decoded)

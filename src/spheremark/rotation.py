@@ -28,6 +28,10 @@ from .streams import stream
 
 MAX_SEED = 2**64 - 1
 
+# Largest rotation sampled: sampling peaks near five d x d float64
+# matrices (+655 MiB, 9 s at d = 4096), so d ~ 12k would exhaust 8 GiB.
+MAX_DIM = 4096
+
 # Validation tolerances for sampled matrices (d <= 512).
 ORTHO_TOL = 1e-10
 DET_TOL = 1e-8
@@ -111,8 +115,8 @@ def sample_rotation(key: SecretKey, dim: int, haar_fix: bool = True) -> Rotation
     rescale) and exists only to demonstrate that the raw QR output is
     not Haar distributed; production callers never pass it.
     """
-    if dim < 1:
-        raise DimensionError(f"rotation dimension {dim} < 1")
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
     rng = stream(key.seed, dim)
     while True:
         gauss = rng.standard_normal((dim, dim))

@@ -5,13 +5,15 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from spheremark import (ChannelProfile, DomainError, Message, SecretKey,
-                        SignCodec, calibrate, cosine, default_profiles,
+from spheremark import (ChannelProfile, DimensionError, DomainError, Message,
+                        SecretKey, SignCodec, Watermark, assess, calibrate,
+                        cosine, default_profiles, embed, extract,
                         load_profiles, perturb, rotate, run_sweep,
                         sample_rotation, sample_uniform, unrotate,
                         write_sweep_csv)
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
 from spheremark.streams import stream
+from conftest import make_image
 
 CHI2_CRIT_15_99 = 30.57791416689249
 
@@ -150,6 +152,33 @@ class TestProfiles:
                 math.sqrt(1 / p.target_cosine**2 - 1), abs=1e-12)
 
 
+class TestWatermark:
+    KEY = SecretKey(seed=5)
+
+    def test_rotation_follows_codec_dim(self):
+        wm = Watermark(self.KEY, SignCodec(64))
+        assert np.array_equal(wm.rotation.entries,
+                              sample_rotation(self.KEY, 64).entries)
+        with pytest.raises(DimensionError):
+            Watermark(self.KEY, SignCodec(4097))
+
+    def test_sign_is_rotated_encode(self):
+        codec = SignCodec(256)
+        msg = Message(b"chain")
+        got = Watermark(self.KEY, codec).sign(msg)
+        want = rotate(sample_rotation(self.KEY, 256), codec.encode(msg))
+        assert got.to_bytes() == want.to_bytes()
+
+    @pytest.mark.parametrize("dim", [64, 256])
+    def test_open_is_extract_unrotate_assess(self, dim):
+        codec = SignCodec(dim)
+        wm = Watermark(self.KEY, codec)
+        sealed = embed(make_image(3), wm.sign(Message(b"open")), self.KEY)
+        v_hat = unrotate(wm.rotation, extract(sealed, self.KEY, dim))
+        assert wm.open(sealed, 100.0) == assess(codec, v_hat, 100.0)
+        assert wm.open(sealed, 100.0).message == Message(b"open")
+
+
 class TestRunSweep:
     def _codec_key(self):
         return SignCodec(256), SecretKey(seed=5)
@@ -218,6 +247,14 @@ class TestRunSweep:
         for bad in (0, 33):
             with pytest.raises(DomainError):
                 run_sweep([prof], codec, key, 5, stream(9), message_len=bad)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_threshold(self, bad):
+        codec, key = self._codec_key()
+        prof = ChannelProfile.from_target("p", 0.99, 256)
+        with pytest.raises(DomainError, match="finite"):
+            run_sweep([prof], codec, key, 2, stream(9), ell_threshold=bad,
+                      unrotate_key=SecretKey(seed=6))
 
     def test_rejects_empty_run(self):
         codec, key = self._codec_key()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import tracemalloc
@@ -5,7 +6,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spheremark import RasterImage, read_image, write_image
+from spheremark import (CapacityExceededError, DegenerateLabelsError,
+                        DimensionError, DimensionMismatchError, DomainError,
+                        ImageFormatError, ImageSizeError, KeyFileError,
+                        RasterImage, UnknownTransformError, read_image,
+                        write_image)
 from spheremark import cli
 from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
                             EXIT_USAGE, _emit, main)
@@ -563,3 +568,174 @@ class TestParser:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         capsys.readouterr()
+
+
+def _sha256(data) -> str:
+    return hashlib.sha256(data.encode() if isinstance(data, str) else data).hexdigest()
+
+
+class TestPinnedOutputs:
+    # digests of the outputs of the hand-wired chain that Watermark
+    # replaced; equal digests show that the refactor changed no byte
+    OPEN = {
+        "right key": "aacff7740c92cbc9fa46485eebb8e1308f8ecd39b885f45cea7327980d84f4e0",
+        "unmarked": "c5640bfc1f306f0ddaf8092fc8cdba378bc5434a17facb69da08f19277aee087",
+        "wrong key": "3a5efced72678bae52bcd8dbf34d47930f726f690e9587f9355c4acc2b58912e",
+    }
+    CORPUS = {
+        None: "71da8bfb764670e6b507065b75d0af949058775902cf30319f0f39e3b367dcfb",
+        "jpeg_like:50": "2ad27a9f99a3d3e15d0bc01e2dd6ad004e0b45a9e59afda8cb9ad01d79ce9fa9",
+        "gaussian_noise:4":
+            "95179709dbebdcb1aa22afaa614d4cbd61da1b1db648fd6f2bf41942c73e5858",
+    }
+    SWEEP = {
+        "right key": "68823261b68ae676b1dd714ac7703db5f365f7d593d45496d267152e404d26a1",
+        "wrong key": "37c53a808427574c1e1ce83d57846bca6384534cbbf3744937bc862a2b526b14",
+    }
+
+    @pytest.fixture
+    def other_key(self, tmp_path, capsys):
+        path = tmp_path / "other.json"
+        assert run_cli(capsys, "keygen", "8", "--out", str(path))[0] == EXIT_OK
+        return str(path)
+
+    @pytest.mark.parametrize("case", sorted(OPEN))
+    def test_open_stdout(self, tmp_path, capsys, keyfile, other_key, host_image,
+                         case):
+        sealed = tmp_path / "sealed.ppm"
+        assert run_cli(capsys, "seal", "--in", host_image, "--out", str(sealed),
+                       "--key", keyfile, "--message", "attested payload",
+                       "--seed", "11")[0] == EXIT_OK
+        infile, key = {"right key": (sealed, keyfile),
+                       "wrong key": (sealed, other_key),
+                       "unmarked": (host_image, keyfile)}[case]
+        rc = main(["open", "--in", str(infile), "--key", key])
+        out = capsys.readouterr().out
+        assert rc == (EXIT_OK if case == "right key" else EXIT_UNTRUSTED)
+        assert _sha256(out) == self.OPEN[case], _sha256(out)
+
+    @pytest.mark.parametrize("transform", list(CORPUS))
+    def test_corpus_csv(self, tmp_path, capsys, keyfile, transform):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        write_image(make_image(1), str(imgdir / "a.ppm"))
+        write_image(make_image(2, 64, 96, color=False), str(imgdir / "b.pgm"))
+        out = tmp_path / "corpus.csv"
+        argv = ["corpus", "--dir", str(imgdir), "--key", keyfile,
+                "--message", "batch payload", "--out", str(out), "--seed", "4"]
+        if transform is not None:
+            argv += ["--transform", transform]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        got = _sha256(out.read_bytes())
+        assert got == self.CORPUS[transform], got
+
+    @pytest.mark.parametrize("case", sorted(SWEEP))
+    def test_sweep_csv(self, tmp_path, capsys, keyfile, other_key, case):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--key", keyfile, "--n", "5", "--out", str(out),
+                "--seed", "123"]
+        if case == "wrong key":
+            argv += ["--unrotate-key", other_key]
+        assert run_cli(capsys, *argv)[0] == EXIT_OK
+        got = _sha256(out.read_bytes())
+        assert got == self.SWEEP[case], got
+
+
+def _calibrate_raises(monkeypatch, exc):
+    def failing(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_calibrate", failing)
+
+
+class TestExitCodes:
+    # every class in cli.EXIT_CODES, with the code the README documents
+    @pytest.mark.parametrize("exc, code", [
+        (CapacityExceededError("too long", capacity_bits=8), 2),
+        (DomainError("bad value"), 2),
+        (DimensionError("bad dim"), 2),
+        (DimensionMismatchError("dims differ"), 2),
+        (UnknownTransformError("no such transform"), 2),
+        (DegenerateLabelsError("one class"), 2),
+        (ImageFormatError("bad header"), 3),
+        (ImageSizeError("too small"), 3),
+        (OSError("disk full"), 3),
+        (FileNotFoundError("gone"), 3),
+        (KeyFileError("no seed"), 4),
+    ])
+    def test_error_class_lands_on_its_code(self, capsys, monkeypatch, exc, code):
+        _calibrate_raises(monkeypatch, exc)
+        rc, payload, err = run_cli(capsys, "calibrate", "--target-cosine", "0.5")
+        assert rc == code
+        assert payload is None
+        assert err == f"error: {exc}\n"
+
+    def test_documented_codes(self):
+        assert (EXIT_OK, EXIT_USAGE, EXIT_IMAGE_IO, EXIT_KEY,
+                EXIT_UNTRUSTED) == (0, 2, 3, 4, 10)
+
+    @pytest.mark.parametrize("code", [0, 10])
+    def test_command_return_code_passes_through(self, capsys, monkeypatch, code):
+        monkeypatch.setattr(cli, "cmd_calibrate", lambda args: code)
+        assert main(["calibrate", "--target-cosine", "0.5"]) == code
+
+    @pytest.mark.parametrize("exc", [ValueError("bare"), ArithmeticError("math"),
+                                     KeyError("missing")])
+    def test_other_exceptions_propagate(self, capsys, monkeypatch, exc):
+        _calibrate_raises(monkeypatch, exc)
+        with pytest.raises(type(exc)) as info:
+            main(["calibrate", "--target-cosine", "0.5"])
+        assert info.value is exc
+        assert capsys.readouterr().err == ""
+
+
+class TestDimensionLimit:
+    @pytest.mark.parametrize("command", ["seal", "open", "corpus", "sweep", "bench"])
+    def test_refused_before_allocating(self, tmp_path, capsys, keyfile,
+                                       host_image, command):
+        out = tmp_path / "out"
+        argv = {
+            "seal": ["seal", "--in", host_image, "--out", str(out), "--key", keyfile,
+                     "--message", "m", "--dim", "60000"],
+            "open": ["open", "--in", host_image, "--key", keyfile, "--dim", "60000"],
+            "corpus": ["corpus", "--dir", os.path.dirname(host_image), "--key", keyfile,
+                       "--message", "m", "--out", str(out), "--dim", "60000"],
+            "sweep": ["sweep", "--key", keyfile, "--n", "1", "--out", str(out),
+                      "--dim", "60000"],
+            "bench": ["bench", "--dims", "60000", "--repeats", "1",
+                      "--out", str(out)],
+        }[command]
+        tracemalloc.start()
+        try:
+            rc, payload, err = run_cli(capsys, *argv, "--seed", "1")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "4096" in err
+        assert peak < 64 * 2**20
+        assert not out.exists()
+
+
+class TestNonFiniteThreshold:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["open", "corpus", "sweep"])
+    def test_refused(self, tmp_path, capsys, keyfile, host_image, command, bad):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        write_image(make_image(5, 64, 64), str(imgdir / "a.ppm"))
+        out = tmp_path / "out.csv"
+        argv = {
+            "open": ["open", "--in", host_image, "--key", keyfile],
+            "corpus": ["corpus", "--dir", str(imgdir), "--key", keyfile,
+                       "--message", "m", "--out", str(out)],
+            "sweep": ["sweep", "--key", keyfile, "--n", "2", "--out", str(out)],
+        }[command]
+        rc, payload, err = run_cli(capsys, *argv, f"--ell-threshold={bad}")
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert err.startswith("error: ") and "finite" in err
+        assert "Traceback" not in err
+        assert not out.exists()

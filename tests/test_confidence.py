@@ -359,12 +359,26 @@ class TestAssess:
                 inner = super().decode(v)
                 return Message(inner.data + b"!")
 
-        rep = assess(DriftingCodec(256), sample_uniform(256, stream(16)),
-                     ell_threshold=10.0)
+        v = sample_uniform(256, stream(16))
+        rep = assess(DriftingCodec(256), v, ell_threshold=10.0)
         assert not rep.idempotent
         assert rep.p_value == 1.0
         assert rep.ell == 0.0
         assert rep.verdict == VERDICT_UNTRUSTED
+        assert rep.message == DriftingCodec(256).decode(v)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_refuses_non_finite_threshold(self, bad):
+        # nan trusted nothing and -inf trusted everything, unmarked vectors too
+        codec = SignCodec(256)
+        for v in (codec.encode(Message(b"x")), sample_uniform(256, stream(3))):
+            with pytest.raises(DomainError, match="finite"):
+                assess(codec, v, ell_threshold=bad)
+
+    def test_message_is_the_decode(self):
+        codec = SignCodec(256)
+        for v in (codec.encode(Message(b"payload")), sample_uniform(256, stream(4))):
+            assert assess(codec, v, 100.0).message == codec.decode(v)
 
     def test_report_serialization(self):
         codec = SignCodec(256)

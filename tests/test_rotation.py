@@ -7,6 +7,7 @@ import pytest
 from spheremark import (DimensionError, DimensionMismatchError, KeyFileError,
                         RotationMatrix, SecretKey, load_key, rotate,
                         sample_rotation, sample_uniform, save_key, unrotate)
+from spheremark import rotation
 from spheremark.streams import stream
 
 # chi-square critical value, 15 degrees of freedom, significance 0.01
@@ -81,6 +82,16 @@ class TestConstruction:
     def test_zero_dim_rejected(self):
         with pytest.raises(DimensionError):
             sample_rotation(SecretKey(seed=0), 0)
+
+    def test_dim_above_limit_rejected(self, monkeypatch):
+        assert rotation.MAX_DIM == 4096
+        with pytest.raises(DimensionError, match="4096"):
+            sample_rotation(SecretKey(seed=0), 60000)
+        # the limit is inclusive: exactly MAX_DIM is sampled
+        monkeypatch.setattr(rotation, "MAX_DIM", 5)
+        assert sample_rotation(SecretKey(seed=0), 5).dim == 5
+        with pytest.raises(DimensionError):
+            sample_rotation(SecretKey(seed=0), 6)
 
     def test_orthogonal_and_special(self):
         for d in (2, 3, 8, 64):
