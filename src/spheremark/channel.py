@@ -14,6 +14,7 @@ substream, so results do not depend on evaluation order.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -214,6 +215,7 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(SWEEP_CSV_HEADER + "\n")
-        for r in rows:
-            fh.write(f"{r.profile},{r.n},{r.mean_cosine:.6f},{r.exact_match:.6f},"
-                     f"{r.mean_ell:.6f},{r.trusted_rate:.6f}\n")
+        # csv quotes a profile name holding a comma, quote or newline
+        csv.writer(fh, lineterminator="\n").writerows(
+            (r.profile, r.n, f"{r.mean_cosine:.6f}", f"{r.exact_match:.6f}",
+             f"{r.mean_ell:.6f}", f"{r.trusted_rate:.6f}") for r in rows)

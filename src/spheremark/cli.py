@@ -12,6 +12,7 @@ seed reproduces outputs byte for byte.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import math
@@ -337,6 +338,7 @@ def cmd_corpus(args) -> int:
     out = _resolve_out(args, args.out)
     with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")
+        table = csv.writer(fh, lineterminator="\n")  # quotes odd file names
         for name in names:
             img = read_image(os.path.join(args.dir, name))
             marked = embed(img, carrier_vec, key, args.psnr)
@@ -347,8 +349,8 @@ def cmd_corpus(args) -> int:
             match = report.message.data == message.data
             db = psnr(img, marked)
             db_txt = "inf" if math.isinf(db) else f"{db:.4f}"
-            fh.write(f"{name},{db_txt},{report.cosine:.6f},{report.ell:.4f},"
-                     f"{report.verdict},{int(match)}\n")
+            table.writerow((name, db_txt, f"{report.cosine:.6f}", f"{report.ell:.4f}",
+                            report.verdict, int(match)))
     _emit({"out": out, "images": len(names)})
     _note(f"processed {len(names)} images -> {out}")
     return EXIT_OK
@@ -457,6 +459,10 @@ def main(argv=None) -> int:
     if getattr(args, "seed", None) is None:
         args.seed = secrets.randbits(63)
     try:
+        # refused before any key, image or carrier work
+        threshold = getattr(args, "ell_threshold", 0.0)
+        if not math.isfinite(threshold):
+            raise DomainError(f"--ell-threshold {threshold} must be finite")
         return args.func(args)
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         _note(f"error: {exc}")

@@ -56,8 +56,12 @@ _CARRIER_DOMAIN = 0x43415252  # "CARR"
 
 def luma(img: RasterImage) -> np.ndarray:
     """Float64 luma plane in [0, 255]."""
-    px = img.pixels.astype(np.float64)
-    if img.channels == 1:
+    return _luma(img.pixels.astype(np.float64))
+
+
+def _luma(px: np.ndarray) -> np.ndarray:
+    """Luma plane of float64 pixels (height, width, channels)."""
+    if px.shape[2] == 1:
         return px[:, :, 0]
     return px @ LUMA_WEIGHTS
 
@@ -238,8 +242,7 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     amplitude = MAXVAL * 10.0 ** (-target_psnr_db / 20.0) * math.sqrt(n_px)
     delta = (amplitude / norm) * delta
     plane = delta.reshape(img.height, img.width)
-    out = img.pixels.astype(np.float64) + plane[:, :, np.newaxis]
-    return RasterImage(np.clip(np.rint(out), 0, MAXVAL).astype(np.uint8))
+    return _quantize(img.pixels.astype(np.float64) + plane[:, :, np.newaxis])
 
 
 def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
@@ -259,9 +262,12 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 
 
 # ---------------------------------------------------------------- attacks
+# Every transform maps float64 pixels (height, width, channels) to
+# float64 pixels.  attack() converts the image once; _quantize rounds
+# (half to even), clips and wraps once, for attacks and embed alike.
 
-def _quantize(values: np.ndarray) -> np.ndarray:
-    return np.clip(np.rint(values), 0, MAXVAL).astype(np.uint8)
+def _quantize(values: np.ndarray) -> RasterImage:
+    return RasterImage(np.clip(np.rint(values), 0, MAXVAL).astype(np.uint8))
 
 
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
@@ -287,60 +293,31 @@ def _bilinear_sample(plane: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.nd
     return top * (1.0 - wy) + bot * wy
 
 
-def _per_channel(img: RasterImage, fn) -> np.ndarray:
-    px = img.pixels.astype(np.float64)
-    return np.stack([fn(px[:, :, c]) for c in range(img.channels)], axis=2)
+def _resample(px: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    # one channel at a time: sampling all channels at once holds every
+    # channel's gathered corners together and raises the peak memory
+    return np.stack([_bilinear_sample(px[:, :, c], yy, xx)
+                     for c in range(px.shape[2])], axis=2)
 
 
-def _attack_identity(img: RasterImage, rng) -> RasterImage:
-    return RasterImage(img.pixels.copy())
+def _contrast(px: np.ndarray, rng, factor: float) -> np.ndarray:
+    mean = float(np.mean(_luma(px)))
+    return mean + factor * (px - mean)
 
 
-def _attack_hflip(img: RasterImage, rng) -> RasterImage:
-    return RasterImage(np.ascontiguousarray(img.pixels[:, ::-1, :]))
-
-
-def _attack_brightness(img: RasterImage, rng, factor: float) -> RasterImage:
-    if factor < 0.0:
-        raise DomainError(f"brightness factor {factor} < 0")
-    return RasterImage(_quantize(img.pixels.astype(np.float64) * factor))
-
-
-def _attack_brightness_add(img: RasterImage, rng, offset: float) -> RasterImage:
-    return RasterImage(_quantize(img.pixels.astype(np.float64) + offset))
-
-
-def _attack_contrast(img: RasterImage, rng, factor: float) -> RasterImage:
-    if factor < 0.0:
-        raise DomainError(f"contrast factor {factor} < 0")
-    mean = float(np.mean(luma(img)))
-    px = img.pixels.astype(np.float64)
-    return RasterImage(_quantize(mean + factor * (px - mean)))
-
-
-def _attack_saturation(img: RasterImage, rng, factor: float) -> RasterImage:
+def _saturation(px: np.ndarray, rng, factor: float) -> np.ndarray:
     # luma interpolation: factor 0 is grayscale, 1 is identity
-    if factor < 0.0:
-        raise DomainError(f"saturation factor {factor} < 0")
-    if img.channels == 1:
-        return RasterImage(img.pixels.copy())
-    gray = luma(img)[:, :, np.newaxis]
-    px = img.pixels.astype(np.float64)
-    return RasterImage(_quantize(gray + factor * (px - gray)))
+    if px.shape[2] == 1:
+        return px
+    gray = _luma(px)[:, :, np.newaxis]
+    return gray + factor * (px - gray)
 
 
-def _attack_gaussian_noise(img: RasterImage, rng, sigma: float) -> RasterImage:
-    if sigma < 0.0:
-        raise DomainError(f"noise sigma {sigma} < 0")
-    noise = sigma * rng.standard_normal(img.pixels.shape)
-    return RasterImage(_quantize(img.pixels.astype(np.float64) + noise))
-
-
-def _attack_crop(img: RasterImage, rng, ratio: float) -> RasterImage:
+def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
     """Central crop to a side ratio, rescaled back to original size."""
     if not 0.0 < ratio <= 1.0:
         raise DomainError(f"crop ratio {ratio} outside (0, 1]")
-    h, w = img.height, img.width
+    h, w = px.shape[:2]
     ch = max(1, round(ratio * h))
     cw = max(1, round(ratio * w))
     y0 = (h - ch) // 2
@@ -348,25 +325,24 @@ def _attack_crop(img: RasterImage, rng, ratio: float) -> RasterImage:
     ys = y0 + (np.arange(h) + 0.5) * (ch / h) - 0.5
     xs = x0 + (np.arange(w) + 0.5) * (cw / w) - 0.5
     yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    out = _per_channel(img, lambda p: _bilinear_sample(p, yy, xx))
-    return RasterImage(_quantize(out))
+    return _resample(px, yy, xx)
 
 
-def _attack_rotate(img: RasterImage, rng, degrees: float) -> RasterImage:
+def _rotate(px: np.ndarray, rng, degrees: float) -> np.ndarray:
     """Rotate about the center, bilinear, reflect padding, same size."""
+    h, w = px.shape[:2]
     theta = math.radians(degrees)
-    cy = (img.height - 1) / 2.0
-    cx = (img.width - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(img.height, dtype=np.float64),
-                         np.arange(img.width, dtype=np.float64), indexing="ij")
+    cy = (h - 1) / 2.0
+    cx = (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
     dy = yy - cy
     dx = xx - cx
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
     src_y = cy + cos_t * dy + sin_t * dx
     src_x = cx - sin_t * dy + cos_t * dx
-    out = _per_channel(img, lambda p: _bilinear_sample(p, src_y, src_x))
-    return RasterImage(_quantize(out))
+    return _resample(px, src_y, src_x)
 
 
 # Standard luminance quantization table (8x8, row major).
@@ -420,31 +396,32 @@ def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
     return out[:h, :w]
 
 
-def _attack_jpeg_like(img: RasterImage, rng, quality: float) -> RasterImage:
+def _jpeg_like(px: np.ndarray, rng, quality: float) -> np.ndarray:
     """Luma-only JPEG proxy; on color images the luma delta is added
     to every channel, leaving chroma untouched."""
     q = int(quality)
     if q != quality:
         raise DomainError(f"jpeg quality {quality} must be an integer")
-    y = luma(img)
+    y = _luma(px)
     y2 = _jpeg_plane(y, q)
-    px = img.pixels.astype(np.float64)
-    if img.channels == 1:
-        return RasterImage(_quantize(y2[:, :, np.newaxis]))
-    return RasterImage(_quantize(px + (y2 - y)[:, :, np.newaxis]))
+    if px.shape[2] == 1:
+        return y2[:, :, np.newaxis]
+    return px + (y2 - y)[:, :, np.newaxis]
 
 
+# name -> (transform, its parameter's name or None)
 _TRANSFORMS = {
-    "identity": (_attack_identity, None),
-    "hflip": (_attack_hflip, None),
-    "brightness": (_attack_brightness, "factor"),
-    "brightness_add": (_attack_brightness_add, "offset"),
-    "contrast": (_attack_contrast, "factor"),
-    "saturation": (_attack_saturation, "factor"),
-    "gaussian_noise": (_attack_gaussian_noise, "sigma"),
-    "crop": (_attack_crop, "ratio"),
-    "rotate": (_attack_rotate, "degrees"),
-    "jpeg_like": (_attack_jpeg_like, "quality"),
+    "identity": (lambda px, rng: px, None),
+    "hflip": (lambda px, rng: px[:, ::-1], None),
+    "brightness": (lambda px, rng, factor: px * factor, "factor"),
+    "brightness_add": (lambda px, rng, offset: px + offset, "offset"),
+    "contrast": (_contrast, "factor"),
+    "saturation": (_saturation, "factor"),
+    "gaussian_noise": (lambda px, rng, sigma: px + sigma * rng.standard_normal(px.shape),
+                       "sigma"),
+    "crop": (_crop, "ratio"),
+    "rotate": (_rotate, "degrees"),
+    "jpeg_like": (_jpeg_like, "quality"),
 }
 
 
@@ -474,6 +451,8 @@ def attack(img: RasterImage, name: str, value: float | None = None,
         args = (float(value),)
         if not math.isfinite(args[0]):
             raise DomainError(f"transform {name!r} needs a finite {param}, got {value}")
+        if param in ("factor", "sigma") and args[0] < 0.0:
+            raise DomainError(f"transform {name!r} needs {param} >= 0, got {value}")
     if rng is None:
         rng = stream(0)
-    return fn(img, rng, *args)
+    return _quantize(fn(img.pixels.astype(np.float64), rng, *args))

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -271,3 +272,15 @@ class TestRunSweep:
         lines = path.read_text().splitlines()
         assert lines[0] == SWEEP_CSV_HEADER
         assert lines[1].startswith("only,3,1.000000,1.000000,")
+
+    def test_csv_quotes_profile_names(self, tmp_path):
+        codec, key = self._codec_key()
+        names = ["noisy, strong", 'say "hi"', "two\nlines"]
+        profiles = [ChannelProfile.from_target(n, 0.99, 256) for n in names]
+        path = tmp_path / "sweep.csv"
+        write_sweep_csv(run_sweep(profiles, codec, key, 2, stream(10)), path)
+        with open(path, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == SWEEP_CSV_HEADER.split(",")
+        assert all(len(row) == 6 for row in table)
+        assert [row[0] for row in table[1:]] == names

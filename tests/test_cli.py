@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -11,7 +12,7 @@ from spheremark import (CapacityExceededError, DegenerateLabelsError,
                         ImageFormatError, ImageSizeError, KeyFileError,
                         RasterImage, UnknownTransformError, read_image,
                         write_image)
-from spheremark import cli
+from spheremark import channel, cli, imagechannel
 from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
                             EXIT_USAGE, _emit, main)
 from conftest import make_image
@@ -529,6 +530,21 @@ class TestCorpus:
         line = out.read_text().splitlines()[1]
         assert line.split(",")[4] == "trusted"
 
+    def test_odd_file_names_quoted(self, tmp_path, capsys, keyfile):
+        imgdir = tmp_path / "imgs"
+        imgdir.mkdir()
+        names = sorted(["a,b.ppm", 'say "hi".ppm', "two\nlines.ppm"])
+        for i, name in enumerate(names):
+            write_image(make_image(20 + i, 64, 64), str(imgdir / name))
+        out = tmp_path / "corpus.csv"
+        rc, _, _ = run_cli(capsys, "corpus", "--dir", str(imgdir), "--key", keyfile,
+                           "--message", "m", "--out", str(out), "--seed", "4")
+        assert rc == EXIT_OK
+        with open(out, newline="", encoding="utf-8") as fh:
+            table = list(csv.reader(fh))
+        assert all(len(row) == 6 for row in table)
+        assert [row[0] for row in table[1:]] == names
+
     @pytest.mark.parametrize("transform", ["nosuch", "identity:3", "rotate:nan",
                                            "jpeg_like:inf"])
     def test_failed_run_keeps_previous_csv(self, tmp_path, capsys, keyfile,
@@ -722,7 +738,8 @@ class TestDimensionLimit:
 class TestNonFiniteThreshold:
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("command", ["open", "corpus", "sweep"])
-    def test_refused(self, tmp_path, capsys, keyfile, host_image, command, bad):
+    def test_refused(self, tmp_path, capsys, monkeypatch, keyfile, host_image,
+                     command, bad):
         imgdir = tmp_path / "imgs"
         imgdir.mkdir()
         write_image(make_image(5, 64, 64), str(imgdir / "a.ppm"))
@@ -733,6 +750,13 @@ class TestNonFiniteThreshold:
                        "--message", "m", "--out", str(out)],
             "sweep": ["sweep", "--key", keyfile, "--n", "2", "--out", str(out)],
         }[command]
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before the threshold was checked")
+
+        # refused before the rotation or any carriers are made
+        monkeypatch.setattr(channel, "sample_rotation", no_work)
+        monkeypatch.setattr(imagechannel.CarrierSet, "generate", no_work)
         rc, payload, err = run_cli(capsys, *argv, f"--ell-threshold={bad}")
         assert rc == EXIT_USAGE
         assert payload is None

@@ -419,6 +419,49 @@ class TestAttacks:
             attack(make_image(19, height=32, width=32), name, bad)
 
 
+class TestAttackDigests:
+    # sha256 over four outputs per case: a 41x67 colour and a 37x53 grey
+    # image, each once with rng=None and once with a fresh stream(7).
+    # The digests come from the earlier code, in which every attack
+    # converted, rounded and clipped its own pixels; the shared float
+    # path must keep every byte.
+    IMAGES = ((21, 41, 67, True), (22, 37, 53, False))
+    DIGESTS = [
+        ("identity", None, "b3d27c5e9e294251cc63198c37aeaa725a974ad7119807e450857781912b4a48"),
+        ("hflip", None, "3d3150dd88c310795711cf0bec259a226939ccbd8de4cfb3dbaa59de997cd672"),
+        ("brightness", 0.7, "b5d18dd8e53d6be2273afeb9d0766cf15334228bff31fc1d595e3eaa2f95c57e"),
+        ("brightness", 1.6, "6dd8b92d0a9387047268b85a22519a6f60b081615fc2d3027ba25f07c191fbc3"),
+        ("brightness_add", -20.5,
+         "a0f5382264209ab0e038d98032ae06d911f3ae6948d2dd885d232691ae3136d5"),
+        ("brightness_add", 30.0,
+         "d02f82e2829614d3a5689afa5638457b54017beabb2c939c73e41b2b502fa2ad"),
+        ("contrast", 0.5, "4adbc543a402892ec6c5c2cf5460c15a856d719eaced0c6ccd4e0d3b84c515aa"),
+        ("contrast", 1.8, "f987f60716a188a449cddf7f5948fb8fef665204c379064590afed517a5f13ba"),
+        ("saturation", 0.3, "4da772967816ec0e974bd5239ea7206c44f16d4b7803f0081c94648d4f13c47b"),
+        ("saturation", 0.0, "5bc9a0e923a2d5384f378d14af423ae7430ced8ff97ccc306c9bffb7ca485926"),
+        ("gaussian_noise", 3.0,
+         "5574406c2b9f774424d6731704b9ef8834069834dfeb6f694f7ef4b94060e0b9"),
+        ("crop", 0.8, "5db64108c0e6c299266c64a677c6ff7a2b458857012670a7220655993ab71f6d"),
+        ("crop", 0.55, "2ad01da2efe0301a97d45edf54ad100b2f81a1b8ca4955505f1b2e24a695a835"),
+        ("rotate", 7.5, "078de87326fd5305838cc88951eb0f08d2e17afa0302f4f958a18d45022c8f3e"),
+        ("rotate", -31.0, "48a436cc83b6a971fdbb33f5ffd77d39b8c512653f1474fe87f3fd9febda5b96"),
+        ("jpeg_like", 50.0, "3048ddc9a8cb1ee4b31c06b41acfa6043ebf7bcb4ac59ccddb1665446ecd7c63"),
+        ("jpeg_like", 85.0, "19791fe4521009f3594c999d1076d7c5092fe7c6afccfa5940bfd98942be5de5"),
+    ]
+
+    @pytest.mark.parametrize("name, value, digest", DIGESTS)
+    def test_outputs_pinned(self, name, value, digest):
+        h = hashlib.sha256()
+        for seed, height, width, color in self.IMAGES:
+            img = make_image(seed, height=height, width=width, color=color)
+            for rng in (None, stream(7)):
+                h.update(attack(img, name, value, rng=rng).pixels.tobytes())
+        assert h.hexdigest() == digest
+
+    def test_every_transform_pinned(self):
+        assert {name for name, _, _ in self.DIGESTS} == set(transform_names())
+
+
 class TestJpegTables:
     def test_quality_50_is_base_table(self):
         assert np.array_equal(_scaled_quant_table(50), _Q_LUMA)
