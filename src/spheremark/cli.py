@@ -35,7 +35,7 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
 from .imagechannel import attack as apply_attack
 from .imagechannel import embed, transform_names
 from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
-                      novelty_score, operating_points, roc, write_roc_csv)
+                      novelty_score, roc_with_operating_points, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
 from .rotation import SecretKey, load_key, sample_rotation, save_key
 from .streams import label_entropy, stream
@@ -217,14 +217,12 @@ def _read_scores(path: str) -> list[ScoredSample]:
 
 def cmd_roc(args) -> int:
     samples = _read_scores(args.scores)
-    result = roc(samples)
-    points = [op.to_json_dict()
-              for op in operating_points(samples, args.target_fpr or [0.01])]
+    result, points = roc_with_operating_points(samples, args.target_fpr or [0.01])
     out = _resolve_out(args, args.out)
     write_roc_csv(result, out)
     n_pos = sum(s.label for s in samples)
     _emit({"auc": result.auc, "n_pos": n_pos, "n_neg": len(samples) - n_pos,
-           "operating_points": points, "out": out})
+           "operating_points": [op.to_json_dict() for op in points], "out": out})
     _note(f"auc={result.auc:.4f} over {len(samples)} samples -> {out}")
     return EXIT_OK
 

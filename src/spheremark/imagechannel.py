@@ -8,6 +8,12 @@ Frobenius norm.  The embed amplitude is set analytically from the
 target PSNR; extraction correlates a high-passed luma plane (pixel
 minus 3x3 box blur) against the carriers and renormalizes.
 
+A centred, normalized carrier takes only two values, so a carrier set
+is held as one sign bit per sample plus those two floats per carrier:
+about d*H*W/8 bytes (8 MiB for 256 carriers at 512x512).  Embed and
+extract work on the bits through per-word lookup tables and never
+build the d*H*W float64 stack.
+
 Attacks are classical pixel-domain transforms, including a
 quantization-only JPEG proxy (blockwise DCT against the standard
 luminance table; no entropy coding).  Geometric attacks are applied
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import threading
 from dataclasses import dataclass
 
@@ -33,12 +40,17 @@ from .streams import stream
 MIN_SIDE = 32
 PSNR_RANGE = (30.0, 60.0)
 
-# Largest carrier stack (d * H * W float64 samples) generate() will
-# allocate; 256 carriers over 1024x1024 is exactly at the limit.
+# Largest 8 * d * H * W that generate() accepts: 256 carriers over
+# 1024x1024 is exactly at the limit.  A held set is only about
+# d * H * W / 8 bytes; the limit now bounds the d * H * W work of
+# generation, embed and extract, and with it the full-size host, luma
+# and delta arrays of the plane.  Raising it waits for a stated bound
+# on those arrays.
 MAX_CARRIER_BYTES = 2**31
 
-# Target size of the blocks of carrier rows that all generation
-# workers hold at once, small enough that their passes run in cache.
+# Target size of the float64 blocks of carrier rows that all
+# generation workers hold at once, small enough that their passes run
+# in cache.
 _BLOCK_BYTES = 2**20
 
 # Most raw Philox words a generation worker draws at once (256 KiB).
@@ -82,13 +94,23 @@ def _highpass(plane: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class CarrierSet:
-    """d keyed carrier patterns over one luma plane."""
+    """d keyed carrier patterns over one luma plane, held as sign bits.
+
+    Every sample of carrier i is one of two floats, ``hi[i]`` or
+    ``lo[i]``, so the set keeps one bit per sample: bit i % 16 of
+    ``words[i // 16, p]`` is set where carrier i takes ``hi[i]`` at
+    pixel p (pixels in row-major order).  Bits past the last carrier
+    are zero.  That is about d*H*W/8 bytes, against 8*d*H*W for the
+    float64 stack that ``patterns`` rebuilds on request.
+    """
 
     key: SecretKey
     dim: int
     height: int
     width: int
-    patterns: np.ndarray  # (dim, height, width) float64, read-only
+    words: np.ndarray  # (ceil(dim / 16), height * width) uint16, read-only
+    hi: np.ndarray     # (dim,) float64, read-only
+    lo: np.ndarray     # (dim,) float64, read-only
 
     @classmethod
     def generate(cls, key: SecretKey, dim: int, height: int, width: int) -> "CarrierSet":
@@ -100,17 +122,21 @@ class CarrierSet:
         low half first, carrier-major.  That is exactly the sequence
         ``Generator.integers(0, 2)`` yields: for a range of two it
         draws one 32-bit value per sample (the halves of each word,
-        low first) and keeps its top bit, with no rejection.
+        low first) and keeps its top bit, with no rejection.  Sample
+        p of carrier i is then ((2b - 1) / sqrt(H*W) - m_i) / n_i for
+        the row's mean m_i and the norm n_i of the centred row, which
+        is ``hi[i]`` where b is 1 and ``lo[i]`` where it is 0.
 
-        Rows are built in blocks that consume whole words (one row
-        when H*W is even, else two, more on small planes), so the
-        only full-size array is the output.  The blocks are split
-        into one contiguous range per usable core, each filled on its
-        own thread from its own copy of the stream, skipped ahead to
-        the range's first word; all workers' blocks together stay
-        within about _BLOCK_BYTES.  Each block runs the same per-row
-        mean and norm reductions as one full-plane pass, so every
-        output is bit-equal to that pass for any number of cores.
+        Rows are built as floats in blocks that consume whole words
+        (one row when H*W is even, else two, more on small planes),
+        in scratch that all workers together keep within about
+        _BLOCK_BYTES; no full-size float array is made.  The carriers
+        are split into one contiguous range of whole 16-carrier words
+        per usable core, each filled on its own thread from its own
+        copy of the stream, skipped ahead to the range's first word.
+        Each block runs the same per-row mean and norm reductions as
+        one full-plane pass, so every float is bit-equal to that pass
+        for any number of cores.
         """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
@@ -119,37 +145,92 @@ class CarrierSet:
         n_px = height * width
         if 8 * dim * n_px > MAX_CARRIER_BYTES:
             raise ImageSizeError(
-                f"{dim} carriers over a {width}x{height} plane need "
-                f"{8 * dim * n_px} bytes, above the {MAX_CARRIER_BYTES}-byte limit")
+                f"{dim} carriers over a {width}x{height} plane are {dim * n_px} "
+                f"samples, above the limit of {MAX_CARRIER_BYTES // 8}")
         entropy = (key.seed, _CARRIER_DOMAIN, dim, height, width)
         cpus = _usable_cpus()
         step = 1 + n_px % 2  # rows per block must fill whole 64-bit words
         rows = max(step, _BLOCK_BYTES // (8 * n_px * cpus) // step * step)
-        n_blocks = -(-dim // rows)
-        workers = min(cpus, n_blocks)
-        bounds = [min(dim, rows * (n_blocks * i // workers)) for i in range(workers + 1)]
-        flat = np.empty((dim, n_px))
-        squares = np.empty((workers, rows, n_px))
+        n_words = -(-dim // 16)
+        workers = min(cpus, n_words)
+        bounds = [min(dim, 16 * (n_words * i // workers)) for i in range(workers + 1)]
+        carriers = cls(key=key, dim=dim, height=height, width=width,
+                       words=np.zeros((n_words, n_px), dtype=np.uint16),
+                       hi=np.empty(dim), lo=np.empty(dim))
+        scratch = np.empty((workers, rows, n_px))
         errors: list[BaseException] = []
 
-        def fill(lo: int, hi: int, scratch: np.ndarray) -> None:
+        def fill(start: int, stop: int, block: np.ndarray) -> None:
             try:
-                _fill_rows(flat, scratch, entropy, lo, hi)
+                _fill_rows(carriers, block, entropy, start, stop)
             except BaseException as exc:  # re-raised once every worker is done
                 errors.append(exc)
 
         threads = [threading.Thread(target=fill, args=span)
-                   for span in zip(bounds[1:-1], bounds[2:], squares[1:])]
+                   for span in zip(bounds[1:-1], bounds[2:], scratch[1:])]
         for t in threads:
             t.start()
-        fill(bounds[0], bounds[1], squares[0])
+        fill(bounds[0], bounds[1], scratch[0])
         for t in threads:
             t.join()
         if errors:
             raise errors[0]
-        pats = flat.reshape(dim, height, width)
+        for held in (carriers.words, carriers.hi, carriers.lo):
+            held.flags.writeable = False
+        return carriers
+
+    @property
+    def patterns(self) -> np.ndarray:
+        """The (dim, height, width) float64 carriers, rebuilt from the
+        bits; a new read-only array of 8*d*H*W bytes on every call."""
+        shifts = np.arange(16, dtype=np.uint16)[:, np.newaxis]
+        bits = (self.words[:, np.newaxis, :] >> shifts) & 1
+        bits = bits.reshape(-1, self.height * self.width)[:self.dim]
+        pats = np.where(bits == 1, self.hi[:, np.newaxis], self.lo[:, np.newaxis])
+        pats = pats.reshape(self.dim, self.height, self.width)
         pats.flags.writeable = False
-        return cls(key=key, dim=dim, height=height, width=width, patterns=pats)
+        return pats
+
+    def superpose(self, v: np.ndarray) -> np.ndarray:
+        """sum_i v[i] * carrier i, flattened to H*W samples.
+
+        That is v.lo plus, at each pixel, the sum of v[i] * (hi[i] -
+        lo[i]) over the carriers whose bit is set there.  The sum over
+        one word's 16 carriers is a lookup in a 65536-entry table,
+        built as the outer sum of two 256-entry byte tables.
+        """
+        weights = np.zeros(16 * len(self.words))
+        weights[:self.dim] = v * (self.hi - self.lo)
+        # [g, 0] is the table of word g's low byte, [g, 1] of its high byte
+        tables = weights.reshape(-1, 2, 8) @ _BYTE_BITS.T
+        tables[0, 1] += float(v @ self.lo)
+        out = np.zeros(self.words.shape[1])
+        part = np.empty_like(out)
+        for word, (low, high) in zip(self.words, tables):
+            # every uint16 indexes the table; "clip" only skips buffering
+            np.take((high[:, np.newaxis] + low).ravel(), word, out=part, mode="clip")
+            out += part
+        return out
+
+    def correlate(self, hp: np.ndarray) -> np.ndarray:
+        """The d inner products of a plane (H*W samples) with the carriers.
+
+        Carrier i gives lo[i] * sum(hp) + (hi[i] - lo[i]) * s_i, where
+        s_i sums hp over the pixels whose bit i is set.  Per word, one
+        weighted bincount sums hp by word value; its row and column
+        sums fold through the byte bits to the 16 carriers' s_i.
+        """
+        hp = hp.ravel()
+        sums = np.empty((len(self.words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
+        for g, word in enumerate(self.words):
+            by_value = np.bincount(word, weights=hp, minlength=65536).reshape(256, 256)
+            sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
+            sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
+        return self.lo * hp.sum() + (self.hi - self.lo) * sums.reshape(-1)[:self.dim]
+
+
+# _BYTE_BITS[b, j] is bit j of the byte b.
+_BYTE_BITS = ((np.arange(256)[:, np.newaxis] >> np.arange(8)) & 1).astype(np.float64)
 
 
 def _usable_cpus() -> int:
@@ -161,27 +242,32 @@ def _usable_cpus() -> int:
 
 _SIGN_BIT = np.uint64(1 << 63)
 
+# Index of a float64's top 16 bits among its four uint16 views.
+_TOP16 = 3 if sys.byteorder == "little" else 0
 
-def _fill_rows(flat: np.ndarray, scratch: np.ndarray, entropy: tuple,
-               lo: int, hi: int) -> None:
-    """Fill carrier rows lo..hi-1 of flat, one block of len(scratch)
-    rows at a time; scratch holds a block's squared samples.
 
-    lo * H*W is even, so the range starts on a whole word.  Philox4x64
-    makes four words per counter step: advancing word // 4 steps and
-    discarding word % 4 words puts this copy of the stream exactly
-    where the serial draw would be at row lo.
+def _fill_rows(carriers: CarrierSet, scratch: np.ndarray, entropy: tuple,
+               start: int, stop: int) -> None:
+    """Fill carriers start..stop-1 (words, hi and lo), one block of
+    len(scratch) rows at a time in scratch.
+
+    start is a multiple of 16, so the range owns whole words and starts
+    on a whole Philox word.  Philox4x64 makes four words per counter
+    step: advancing word // 4 steps and discarding word % 4 words puts
+    this copy of the stream exactly where the serial draw would be at
+    row start.
     """
     rows, n_px = scratch.shape
     philox = stream(*entropy).bit_generator
-    word = lo * n_px // 2
+    word = start * n_px // 2
     philox.advance(word // 4)
     philox.random_raw(word % 4)
+    level = np.float64(1.0 / math.sqrt(n_px))
     # b == 1 must give +level: the top bit of each half, moved to the
     # float64 sign and flipped, over the bit pattern of level
-    flip = _SIGN_BIT | np.float64(1.0 / math.sqrt(n_px)).view(np.uint64)
-    for start in range(lo, hi, rows):
-        block = flat[start:min(start + rows, hi)]
+    flip = _SIGN_BIT | level.view(np.uint64)
+    for first in range(start, stop, rows):
+        block = scratch[:min(rows, stop - first)]
         bits = block.view(np.uint64).reshape(-1)
         for at in range(0, bits.size, 2 * _DRAW_WORDS):
             part = bits[at:at + 2 * _DRAW_WORDS]
@@ -189,15 +275,26 @@ def _fill_rows(flat: np.ndarray, scratch: np.ndarray, entropy: tuple,
             np.left_shift(halves.view("<u4")[:part.size], np.uint64(32), out=part,
                           dtype=np.uint64)
         np.bitwise_and(bits, _SIGN_BIT, out=bits)
+        # each sample's top 16 bits are now b << 15: shift the row's
+        # bits in at the top of its word, so after 16 rows carrier
+        # 16g + k sits at bit k
+        for i, top in enumerate(block.view(np.uint16)[:, _TOP16::4], first):
+            packed = carriers.words[i // 16]
+            np.right_shift(packed, 1, out=packed)
+            np.bitwise_or(packed, top, out=packed)
         np.bitwise_xor(bits, flip, out=bits)
-        block -= (np.add.reduce(block, axis=1) / n_px)[:, np.newaxis]
-        square = np.square(block, out=scratch[:len(block)])
-        block /= np.sqrt(np.add.reduce(square, axis=1))[:, np.newaxis]
+        mean = np.add.reduce(block, axis=1) / n_px
+        block -= mean[:, np.newaxis]
+        norm = np.sqrt(np.add.reduce(np.square(block, out=block), axis=1))
+        carriers.hi[first:first + len(block)] = (level - mean) / norm
+        carriers.lo[first:first + len(block)] = (-level - mean) / norm
+    if stop % 16:  # the last word: move its carriers down to bit 0
+        np.right_shift(carriers.words[-1], 16 - stop % 16, out=carriers.words[-1])
 
 
 # The last carrier set used.  No caller comes back to an older plane,
 # so one set is held; a miss drops it before generating, which keeps
-# the process at one stack, within MAX_CARRIER_BYTES.
+# the process at one set.
 _last_carriers: CarrierSet | None = None
 _carrier_lock = threading.Lock()
 
@@ -231,8 +328,7 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     if not PSNR_RANGE[0] <= target_psnr_db <= PSNR_RANGE[1]:
         raise DomainError(f"target PSNR {target_psnr_db} outside {PSNR_RANGE}")
     carriers = _cached_carriers(key.seed, v.dim, img.height, img.width)
-    flat = carriers.patterns.reshape(v.dim, -1)
-    delta = v.components @ flat
+    delta = carriers.superpose(v.components)
     norm = float(np.linalg.norm(delta))
     if norm == 0.0:
         raise ArithmeticError("degenerate carrier superposition")
@@ -250,7 +346,7 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
     _require_size(img)
     carriers = _cached_carriers(key.seed, dim, img.height, img.width)
     hp = _highpass(luma(img))
-    raw = carriers.patterns.reshape(dim, -1) @ hp.ravel()
+    raw = carriers.correlate(hp)
     norm = float(np.linalg.norm(raw))
     if norm == 0.0:
         # constant image: no signal at all; return a fixed direction,

@@ -99,7 +99,10 @@ def roc(samples: Sequence[ScoredSample]) -> RocResult:
     Mann-Whitney count, ties worth half) and divides once, so equal
     inputs give bit-equal results regardless of group order.
     """
-    groups = _sweep(samples)
+    return _roc(_sweep(samples))
+
+
+def _roc(groups: list[tuple[float, int, int]]) -> RocResult:
     n_pos, n_neg = groups[-1][1:]
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
@@ -141,16 +144,36 @@ def operating_points(samples: Sequence[ScoredSample],
     order: the samples are swept, and their negatives required, once
     the first target has passed its range check.
     """
+    targets = list(target_fprs)
+    if not targets:
+        return []
+    _check_target(targets[0])
+    return _operating_points(_sweep(samples), targets)
+
+
+def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequence[float]
+                              ) -> tuple[RocResult, list[OperatingPoint]]:
+    """`roc` and then `operating_points`, from one sweep.
+
+    Results and errors are those of the two calls made in that order.
+    """
+    groups = _sweep(samples)
+    return _roc(groups), _operating_points(groups, target_fprs)
+
+
+def _check_target(target_fpr: float) -> None:
+    if not 0.0 < target_fpr <= 1.0:
+        raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
+
+
+def _operating_points(groups: list[tuple[float, int, int]],
+                      target_fprs: Sequence[float]) -> list[OperatingPoint]:
     points: list[OperatingPoint] = []
-    groups = None
+    n_pos, n_neg = groups[-1][1:]
+    if n_neg == 0:
+        raise DegenerateLabelsError("need at least one negative sample")
     for target_fpr in target_fprs:
-        if not 0.0 < target_fpr <= 1.0:
-            raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
-        if groups is None:
-            groups = _sweep(samples)
-            n_pos, n_neg = groups[-1][1:]
-            if n_neg == 0:
-                raise DegenerateLabelsError("need at least one negative sample")
+        _check_target(target_fpr)
         # fp never falls along the sweep, so the passing groups are a prefix
         k = bisect.bisect_right(groups, target_fpr, key=lambda g: g[2] / n_neg)
         chosen, tp, fp = groups[k - 1]

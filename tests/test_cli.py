@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 import tracemalloc
 
@@ -12,7 +13,7 @@ from spheremark import (CapacityExceededError, DegenerateLabelsError,
                         ImageFormatError, ImageSizeError, KeyFileError,
                         RasterImage, UnknownTransformError, read_image,
                         write_image)
-from spheremark import channel, cli, imagechannel
+from spheremark import channel, cli, imagechannel, metrics
 from spheremark.cli import (EXIT_IMAGE_IO, EXIT_KEY, EXIT_OK, EXIT_UNTRUSTED,
                             EXIT_USAGE, _emit, main)
 from conftest import make_image
@@ -376,6 +377,47 @@ class TestRoc:
             assert payload is None
             assert "finite" in err
 
+    # digests of the stdout JSON (without its "out" path) and of the CSV,
+    # taken from the code that swept once for roc and once more for the
+    # operating points
+    TIED_JSON = "5efa86840092b994a00b4dfe0ad8d76b471532e10f4dd821f64262276a0a443a"
+    TIED_CSV = "c4981b0dcbe4c213b548a6651b13633ec25330cdeef445f1678d5f6892dc3d3f"
+
+    def test_one_sweep_serves_curve_and_points(self, tmp_path, capsys, monkeypatch):
+        sweep = metrics._sweep
+        calls = []
+
+        def counted(samples):
+            calls.append(len(samples))
+            return sweep(samples)
+
+        monkeypatch.setattr(metrics, "_sweep", counted)
+        rows = [f"{round(3 * math.sin(1.3 * i), 1) + (i % 3 != 0)},{int(i % 3 != 0)}"
+                for i in range(300)]
+        out = tmp_path / "roc.csv"
+        rc, payload, _ = run_cli(capsys, "roc", "--scores", self._scores(tmp_path, rows),
+                                 "--out", str(out), "--target-fpr", "0.001",
+                                 "--target-fpr", "0.05", "--target-fpr", "0.3")
+        assert rc == EXIT_OK
+        assert calls == [300]
+        del payload["out"]
+        assert _sha256(json.dumps(payload, sort_keys=True)) == self.TIED_JSON
+        assert _sha256(out.read_bytes()) == self.TIED_CSV
+
+    @pytest.mark.parametrize("rows, targets, message", [
+        (["1.0,1", "2.0,1"], ["0"], "need both classes"),   # classes before targets
+        (["1.0,1", "0.5,0"], ["0.5", "2"], "target fpr 2.0 outside"),
+    ])
+    def test_error_order(self, tmp_path, capsys, rows, targets, message):
+        out = tmp_path / "roc.csv"
+        argv = ["roc", "--scores", self._scores(tmp_path, rows), "--out", str(out)]
+        for t in targets:
+            argv += ["--target-fpr", t]
+        rc, payload, err = run_cli(capsys, *argv)
+        assert rc == EXIT_USAGE and payload is None
+        assert message in err
+        assert not out.exists()
+
     def test_emit_refuses_non_strict_json(self, capsys):
         with pytest.raises(ValueError):
             _emit({"threshold": float("nan")})
@@ -592,10 +634,15 @@ def _sha256(data) -> str:
 
 class TestPinnedOutputs:
     # digests of the outputs of the hand-wired chain that Watermark
-    # replaced; equal digests show that the refactor changed no byte
+    # replaced; equal digests show that the refactor changed no byte.
+    # The "right key" and "unmarked" open digests were retaken when
+    # extract moved from a dense GEMV to the packed-bit correlation:
+    # its sums run in another order, so cosine, ell and p_value moved
+    # in their last digits (cosine by one ulp); the sealed bytes and
+    # the CSV digests did not move.
     OPEN = {
-        "right key": "aacff7740c92cbc9fa46485eebb8e1308f8ecd39b885f45cea7327980d84f4e0",
-        "unmarked": "c5640bfc1f306f0ddaf8092fc8cdba378bc5434a17facb69da08f19277aee087",
+        "right key": "549f0379168e7d9d490f29f76a6621b1bf316b6074ec2d8115c1d8711168e478",
+        "unmarked": "93432a50fac4f9d735ec4b413cd46a01396f1bd69da4935a1f46822f6493e92b",
         "wrong key": "3a5efced72678bae52bcd8dbf34d47930f726f690e9587f9355c4acc2b58912e",
     }
     CORPUS = {

@@ -91,6 +91,7 @@ class TestCarriers:
         (256, 33, 35),   # odd H*W: ranges start mid counter
         (5, 362, 363),   # H*W = 2 mod 4, one row per block: word offsets 1, 2, 3 mod 4
         (5, 363, 363),   # odd H*W, two rows per block and a one-row tail
+        (40, 64, 64),    # 3 words: at 3 and 5 cores ranges meet inside and across words
     ])
     def test_bit_equal_for_any_core_count(self, monkeypatch, cpus, dim, height, width):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -103,6 +104,41 @@ class TestCarriers:
             sys.setswitchinterval(switch)
         assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
                               _integers_reference(dim, height, width).view(np.uint64))
+
+    def test_generation_peak_memory(self):
+        # the float64 stack alone would be 128 MiB
+        tracemalloc.start()
+        try:
+            CarrierSet.generate(KEY, 256, 256, 256)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("dim, height, width", [
+        (3, 33, 35), (67, 64, 64), (100, 97, 101), (256, 40, 33)])
+    def test_held_bytes(self, dim, height, width):
+        # every array the set holds: the packed words plus hi and lo
+        cs = CarrierSet.generate(KEY, dim, height, width)
+        held = [a for a in vars(cs).values() if isinstance(a, np.ndarray)]
+        assert cs.words.dtype == np.uint16 and cs.hi.shape == cs.lo.shape == (dim,)
+        assert all(not a.flags.writeable for a in held)
+        assert sum(a.nbytes for a in held) == 2 * -(-dim // 16) * height * width + 2 * 8 * dim
+
+    @pytest.mark.parametrize("dim, height, width", [
+        (3, 33, 35), (67, 64, 64), (100, 97, 101), (256, 40, 33)])
+    def test_correlate_and_superpose_match_dense(self, dim, height, width):
+        cs = CarrierSet.generate(KEY, dim, height, width)
+        dense = cs.patterns.reshape(dim, -1)
+        rng = stream(3, dim, height, width)
+        hp = rng.standard_normal((height, width))
+        want = dense @ hp.ravel()
+        got = cs.correlate(hp)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        v = rng.standard_normal(dim)
+        want = v @ dense
+        got = cs.superpose(v)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_refuses_plane_above_memory_limit(self, monkeypatch):
         # the limit is inclusive: exactly MAX_CARRIER_BYTES is accepted
