@@ -7,10 +7,17 @@ dimension, so the noise scale that realizes a target is
 
     sigma = sqrt(1/c^2 - 1).
 
-run_sweep pushes messages through a Watermark's rotations, with perturb
-in place of the image, assesses them and aggregates per-profile
-statistics.  Each (profile, message) cell draws from its own derived
-substream, so results do not depend on evaluation order.
+run_sweep pushes messages through a Watermark's rotations, with
+perturb's noise in place of the image, assesses them and aggregates
+per-profile statistics.  Each (profile, message) cell draws its message
+and noise from its own derived substream, so results do not depend on
+evaluation order.  Cells run in blocks of at most _BLOCK_ROWS
+consecutive cells of one profile: the draws are taken cell by cell,
+then encode, rotate, noise, unrotate, decode and the cosines run on the
+block's rows at once, and the p-values row by row.  A block never mixes
+profiles, so a profile's row does not depend on which other profiles
+run or in what order, and memory stays bounded for any number of
+messages.
 """
 from __future__ import annotations
 
@@ -24,7 +31,7 @@ import numpy as np
 
 from ._fileio import atomic_write
 from .codec import Codec, Message
-from .confidence import ConfidenceReport, assess
+from .confidence import VERDICT_TRUSTED, ConfidenceReport, assess, check_ell_threshold
 from .errors import DomainError
 from .imagechannel import extract
 from .netpbm import RasterImage
@@ -46,6 +53,21 @@ def calibrate(target_cosine: float, dim: int) -> float:
     return math.sqrt(1.0 / (target_cosine * target_cosine) - 1.0)
 
 
+def _check_sigma(sigma: float) -> None:
+    if sigma < 0.0 or not math.isfinite(sigma):
+        raise DomainError(f"noise scale {sigma} must be finite and >= 0")
+
+
+def _noise(rng: np.random.Generator, dim: int, sigma: float) -> np.ndarray:
+    """A uniform direction scaled to length sigma; a zero-norm Gaussian
+    draw is redrawn from the same stream."""
+    while True:
+        g = rng.standard_normal(dim)
+        g_norm = float(np.linalg.norm(g))
+        if g_norm > 0.0:
+            return (sigma / g_norm) * g
+
+
 def perturb(v: UnitVector, sigma: float, rng: np.random.Generator) -> UnitVector:
     """Additive isotropic noise of norm ``sigma`` followed by renormalization.
 
@@ -58,16 +80,11 @@ def perturb(v: UnitVector, sigma: float, rng: np.random.Generator) -> UnitVector
 
     sigma = 0 returns the input unchanged, bit for bit.
     """
-    if sigma < 0.0 or not math.isfinite(sigma):
-        raise DomainError(f"noise scale {sigma} must be finite and >= 0")
+    _check_sigma(sigma)
     if sigma == 0.0:
         return v
     while True:
-        g = rng.standard_normal(v.dim)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm == 0.0:
-            continue
-        noisy = v.components + (sigma / g_norm) * g
+        noisy = v.components + _noise(rng, v.dim, sigma)
         if float(np.linalg.norm(noisy)) > 0.0:
             return unit(noisy)
 
@@ -142,6 +159,19 @@ class Watermark:
         v_hat = extract(img, self.key, self.codec.descriptor.dim)
         return assess(self.codec, unrotate(self.rotation, v_hat), ell_threshold)
 
+    def sign_many(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
+        """sign for a block of messages: the (n, d) encoded rows, and the
+        same rows signed by one product with the rotation."""
+        v = self.codec.encode_rows(messages)
+        return v, rotate(self.rotation, v)
+
+    def open_many(self, received: np.ndarray, ell_threshold: float
+                  ) -> tuple[np.ndarray, list[ConfidenceReport]]:
+        """The receive side of open for vectors already recovered, one per
+        row of an (n, d) block: the unrotated rows and their reports."""
+        v_hat = unrotate(self.rotation, received)
+        return v_hat, assess(self.codec, v_hat, ell_threshold)
+
 
 @dataclass(frozen=True)
 class SweepRow:
@@ -154,6 +184,11 @@ class SweepRow:
 
 
 SWEEP_CSV_HEADER = "profile,n,mean_cosine,exact_match,mean_ell,trusted_rate"
+
+# Cells per block in run_sweep: enough rows that one matrix product
+# replaces that many matrix-vector products, few enough that a block's
+# arrays stay near 128 KiB each at d = 256.
+_BLOCK_ROWS = 64
 
 
 def _random_message(rng: np.random.Generator, length: int) -> bytes:
@@ -181,28 +216,39 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     names = [p.name for p in profiles]
     if len(set(names)) != len(names):
         raise DomainError("profile names must be unique")
+    check_ell_threshold(ell_threshold)
+    for profile in profiles:
+        _check_sigma(profile.sigma)
     sender = Watermark(key, codec)
     receiver = sender if unrotate_key is None else Watermark(unrotate_key, codec)
+    dim = codec.descriptor.dim
     # one root draw; cells re-derive from (root, profile name, index) so
     # the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
     rows = []
     for profile in profiles:
+        label = label_entropy(profile.name)
         cos_sum = 0.0
         ell_sum = 0.0
         match_count = 0
         trusted_count = 0
-        for i in range(n_messages):
-            cell_rng = stream(root, label_entropy(profile.name), i)
-            payload = _random_message(cell_rng, message_len)
-            v = codec.encode(Message(payload))
-            received = perturb(rotate(sender.rotation, v), profile.sigma, cell_rng)
-            v_hat = unrotate(receiver.rotation, received)
-            report = assess(codec, v_hat, ell_threshold)
-            cos_sum += cosine(v, v_hat)
-            ell_sum += report.ell
-            match_count += report.message.data == payload
-            trusted_count += report.verdict == "trusted"
+        for start in range(0, n_messages, _BLOCK_ROWS):
+            payloads, noise = [], []
+            for i in range(start, min(start + _BLOCK_ROWS, n_messages)):
+                cell_rng = stream(root, label, i)
+                payloads.append(_random_message(cell_rng, message_len))
+                if profile.sigma > 0.0:
+                    noise.append(_noise(cell_rng, dim, profile.sigma))
+            v, received = sender.sign_many([Message(p) for p in payloads])
+            if noise:
+                received = unit(received + np.array(noise))
+            v_hat, reports = receiver.open_many(received, ell_threshold)
+            cosines = cosine(v, v_hat).tolist()
+            for payload, c, report in zip(payloads, cosines, reports):
+                cos_sum += c
+                ell_sum += report.ell
+                match_count += report.message.data == payload
+                trusted_count += report.verdict == VERDICT_TRUSTED
         rows.append(SweepRow(
             profile=profile.name, n=n_messages,
             mean_cosine=cos_sum / n_messages,

@@ -83,37 +83,70 @@ class Codec(abc.ABC):
     def decode(self, v: UnitVector) -> Message:
         """Total inverse map; never errors on a valid unit vector."""
 
+    def encode_rows(self, messages: list[Message]) -> np.ndarray:
+        """encode for a block of messages: row k of the (n, dim) result
+        encodes messages[k].  This default calls encode once per message."""
+        return np.stack([self.encode(m).components for m in messages])
+
+    def decode_rows(self, rows: np.ndarray) -> list[Message]:
+        """decode for each row of an (n, dim) block of unit vectors.  This
+        default calls decode once per row."""
+        return [self.decode(UnitVector(r)) for r in rows]
+
 
 class SignCodec(Codec):
-    """Reference codec: one bit per component, sign modulated."""
+    """Reference codec: one bit per component, sign modulated.
+
+    encode and decode also take a block (a list of messages, an (n, dim)
+    array of unit rows), and the row methods hand them whole blocks.  A
+    subclass that overrides encode or decode for one item gets the base
+    class's loop over its override instead, so every caller sees the
+    override.
+    """
 
     def __init__(self, dim: int = 256):
         self.descriptor = CodecDescriptor(
             name="sign", dim=dim, capacity_bits=dim, deterministic=True)
         self._scale = 1.0 / math.sqrt(dim)
 
-    def encode(self, message: Message) -> UnitVector:
+    def encode(self, message: Message | list[Message]) -> UnitVector | np.ndarray:
+        messages = [message] if isinstance(message, Message) else message
         cap_bytes = self.descriptor.capacity_bytes
-        if len(message.data) > cap_bytes:
-            raise CapacityExceededError(
-                f"message of {len(message.data)} bytes exceeds capacity of "
-                f"{self.descriptor.capacity_bits} bits ({cap_bytes} bytes)",
-                capacity_bits=self.descriptor.capacity_bits)
-        padded = message.data.ljust(cap_bytes, b"\x00")
-        bits = np.unpackbits(np.frombuffer(padded, dtype=np.uint8))
-        if bits.size < self.descriptor.dim:  # dim not divisible by 8
-            bits = np.concatenate([bits, np.zeros(self.descriptor.dim - bits.size,
-                                                  dtype=np.uint8)])
-        components = (2.0 * bits.astype(np.float64) - 1.0) * self._scale
-        return UnitVector(components)
+        padded = bytearray()
+        for m in messages:
+            if len(m.data) > cap_bytes:
+                raise CapacityExceededError(
+                    f"message of {len(m.data)} bytes exceeds capacity of "
+                    f"{self.descriptor.capacity_bits} bits ({cap_bytes} bytes)",
+                    capacity_bits=self.descriptor.capacity_bits)
+            padded += m.data.ljust(cap_bytes, b"\x00")
+        octets = np.frombuffer(bytes(padded), dtype=np.uint8).reshape(len(messages), cap_bytes)
+        bits = np.unpackbits(octets, axis=1)
+        spare = self.descriptor.dim - bits.shape[1]  # dim not divisible by 8
+        if spare:
+            bits = np.pad(bits, ((0, 0), (0, spare)))
+        rows = (2.0 * bits.astype(np.float64) - 1.0) * self._scale
+        return UnitVector(rows[0]) if isinstance(message, Message) else rows
 
-    def decode(self, v: UnitVector) -> Message:
-        if v.dim != self.descriptor.dim:
-            raise DimensionError(f"vector dim {v.dim} != codec dim {self.descriptor.dim}")
-        bits = (v.components > 0.0).astype(np.uint8)  # exact zero decodes as 0
+    def decode(self, v: UnitVector | np.ndarray) -> Message | list[Message]:
+        rows = v.components[None, :] if isinstance(v, UnitVector) else v
+        if rows.ndim != 2 or rows.shape[1] != self.descriptor.dim:
+            raise DimensionError(
+                f"vector dim {rows.shape[-1]} != codec dim {self.descriptor.dim}")
         usable = 8 * self.descriptor.capacity_bytes
-        raw = np.packbits(bits[:usable]).tobytes()
-        return Message(raw.rstrip(b"\x00"))
+        packed = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
+        messages = [Message(octets.tobytes().rstrip(b"\x00")) for octets in packed]
+        return messages[0] if isinstance(v, UnitVector) else messages
+
+    def encode_rows(self, messages: list[Message]) -> np.ndarray:
+        if type(self).encode is not SignCodec.encode:
+            return super().encode_rows(messages)
+        return self.encode(list(messages))
+
+    def decode_rows(self, rows: np.ndarray) -> list[Message]:
+        if type(self).decode is not SignCodec.decode:
+            return super().decode_rows(rows)
+        return self.decode(np.asarray(rows))
 
 
 _CODECS = {"sign": SignCodec}
@@ -129,22 +162,38 @@ def get_codec(name: str, dim: int) -> Codec:
     return factory(dim)
 
 
-def idempotence_check(codec: Codec, v: UnitVector) -> tuple[bool, UnitVector, Message]:
+def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
     """Does decode(encode(decode(v))) reproduce decode(v) byte-exactly?
 
     Returns (passes, encode(decoded), decoded).  Always true for the
     reference codec; lossy codecs may fail, and the confidence layer
-    treats failure as an immediate rejection.
+    treats failure as an immediate rejection.  For a block, an (n, dim)
+    array of unit rows, each of the three is per row: a list, an
+    (n, dim) array and a list.  The codec is called through its row
+    methods either way.
     """
-    decoded = codec.decode(v)
+    rows = v.components[None, :] if isinstance(v, UnitVector) else np.asarray(v)
+    decoded = codec.decode_rows(rows)
     try:
-        reencoded = codec.encode(decoded)
+        reencoded = codec.encode_rows(decoded)
+        fits = [True] * len(decoded)
     except CapacityExceededError:
-        # a decode that grew past capacity can never re-encode; that is
-        # a failure, not an error, so hand back the input vector
-        return False, v, decoded
-    again = codec.decode(reencoded)
-    return again.data == decoded.data, reencoded, decoded
+        # a decode that grew past capacity can never re-encode; that row
+        # fails instead of erroring, and hands back its input row
+        reencoded = rows.copy()
+        fits = []
+        for k, message in enumerate(decoded):
+            try:
+                reencoded[k] = codec.encode_rows([message])[0]
+            except CapacityExceededError:
+                fits.append(False)
+            else:
+                fits.append(True)
+    again = codec.decode_rows(reencoded)
+    passes = [ok and a.data == d.data for ok, a, d in zip(fits, again, decoded)]
+    if isinstance(v, UnitVector):
+        return passes[0], UnitVector(reencoded[0]), decoded[0]
+    return passes, reencoded, decoded
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .codec import Codec, Message, idempotence_check
 from .errors import DimensionError, DomainError
 from .sphere import UnitVector, cosine
@@ -191,20 +193,35 @@ def ell_from_p(p_value: float) -> float:
     return -math.log10(p_value)
 
 
-def assess(codec: Codec, v: UnitVector, ell_threshold: float) -> ConfidenceReport:
+def check_ell_threshold(ell_threshold: float) -> None:
+    """Refuse a threshold that is not finite: nan would trust nothing
+    and -inf everything."""
+    if not math.isfinite(ell_threshold):
+        raise DomainError(f"ell threshold {ell_threshold} must be finite")
+
+
+def assess(codec: Codec, v: UnitVector | np.ndarray,
+           ell_threshold: float) -> ConfidenceReport | list[ConfidenceReport]:
     """Score a recovered vector: self-consistency, then tail probability.
 
     The vector is decoded and re-encoded; failure of byte-exact
     idempotence is an immediate rejection.  Otherwise the cosine to
     the re-encoded vector is converted to a p-value and the verdict
     compares ell = -log10(p) against the caller's finite threshold.
+
+    v may also be a block, an (n, dim) array of unit rows: decode,
+    re-encode and the cosines then run on the whole block, the p-value
+    row by row, and the result is one report per row.  One vector is
+    scored as a block of one row.
     """
-    if not math.isfinite(ell_threshold):
-        raise DomainError(f"ell threshold {ell_threshold} must be finite")
-    passes, reencoded, decoded = idempotence_check(codec, v)
-    c = cosine(v, reencoded)
-    p = spherical_p_value(c, v.dim) if passes else 1.0
-    ell = ell_from_p(p) if passes else 0.0
-    verdict = VERDICT_TRUSTED if passes and ell >= ell_threshold else VERDICT_UNTRUSTED
-    return ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=passes,
-                            verdict=verdict, message=decoded)
+    check_ell_threshold(ell_threshold)
+    rows = v.components[None, :] if isinstance(v, UnitVector) else v
+    passes, reencoded, decoded = idempotence_check(codec, rows)
+    reports = []
+    for c, ok, message in zip(cosine(rows, reencoded).tolist(), passes, decoded):
+        p = spherical_p_value(c, rows.shape[1]) if ok else 1.0
+        ell = ell_from_p(p) if ok else 0.0
+        verdict = VERDICT_TRUSTED if ok and ell >= ell_threshold else VERDICT_UNTRUSTED
+        reports.append(ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=ok,
+                                        verdict=verdict, message=message))
+    return reports[0] if isinstance(v, UnitVector) else reports

@@ -137,16 +137,32 @@ def sample_rotation(key: SecretKey, dim: int, haar_fix: bool = True) -> Rotation
     return RotationMatrix(q)
 
 
-def rotate(m: RotationMatrix, v: UnitVector) -> UnitVector:
-    """Apply the rotation; renormalizes to absorb float drift."""
-    if m.dim != v.dim:
-        raise DimensionMismatchError(f"matrix dim {m.dim} != vector dim {v.dim}")
-    return unit(m.entries @ v.components)
+def _check_dim(m: RotationMatrix, v: UnitVector | np.ndarray) -> None:
+    if isinstance(v, UnitVector):
+        if m.dim != v.dim:
+            raise DimensionMismatchError(f"matrix dim {m.dim} != vector dim {v.dim}")
+    elif v.ndim != 2 or v.shape[1] != m.dim:
+        raise DimensionMismatchError(f"matrix dim {m.dim} != block shape {v.shape}")
 
 
-def unrotate(m: RotationMatrix, v: UnitVector) -> UnitVector:
-    """Apply the inverse rotation (transpose, since m is orthogonal)."""
-    if m.dim != v.dim:
-        raise DimensionMismatchError(f"matrix dim {m.dim} != vector dim {v.dim}")
-    return unit(m.entries.T @ v.components)
+def rotate(m: RotationMatrix, v: UnitVector | np.ndarray) -> UnitVector | np.ndarray:
+    """Apply the rotation; renormalizes to absorb float drift.
 
+    v may also be a block, an (n, d) array of unit rows, rotated by one
+    matrix product.  A row then agrees with rotate of it to rounding,
+    not bit for bit: the product sums in another order than the
+    matrix-vector product.
+    """
+    _check_dim(m, v)
+    if isinstance(v, UnitVector):
+        return unit(m.entries @ v.components)
+    return unit(v @ m.entries.T)
+
+
+def unrotate(m: RotationMatrix, v: UnitVector | np.ndarray) -> UnitVector | np.ndarray:
+    """Apply the inverse rotation (transpose, since m is orthogonal);
+    a block of rows as rotate takes one."""
+    _check_dim(m, v)
+    if isinstance(v, UnitVector):
+        return unit(m.entries.T @ v.components)
+    return unit(v @ m.entries)

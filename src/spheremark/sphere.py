@@ -4,6 +4,9 @@ Payload vectors live on the surface of the unit hypersphere S^(d-1),
 stored as float64 arrays.  Uniform samples come from normalized
 Gaussian draws, similarity is plain cosine, and vectors round-trip
 through a little-endian binary form and a plain text form.
+
+unit and cosine also take a block, an (n, d) array with one vector per
+row, and give each row the bits that row alone would get.
 """
 from __future__ import annotations
 
@@ -73,9 +76,24 @@ class UnitVector:
         return cls(np.asarray(values, dtype=np.float64))
 
 
-def unit(values: np.ndarray) -> UnitVector:
-    """Normalize an arbitrary nonzero vector onto the sphere."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    # matmul runs each (1, d) @ (d, 1) product as one BLAS dot, so row k
+    # equals np.dot(a[k], b[k]) bit for bit, as a single vector gets it
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
+def unit(values: np.ndarray) -> UnitVector | np.ndarray:
+    """Normalize an arbitrary nonzero vector onto the sphere.
+
+    An (n, d) array is a block of vectors: each row is normalized to the
+    same bits as that row alone, and the rows come back as an array.
+    """
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim == 2:
+        norms = np.sqrt(_row_dots(arr, arr))
+        if not np.all(np.isfinite(norms) & (norms > 0.0)):
+            raise DomainError("cannot normalize a zero or non-finite vector")
+        return arr / norms[:, None]
     norm = float(np.linalg.norm(arr))
     if norm == 0.0 or not np.isfinite(norm):
         raise DomainError("cannot normalize a zero or non-finite vector")
@@ -108,12 +126,22 @@ def sample_uniform(dim: int, rng: np.random.Generator) -> UnitVector:
             return UnitVector(g / norm)
 
 
-def cosine(a: UnitVector, b: UnitVector) -> float:
-    """Cosine similarity of two unit vectors, clamped to [-1, 1]."""
-    if a.dim != b.dim:
-        raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    dot = float(np.dot(a.components, b.components))
-    return min(1.0, max(-1.0, dot))
+def cosine(a: UnitVector | np.ndarray, b: UnitVector | np.ndarray) -> float | np.ndarray:
+    """Cosine similarity of two unit vectors, clamped to [-1, 1].
+
+    For two (n, d) blocks of unit rows, entry k is the cosine of row k
+    of each, with the bits cosine gives that pair alone.
+    """
+    if isinstance(a, UnitVector) and isinstance(b, UnitVector):
+        if a.dim != b.dim:
+            raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
+        dot = float(np.dot(a.components, b.components))
+        return min(1.0, max(-1.0, dot))
+    if isinstance(a, UnitVector) or isinstance(b, UnitVector):
+        raise DimensionMismatchError("cosine takes two unit vectors or two blocks")
+    if a.ndim != 2 or a.shape != b.shape:
+        raise DimensionMismatchError(f"block shape mismatch: {a.shape} vs {b.shape}")
+    return np.clip(_row_dots(a, b), -1.0, 1.0)
 
 
 def cosine_loss(a: UnitVector, b: UnitVector) -> float:

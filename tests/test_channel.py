@@ -1,19 +1,21 @@
 import csv
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from spheremark import (ChannelProfile, DimensionError, DomainError, Message,
-                        SecretKey, SignCodec, Watermark, assess, calibrate,
-                        cosine, default_profiles, embed, extract,
-                        load_profiles, perturb, rotate, run_sweep,
-                        sample_rotation, sample_uniform, unrotate,
-                        write_sweep_csv)
+from spheremark import (ChannelProfile, Codec, CodecDescriptor, DimensionError,
+                        DomainError, Message, SecretKey, SignCodec, SweepRow,
+                        Watermark, assess, calibrate, cosine,
+                        default_profiles, embed, extract, load_profiles,
+                        perturb, rotate, run_sweep, sample_rotation,
+                        sample_uniform, unrotate, write_sweep_csv)
+from spheremark import channel
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
-from spheremark.streams import stream
+from spheremark.streams import label_entropy, stream
 from conftest import make_image
 
 CHI2_CRIT_15_99 = 30.57791416689249
@@ -179,6 +181,19 @@ class TestWatermark:
         assert wm.open(sealed, 100.0) == assess(codec, v_hat, 100.0)
         assert wm.open(sealed, 100.0).message == Message(b"open")
 
+    def test_sign_many_and_open_many(self):
+        codec = SignCodec(256)
+        wm = Watermark(self.KEY, codec)
+        messages = [Message(b"first"), Message(b"second"), Message(b"\xff" * 32)]
+        v, signed = wm.sign_many(messages)
+        assert np.array_equal(v, codec.encode_rows(messages))
+        for row, m in zip(signed, messages):
+            assert np.allclose(row, wm.sign(m).components, rtol=0, atol=1e-15)
+        v_hat, reports = wm.open_many(signed, 100.0)
+        for k, m in enumerate(messages):
+            assert np.allclose(v_hat[k], codec.encode(m).components, rtol=0, atol=1e-14)
+            assert reports[k] == assess(codec, unrotate(wm.rotation, wm.sign(m)), 100.0)
+
 
 class TestRunSweep:
     def _codec_key(self):
@@ -257,6 +272,22 @@ class TestRunSweep:
             run_sweep([prof], codec, key, 2, stream(9), ell_threshold=bad,
                       unrotate_key=SecretKey(seed=6))
 
+    @pytest.mark.parametrize("threshold, sigma", [(math.nan, 0.1), (math.inf, 0.1),
+                                                  (100.0, math.nan), (100.0, -0.5)])
+    def test_refuses_before_any_rotation_or_draw(self, monkeypatch, threshold, sigma):
+        # a 256-d rotation costs ~10 ms; bad arguments are refused first
+        def forbidden(*args):
+            raise AssertionError("sampled or drew before refusing")
+
+        monkeypatch.setattr(channel, "sample_rotation", forbidden)
+        monkeypatch.setattr(channel, "stream", forbidden)
+        codec, key = self._codec_key()
+        profiles = [ChannelProfile.from_target("fine", 0.99, 256),
+                    ChannelProfile("bad", 0.9, sigma, 256)]
+        with pytest.raises(DomainError, match="finite"):
+            run_sweep(profiles, codec, key, 2, stream(9), ell_threshold=threshold,
+                      unrotate_key=SecretKey(seed=6))
+
     def test_rejects_empty_run(self):
         codec, key = self._codec_key()
         prof = ChannelProfile.from_target("p", 0.99, 256)
@@ -284,3 +315,168 @@ class TestRunSweep:
         assert table[0] == SWEEP_CSV_HEADER.split(",")
         assert all(len(row) == 6 for row in table)
         assert [row[0] for row in table[1:]] == names
+
+
+class DriftingCodec(SignCodec):
+    """Overrides decode only: a decode gains a byte, so no decode is
+    idempotent and every sweep cell must come out untrusted."""
+
+    def decode(self, v):
+        return Message(super().decode(v).data + b"!")
+
+
+class ScalarSignCodec(Codec):
+    """Sign modulation through encode and decode only, so run_sweep goes
+    through the base class row loops; counts the calls it receives."""
+
+    def __init__(self, dim):
+        self.descriptor = CodecDescriptor(name="scalar-sign", dim=dim,
+                                          capacity_bits=dim, deterministic=True)
+        self._inner = SignCodec(dim)
+        self.calls = 0
+
+    def encode(self, message):
+        self.calls += 1
+        return self._inner.encode(message)
+
+    def decode(self, v):
+        self.calls += 1
+        return self._inner.decode(v)
+
+
+def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
+                    ell_threshold=100.0, unrotate_key=None):
+    """The per-cell chain run_sweep replaced, built from public pieces."""
+    m_send = sample_rotation(key, codec.descriptor.dim)
+    m_recv = m_send if unrotate_key is None else sample_rotation(
+        unrotate_key, codec.descriptor.dim)
+    root = int(rng.integers(0, 2**63))
+    rows = []
+    for profile in profiles:
+        cos_sum = ell_sum = 0.0
+        match_count = trusted_count = 0
+        for i in range(n_messages):
+            cell_rng = stream(root, label_entropy(profile.name), i)
+            body = cell_rng.integers(0, 256, size=message_len, dtype=np.uint8)
+            body[-1] = cell_rng.integers(1, 256)
+            payload = body.tobytes()
+            v = codec.encode(Message(payload))
+            received = perturb(rotate(m_send, v), profile.sigma, cell_rng)
+            v_hat = unrotate(m_recv, received)
+            report = assess(codec, v_hat, ell_threshold)
+            cos_sum += cosine(v, v_hat)
+            ell_sum += report.ell
+            match_count += report.message.data == payload
+            trusted_count += report.verdict == "trusted"
+        rows.append(SweepRow(profile.name, n_messages, cos_sum / n_messages,
+                             match_count / n_messages, ell_sum / n_messages,
+                             trusted_count / n_messages))
+    return rows
+
+
+def assert_same_sweep(got, want, tmp_path):
+    """Counts equal, means within 1e-12 relative, CSV bytes equal."""
+    assert [(r.profile, r.n, r.exact_match, r.trusted_rate) for r in got] == \
+        [(r.profile, r.n, r.exact_match, r.trusted_rate) for r in want]
+    for g, w in zip(got, want):
+        assert g.mean_cosine == pytest.approx(w.mean_cosine, rel=1e-12, abs=0)
+        assert g.mean_ell == pytest.approx(w.mean_ell, rel=1e-12, abs=0)
+        assert type(g.n) is int
+        for value in (g.mean_cosine, g.exact_match, g.mean_ell, g.trusted_rate):
+            assert type(value) is float
+    write_sweep_csv(got, tmp_path / "got.csv")
+    write_sweep_csv(want, tmp_path / "want.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+BLOCK = channel._BLOCK_ROWS
+
+
+class TestSweepBlocks:
+    KEY = SecretKey(seed=5)
+    WRONG = SecretKey(seed=6)
+    # sigma 0 (no noise draw), the 42 dB reference point, and a hard
+    # profile whose decodes miss
+    PROFILES = [ChannelProfile.from_target("identity", 1.0, 256),
+                ChannelProfile.from_target("reference", 0.984, 256),
+                ChannelProfile.from_target("hard", 0.7, 256)]
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_equals_per_cell_chain(self, tmp_path, n, wrong):
+        unrotate_key = self.WRONG if wrong else None
+        got = run_sweep(self.PROFILES, SignCodec(256), self.KEY, n, stream(40, n),
+                        unrotate_key=unrotate_key)
+        want = reference_sweep(self.PROFILES, SignCodec(256), self.KEY, n,
+                               stream(40, n), unrotate_key=unrotate_key)
+        assert_same_sweep(got, want, tmp_path)
+        if not wrong:
+            assert got[0].exact_match == 1.0 and got[2].exact_match < 1.0
+
+    def test_codec_without_row_methods(self, tmp_path):
+        # a codec that implements only encode/decode keeps working in
+        # run_sweep through the base class loops
+        codec = ScalarSignCodec(256)
+        assert type(codec).encode_rows is Codec.encode_rows
+        assert type(codec).decode_rows is Codec.decode_rows
+        got = run_sweep(self.PROFILES, codec, self.KEY, BLOCK + 1, stream(41))
+        assert codec.calls > 0
+        want = reference_sweep(self.PROFILES, ScalarSignCodec(256), self.KEY,
+                               BLOCK + 1, stream(41))
+        assert_same_sweep(got, want, tmp_path)
+
+    def test_decode_only_subclass_is_honoured(self, tmp_path):
+        # SignCodec's row methods loop a subclass's own decode, so the
+        # sweep scores such a codec as assess on one vector does
+        codec = DriftingCodec(256)
+        got = run_sweep(self.PROFILES, codec, self.KEY, BLOCK + 1, stream(44))
+        assert [(r.exact_match, r.mean_ell, r.trusted_rate) for r in got] == \
+            [(0.0, 0.0, 0.0)] * len(self.PROFILES)
+        want = reference_sweep(self.PROFILES, DriftingCodec(256), self.KEY,
+                               BLOCK + 1, stream(44))
+        assert_same_sweep(got, want, tmp_path)
+
+    def test_chain_steps_run_once_per_block(self, monkeypatch):
+        # every block step goes through the chain's public functions,
+        # each called once per block, not once per cell
+        calls = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("rotate", "unrotate", "assess", "cosine"):
+            monkeypatch.setattr(channel, name, counting(name, getattr(channel, name)))
+        for name in ("encode", "decode"):
+            monkeypatch.setattr(SignCodec, name, counting(name, getattr(SignCodec, name)))
+        run_sweep(self.PROFILES, SignCodec(256), self.KEY, BLOCK + 1, stream(45))
+        blocks = 2 * len(self.PROFILES)
+        # encode: the messages, then the re-encode; decode: twice in the
+        # idempotence check
+        assert calls == {"rotate": blocks, "unrotate": blocks, "assess": blocks,
+                         "cosine": blocks, "encode": 2 * blocks, "decode": 2 * blocks}
+
+    def test_profile_alone_equals_profile_among_defaults(self):
+        # a block never mixes profiles, so neighbours cannot move a row
+        codec = SignCodec(256)
+        profiles = default_profiles(256)
+        among = run_sweep(profiles, codec, self.KEY, BLOCK + 3, stream(42))
+        for k in (0, 7, len(profiles) - 1):
+            alone = run_sweep([profiles[k]], codec, self.KEY, BLOCK + 3, stream(42))
+            assert alone == [among[k]]
+
+    def test_memory_bounded_at_large_n(self):
+        # whole (n, d) float64 arrays would take 39 MiB each at n = 20000;
+        # the peak is the rotation sampling (~2.5 MiB) plus one block
+        codec = SignCodec(256)
+        prof = ChannelProfile.from_target("p", 0.9, 256)
+        tracemalloc.start()
+        try:
+            rows = run_sweep([prof], codec, self.KEY, 20_000, stream(43))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows[0].n == 20_000
+        assert peak < 6 * 2**20, peak

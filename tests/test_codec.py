@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremark import (CapacityExceededError, DomainError, Message, SignCodec,
+from spheremark import (CapacityExceededError, Codec, CodecDescriptor,
+                        DimensionError, DomainError, Message, SignCodec,
                         UnitVector, capacity_report, get_codec,
                         idempotence_check, perturb, sample_uniform, unit)
 from spheremark.streams import stream
@@ -162,6 +163,107 @@ class TestIdempotence:
         v = SignCodec(256).encode(Message(b"steady payload"))
         passes, _, _ = idempotence_check(c, v)
         assert not passes
+
+
+class GrowingCodec(Codec):
+    # implements only encode and decode, so the row methods are the base
+    # class loops; decode appends a byte, and a full payload then cannot
+    # re-encode
+    def __init__(self, dim):
+        self.descriptor = CodecDescriptor(name="growing", dim=dim,
+                                          capacity_bits=dim, deterministic=True)
+        self._inner = SignCodec(dim)
+
+    def encode(self, message):
+        return self._inner.encode(message)
+
+    def decode(self, v):
+        return Message(self._inner.decode(v).data + b"!")
+
+
+class TestRows:
+    @pytest.mark.parametrize("dim", [4, 20, 256])
+    def test_encode_rows_are_encodes(self, dim):
+        c = SignCodec(dim)
+        cap = c.descriptor.capacity_bytes
+        rng = stream(30, dim)
+        messages = [Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
+                    for k in (0, cap // 2, cap, cap)]
+        rows = c.encode_rows(messages)
+        assert rows.shape == (4, dim)
+        for row, m in zip(rows, messages):
+            assert np.array_equal(row, c.encode(m).components)
+
+    @pytest.mark.parametrize("dim", [4, 20, 256])
+    def test_decode_rows_are_decodes(self, dim):
+        c = SignCodec(dim)
+        rng = stream(31, dim)
+        rows = np.stack([sample_uniform(dim, rng).components for _ in range(9)])
+        rows[0, 0] = 0.0  # exact zero decodes as a 0 bit
+        assert c.decode_rows(rows) == [c.decode(UnitVector(r)) for r in unit(rows)]
+
+    def test_encode_rows_over_capacity(self):
+        with pytest.raises(CapacityExceededError):
+            SignCodec(256).encode_rows([Message(b"ok"), Message(b"x" * 33)])
+
+    def test_decode_rows_dim_mismatch(self):
+        with pytest.raises(DimensionError):
+            SignCodec(256).decode_rows(np.ones((2, 128)) / math.sqrt(128))
+
+    def test_encode_and_decode_take_blocks(self):
+        c = SignCodec(64)
+        messages = [Message(b"one"), Message(b"two")]
+        rows = c.encode(messages)
+        assert np.array_equal(rows, c.encode_rows(messages))
+        assert c.decode(rows) == messages == c.decode_rows(rows)
+
+    def test_subclass_overrides_are_looped(self):
+        # a subclass that overrides one-item encode or decode is reached
+        # through the row methods too, one item at a time
+        class Drifting(SignCodec):
+            def decode(self, v):
+                return Message(super().decode(v).data + b"!")
+
+        class Shifted(SignCodec):
+            def encode(self, message):
+                return super().encode(Message(b"<" + message.data))
+
+        messages = [Message(b"one"), Message(b"two")]
+        rows = SignCodec(64).encode_rows(messages)
+        assert Drifting(64).decode_rows(rows) == [Message(b"one!"), Message(b"two!")]
+        assert np.array_equal(Drifting(64).encode_rows(messages), rows)
+        shifted = Shifted(64).encode_rows(messages)
+        assert SignCodec(64).decode_rows(shifted) == [Message(b"<one"), Message(b"<two")]
+        assert Shifted(64).decode_rows(rows) == messages
+
+    def test_base_class_rows_loop_the_scalar_methods(self):
+        c = GrowingCodec(64)
+        messages = [Message(b"one"), Message(b"two")]
+        rows = c.encode_rows(messages)
+        assert np.array_equal(rows, np.stack([c.encode(m).components for m in messages]))
+        assert c.decode_rows(rows) == [Message(b"one!"), Message(b"two!")]
+
+    @pytest.mark.parametrize("codec", [SignCodec(256), GrowingCodec(256)],
+                             ids=["sign", "growing"])
+    def test_idempotence_check_block(self, codec):
+        # the growing codec's full payloads overflow on re-encode, so the
+        # block falls back row by row; its short one re-encodes and then
+        # fails the comparison
+        rng = stream(32)
+        vs = [sample_uniform(256, rng) for _ in range(3)]
+        vs += [SignCodec(256).encode(Message(b"short")),
+               SignCodec(256).encode(Message(bytes(range(1, 33))))]
+        rows = np.stack([v.components for v in vs])
+        passes, reencoded, decoded = idempotence_check(codec, rows)
+        for k, v in enumerate(vs):
+            want_pass, want_vec, want_msg = idempotence_check(codec, v)
+            assert passes[k] == want_pass
+            assert np.array_equal(reencoded[k], want_vec.components)
+            assert decoded[k] == want_msg
+        assert passes == [isinstance(codec, SignCodec)] * 5
+        if isinstance(codec, GrowingCodec):
+            # a row that cannot re-encode hands back its input
+            assert np.array_equal(reencoded[4], rows[4])
 
 
 class TestNoiseFlipRate:

@@ -380,6 +380,35 @@ class TestAssess:
         for v in (codec.encode(Message(b"payload")), sample_uniform(256, stream(4))):
             assert assess(codec, v, 100.0).message == codec.decode(v)
 
+    @pytest.mark.parametrize("threshold", [5.0, 100.0])
+    def test_block_equals_assess(self, threshold):
+        # a block's cosines carry cosine's bits, so every field is equal
+        codec = SignCodec(256)
+        rng = stream(21)
+        vs = [codec.encode(Message(b"row one")), sample_uniform(256, rng),
+              codec.encode(Message(b"\xff" * 32)), sample_uniform(256, rng)]
+        reports = assess(codec, np.stack([v.components for v in vs]), threshold)
+        assert reports == [assess(codec, v, threshold) for v in vs]
+
+    def test_block_honours_decode_only_subclass(self):
+        class DriftingCodec(SignCodec):
+            def decode(self, v):
+                return Message(super().decode(v).data + b"!")
+
+        codec = DriftingCodec(256)
+        rng = stream(22)
+        vs = [sample_uniform(256, rng) for _ in range(3)] + [codec.encode(Message(b"x"))]
+        reports = assess(codec, np.stack([v.components for v in vs]), 1.0)
+        assert reports == [assess(codec, v, 1.0) for v in vs]
+        assert [r.idempotent for r in reports] == [False] * 4
+        assert reports[3].message == Message(b"x!")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_block_refuses_non_finite_threshold(self, bad):
+        codec = SignCodec(256)
+        with pytest.raises(DomainError, match="finite"):
+            assess(codec, codec.encode_rows([Message(b"x")]), bad)
+
     def test_report_serialization(self):
         codec = SignCodec(256)
         rep = assess(codec, codec.encode(Message(b"row")), ell_threshold=5.0)

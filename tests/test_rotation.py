@@ -201,3 +201,25 @@ class TestRotateUnrotate:
         assert off.size == 9900
         assert float(np.abs(off).max()) <= WRONG_KEY_BOUND
 
+    @pytest.mark.parametrize("n", [1, 5, 64])
+    def test_block_matches_per_vector(self, n):
+        # one matrix product sums in another order than the per-vector
+        # product, so rows agree to rounding, not bit for bit
+        m = sample_rotation(SecretKey(seed=4), 256)
+        rng = stream(13, n)
+        vs = [sample_uniform(256, rng) for _ in range(n)]
+        rows = np.stack([v.components for v in vs])
+        rotated, back = rotate(m, rows), unrotate(m, rows)
+        assert rotated.shape == back.shape == (n, 256)
+        for k, v in enumerate(vs):
+            assert np.allclose(rotated[k], rotate(m, v).components, rtol=0, atol=1e-15)
+            assert np.allclose(back[k], unrotate(m, v).components, rtol=0, atol=1e-15)
+        assert np.allclose(unrotate(m, rotated), rows, rtol=0, atol=1e-14)
+
+    def test_block_dim_mismatch(self):
+        m = sample_rotation(SecretKey(seed=0), 8)
+        for bad in (np.ones((2, 16)) / 4.0, np.ones(8) / math.sqrt(8)):
+            with pytest.raises(DimensionMismatchError):
+                rotate(m, bad)
+            with pytest.raises(DimensionMismatchError):
+                unrotate(m, bad)

@@ -166,6 +166,42 @@ class TestUnitHelper:
             unit(np.zeros(4))
 
 
+class TestBlocks:
+    # a block must get unit's and cosine's bits row by row, so a block of
+    # the sweep normalizes and scores each row as one vector would be
+    @pytest.mark.parametrize("n", [1, 2, 7, 64])
+    def test_unit_block_bit_equal_to_unit(self, n):
+        raw = stream(8, n).standard_normal((n, 256)) * 3.0
+        got = unit(raw)
+        assert isinstance(got, np.ndarray) and got.shape == (n, 256)
+        for k in range(n):
+            assert np.array_equal(got[k], unit(raw[k]).components)
+
+    @pytest.mark.parametrize("n", [1, 3, 64])
+    def test_cosine_block_bit_equal_to_cosine(self, n):
+        rng = stream(9, n)
+        a = np.stack([sample_uniform(256, rng).components for _ in range(n)])
+        b = np.stack([sample_uniform(256, rng).components for _ in range(n)])
+        want = [cosine(UnitVector(x), UnitVector(y)) for x, y in zip(a, b)]
+        assert cosine(a, b).tolist() == want
+        assert cosine(a, a).max() <= 1.0
+
+    def test_unit_block_rejects_zero_row(self):
+        raw = np.ones((3, 4))
+        raw[1] = 0.0
+        with pytest.raises(DomainError):
+            unit(raw)
+
+    def test_cosine_block_shape_mismatch(self):
+        a = np.ones((2, 4)) / 2.0
+        for b in (np.ones((2, 8)) / math.sqrt(8), np.ones((3, 4)) / 2.0,
+                  UnitVector(np.ones(4) / 2.0)):
+            with pytest.raises(DimensionMismatchError):
+                cosine(a, b)
+            with pytest.raises(DimensionMismatchError):
+                cosine(b, a)
+
+
 class TestSerialization:
     def test_binary_roundtrip_exact(self):
         rng = stream(8)
