@@ -8,11 +8,13 @@ Frobenius norm.  The embed amplitude is set analytically from the
 target PSNR; extraction correlates a high-passed luma plane (pixel
 minus 3x3 box blur) against the carriers and renormalizes.
 
-A centred, normalized carrier takes only two values, so a carrier set
-is held as one sign bit per sample plus those two floats per carrier:
-about d*H*W/8 bytes (8 MiB for 256 carriers at 512x512).  Embed and
-extract work on the bits through per-word lookup tables and never
-build the d*H*W float64 stack.
+A centred, normalized carrier takes only two values, which follow in
+closed form from its count of set bits, so a carrier set is generated
+and held as one sign bit per sample plus those two floats per
+carrier: about d*H*W/8 bytes (8 MiB for 256 carriers at 512x512).
+Generation makes no float sample, and embed and extract work on the
+bits through per-word lookup tables; nothing builds the d*H*W float64
+stack.
 
 Attacks are classical pixel-domain transforms, including a
 quantization-only JPEG proxy (blockwise DCT against the standard
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 import threading
 from dataclasses import dataclass
 
@@ -41,21 +42,18 @@ MIN_SIDE = 32
 PSNR_RANGE = (30.0, 60.0)
 
 # Largest 8 * d * H * W that generate() accepts: 256 carriers over
-# 1024x1024 is exactly at the limit.  A held set is only about
-# d * H * W / 8 bytes; the limit now bounds the d * H * W work of
-# generation, embed and extract, and with it the full-size host, luma
-# and delta arrays of the plane.  Raising it waits for a stated bound
-# on those arrays.
+# 1024x1024 is exactly at the limit.  No float carrier sample is made
+# anywhere: a held set is about d * H * W / 8 bytes, and generation
+# draws one 32-bit Philox half per sample and packs its top bit.  So
+# the limit bounds the d * H * W bit work of generation, embed and
+# extract, and with it the full-size host, luma and delta arrays of
+# the plane.  Raising it waits for a stated bound on those arrays.
 MAX_CARRIER_BYTES = 2**31
 
-# Target size of the float64 blocks of carrier rows that all
-# generation workers hold at once, small enough that their passes run
-# in cache.
-_BLOCK_BYTES = 2**20
-
 # Most raw Philox words a generation worker draws at once (256 KiB).
-# Its larger buffers come from the calling thread, so the freed memory
-# that a worker thread's allocator keeps stays this small.
+# No buffer a worker allocates is larger, and each draw is freed before
+# the next, so the freed memory that a worker thread's allocator keeps
+# stays this small.
 _DRAW_WORDS = 2**15
 
 # Fixed luma transform (BT.601 weights); adding a delta to every RGB
@@ -114,29 +112,26 @@ class CarrierSet:
 
     @classmethod
     def generate(cls, key: SecretKey, dim: int, height: int, width: int) -> "CarrierSet":
-        """Draw, centre and normalize the d carriers for one plane.
+        """Draw the d carriers' sign bits for one plane and take hi and lo.
 
         Each carrier sample takes one bit b from the key's Philox
-        stream and starts as (2b - 1) / sqrt(H*W).  The bits are the
-        top bit of each 32-bit half of the raw 64-bit Philox words,
-        low half first, carrier-major.  That is exactly the sequence
-        ``Generator.integers(0, 2)`` yields: for a range of two it
-        draws one 32-bit value per sample (the halves of each word,
-        low first) and keeps its top bit, with no rejection.  Sample
-        p of carrier i is then ((2b - 1) / sqrt(H*W) - m_i) / n_i for
-        the row's mean m_i and the norm n_i of the centred row, which
-        is ``hi[i]`` where b is 1 and ``lo[i]`` where it is 0.
+        stream and starts as (2b - 1) / sqrt(n), n = H*W.  Carrier i
+        takes the 32-bit halves i*n .. (i+1)*n - 1 of the raw 64-bit
+        Philox words, low half first, and keeps the top bit of each.
+        That is exactly the sequence ``Generator.integers(0, 2)``
+        yields: for a range of two it draws one 32-bit value per
+        sample (the halves of each word, low first) and keeps its top
+        bit, with no rejection.
 
-        Rows are built as floats in blocks that consume whole words
-        (one row when H*W is even, else two, more on small planes),
-        in scratch that all workers together keep within about
-        _BLOCK_BYTES; no full-size float array is made.  The carriers
-        are split into one contiguous range of whole 16-carrier words
+        Centred and normalized, a row of k set bits takes
+        hi = sqrt((n - k) / (k*n)) where b is 1 and
+        lo = -sqrt(k / ((n - k)*n)) where it is 0, so only the bits and
+        each carrier's popcount k are computed; no float sample is
+        built.  Word group g (carriers 16g .. 16g + 15) starts at raw
+        word 8*g*n.  The groups are split into one contiguous range
         per usable core, each filled on its own thread from its own
-        copy of the stream, skipped ahead to the range's first word.
-        Each block runs the same per-row mean and norm reductions as
-        one full-plane pass, so every float is bit-equal to that pass
-        for any number of cores.
+        copy of the stream, skipped ahead to the range's first word,
+        so the bits are the same for any number of cores.
         """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
@@ -148,36 +143,34 @@ class CarrierSet:
                 f"{dim} carriers over a {width}x{height} plane are {dim * n_px} "
                 f"samples, above the limit of {MAX_CARRIER_BYTES // 8}")
         entropy = (key.seed, _CARRIER_DOMAIN, dim, height, width)
-        cpus = _usable_cpus()
-        step = 1 + n_px % 2  # rows per block must fill whole 64-bit words
-        rows = max(step, _BLOCK_BYTES // (8 * n_px * cpus) // step * step)
         n_words = -(-dim // 16)
-        workers = min(cpus, n_words)
-        bounds = [min(dim, 16 * (n_words * i // workers)) for i in range(workers + 1)]
-        carriers = cls(key=key, dim=dim, height=height, width=width,
-                       words=np.zeros((n_words, n_px), dtype=np.uint16),
-                       hi=np.empty(dim), lo=np.empty(dim))
-        scratch = np.empty((workers, rows, n_px))
+        workers = min(_usable_cpus(), n_words)
+        bounds = [n_words * i // workers for i in range(workers + 1)]
+        words = np.zeros((n_words, n_px), dtype=np.uint16)
         errors: list[BaseException] = []
 
-        def fill(start: int, stop: int, block: np.ndarray) -> None:
+        def fill(start: int, stop: int) -> None:
             try:
-                _fill_rows(carriers, block, entropy, start, stop)
+                _fill_words(words, entropy, dim, start, stop)
             except BaseException as exc:  # re-raised once every worker is done
                 errors.append(exc)
 
         threads = [threading.Thread(target=fill, args=span)
-                   for span in zip(bounds[1:-1], bounds[2:], scratch[1:])]
+                   for span in zip(bounds[1:-1], bounds[2:])]
         for t in threads:
             t.start()
-        fill(bounds[0], bounds[1], scratch[0])
+        fill(bounds[0], bounds[1])
         for t in threads:
             t.join()
         if errors:
             raise errors[0]
-        for held in (carriers.words, carriers.hi, carriers.lo):
+        k = _bit_sums(words)[:dim]
+        hi = np.sqrt((n_px - k) / (k * n_px))
+        lo = -np.sqrt(k / ((n_px - k) * n_px))
+        for held in (words, hi, lo):
             held.flags.writeable = False
-        return carriers
+        return cls(key=key, dim=dim, height=height, width=width,
+                   words=words, hi=hi, lo=lo)
 
     @property
     def patterns(self) -> np.ndarray:
@@ -216,21 +209,30 @@ class CarrierSet:
         """The d inner products of a plane (H*W samples) with the carriers.
 
         Carrier i gives lo[i] * sum(hp) + (hi[i] - lo[i]) * s_i, where
-        s_i sums hp over the pixels whose bit i is set.  Per word, one
-        weighted bincount sums hp by word value; its row and column
-        sums fold through the byte bits to the 16 carriers' s_i.
+        s_i sums hp over the pixels whose bit i is set (``_bit_sums``).
         """
         hp = hp.ravel()
-        sums = np.empty((len(self.words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
-        for g, word in enumerate(self.words):
-            by_value = np.bincount(word, weights=hp, minlength=65536).reshape(256, 256)
-            sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
-            sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
-        return self.lo * hp.sum() + (self.hi - self.lo) * sums.reshape(-1)[:self.dim]
+        sums = _bit_sums(self.words, hp)[:self.dim]
+        return self.lo * hp.sum() + (self.hi - self.lo) * sums
 
 
 # _BYTE_BITS[b, j] is bit j of the byte b.
 _BYTE_BITS = ((np.arange(256)[:, np.newaxis] >> np.arange(8)) & 1).astype(np.float64)
+
+
+def _bit_sums(words: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """Per carrier (16 per word), the sum of weights over the pixels
+    whose bit is set, or their count when weights is None.
+
+    Per word, one bincount sums by word value; its row and column sums
+    fold through the byte bits to the word's 16 carriers.
+    """
+    sums = np.empty((len(words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
+    for g, word in enumerate(words):
+        by_value = np.bincount(word, weights=weights, minlength=65536).reshape(256, 256)
+        sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
+        sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
+    return sums.reshape(-1)
 
 
 def _usable_cpus() -> int:
@@ -240,56 +242,32 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-_SIGN_BIT = np.uint64(1 << 63)
+def _fill_words(words: np.ndarray, entropy: tuple, dim: int,
+                start: int, stop: int) -> None:
+    """OR the bits of carriers 16*start .. min(16*stop, dim) - 1 into
+    words[start:stop], drawing at most _DRAW_WORDS raw words at a time.
 
-# Index of a float64's top 16 bits among its four uint16 views.
-_TOP16 = 3 if sys.byteorder == "little" else 0
-
-
-def _fill_rows(carriers: CarrierSet, scratch: np.ndarray, entropy: tuple,
-               start: int, stop: int) -> None:
-    """Fill carriers start..stop-1 (words, hi and lo), one block of
-    len(scratch) rows at a time in scratch.
-
-    start is a multiple of 16, so the range owns whole words and starts
-    on a whole Philox word.  Philox4x64 makes four words per counter
-    step: advancing word // 4 steps and discarding word % 4 words puts
-    this copy of the stream exactly where the serial draw would be at
-    row start.
+    Half h of the stream belongs to carrier h // n at pixel h % n.  The
+    range starts on raw word 8*start*n, and Philox4x64 makes four words
+    per counter step, so advancing 2*start*n steps puts this copy of
+    the stream exactly where the serial draw would be.
     """
-    rows, n_px = scratch.shape
+    n_px = words.shape[1]
+    first, last = 16 * start * n_px, min(16 * stop, dim) * n_px
     philox = stream(*entropy).bit_generator
-    word = start * n_px // 2
-    philox.advance(word // 4)
-    philox.random_raw(word % 4)
-    level = np.float64(1.0 / math.sqrt(n_px))
-    # b == 1 must give +level: the top bit of each half, moved to the
-    # float64 sign and flipped, over the bit pattern of level
-    flip = _SIGN_BIT | level.view(np.uint64)
-    for first in range(start, stop, rows):
-        block = scratch[:min(rows, stop - first)]
-        bits = block.view(np.uint64).reshape(-1)
-        for at in range(0, bits.size, 2 * _DRAW_WORDS):
-            part = bits[at:at + 2 * _DRAW_WORDS]
-            halves = philox.random_raw((part.size + 1) // 2).astype("<u8", copy=False)
-            np.left_shift(halves.view("<u4")[:part.size], np.uint64(32), out=part,
-                          dtype=np.uint64)
-        np.bitwise_and(bits, _SIGN_BIT, out=bits)
-        # each sample's top 16 bits are now b << 15: shift the row's
-        # bits in at the top of its word, so after 16 rows carrier
-        # 16g + k sits at bit k
-        for i, top in enumerate(block.view(np.uint16)[:, _TOP16::4], first):
-            packed = carriers.words[i // 16]
-            np.right_shift(packed, 1, out=packed)
-            np.bitwise_or(packed, top, out=packed)
-        np.bitwise_xor(bits, flip, out=bits)
-        mean = np.add.reduce(block, axis=1) / n_px
-        block -= mean[:, np.newaxis]
-        norm = np.sqrt(np.add.reduce(np.square(block, out=block), axis=1))
-        carriers.hi[first:first + len(block)] = (level - mean) / norm
-        carriers.lo[first:first + len(block)] = (-level - mean) / norm
-    if stop % 16:  # the last word: move its carriers down to bit 0
-        np.right_shift(carriers.words[-1], 16 - stop % 16, out=carriers.words[-1])
+    philox.advance(first // 8)
+    for at in range(first, last, 2 * _DRAW_WORDS):
+        count = min(2 * _DRAW_WORDS, last - at)
+        halves = philox.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")
+        halves >>= 31
+        bits = halves[:count].astype(np.uint16)
+        del halves
+        for row in range(at // n_px, (at + count - 1) // n_px + 1):
+            lo, hi = max(at, row * n_px), min(at + count, (row + 1) * n_px)
+            part = bits[lo - at:hi - at]
+            part <<= row % 16
+            words[row // 16, lo - row * n_px:hi - row * n_px] |= part
+        del bits
 
 
 # The last carrier set used.  No caller comes back to an older plane,

@@ -4,6 +4,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,15 +36,23 @@ def _sealed(seed=0, color=True, message=b"hello image chan",
     return img, v, wm
 
 
-def _integers_reference(dim, height, width):
-    """The carriers from Generator.integers signs and full-plane passes."""
+def _integers_words(dim, height, width):
+    """The carrier bits from Generator.integers signs, packed as
+    CarrierSet.words: bit k of word g is carrier 16g + k."""
     rng = stream(KEY.seed, _CARRIER_DOMAIN, dim, height, width)
     n_px = height * width
-    signs = rng.integers(0, 2, size=(dim, n_px)).astype(np.float64)
-    ref = (2.0 * signs - 1.0) / math.sqrt(n_px)
-    ref -= ref.mean(axis=1, keepdims=True)
-    ref /= np.linalg.norm(ref, axis=1, keepdims=True)
-    return ref
+    signs = np.zeros((16 * -(-dim // 16), n_px), dtype=np.uint16)
+    signs[:dim] = rng.integers(0, 2, size=(dim, n_px))
+    shifts = np.arange(16, dtype=np.uint16)[:, np.newaxis]
+    return (signs.reshape(-1, 16, n_px) << shifts).sum(axis=1, dtype=np.uint16)
+
+
+def _within_one_ulp(got, square):
+    """Whether the exact root of the Fraction square lies between the
+    floats next to got, on got's side of zero."""
+    inner, outer = sorted(abs(Fraction(float(np.nextafter(got, bound))))
+                          for bound in (0.0, 2 * got))
+    return inner * inner <= square <= outer * outer
 
 
 class TestCarriers:
@@ -76,22 +85,21 @@ class TestCarriers:
     @pytest.mark.parametrize("dim, height, width", [
         (2, 32, 32),
         (3, 33, 35),     # odd d, odd H*W: the last word is half used
-        (67, 64, 64),    # odd d over three row blocks
-        (256, 33, 35),   # odd H*W over three row blocks
+        (67, 64, 64),    # odd d: five words, the last one partly used
+        (256, 33, 35),   # odd H*W: carrier rows straddle raw words
     ])
     def test_bit_equal_to_integers_reference(self, dim, height, width):
-        got = CarrierSet.generate(KEY, dim, height, width).patterns
-        assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
-                              _integers_reference(dim, height, width).view(np.uint64))
+        got = CarrierSet.generate(KEY, dim, height, width).words
+        assert np.array_equal(got, _integers_words(dim, height, width))
 
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("dim, height, width", [
-        (2, 32, 32),     # one block: more workers than blocks
-        (67, 64, 64),    # a range per worker, each on a whole Philox counter
-        (256, 33, 35),   # odd H*W: ranges start mid counter
-        (5, 362, 363),   # H*W = 2 mod 4, one row per block: word offsets 1, 2, 3 mod 4
-        (5, 363, 363),   # odd H*W, two rows per block and a one-row tail
-        (40, 64, 64),    # 3 words: at 3 and 5 cores ranges meet inside and across words
+        (2, 32, 32),     # one word: more workers than words
+        (67, 64, 64),    # a range per worker, each skipped ahead
+        (256, 33, 35),   # odd H*W: carrier rows straddle raw words
+        (5, 362, 363),   # draws of _DRAW_WORDS end inside carrier rows
+        (5, 363, 363),   # odd H*W, the last raw word half used
+        (40, 64, 64),    # 3 words: split 1 + 2 on two cores, one each on more
     ])
     def test_bit_equal_for_any_core_count(self, monkeypatch, cpus, dim, height, width):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
@@ -99,21 +107,37 @@ class TestCarriers:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = CarrierSet.generate(KEY, dim, height, width).patterns
+            got = CarrierSet.generate(KEY, dim, height, width).words
         finally:
             sys.setswitchinterval(switch)
-        assert np.array_equal(got.reshape(dim, -1).view(np.uint64),
-                              _integers_reference(dim, height, width).view(np.uint64))
+        assert np.array_equal(got, _integers_words(dim, height, width))
+
+    @pytest.mark.parametrize("dim, height, width", [
+        (2, 32, 32), (3, 33, 35), (67, 64, 64), (256, 33, 35), (5, 363, 363),
+        (40, 64, 64)])
+    def test_hi_lo_within_one_ulp(self, dim, height, width):
+        # the centred, normalized row of k set bits among n takes
+        # hi = sqrt((n - k) / (k n)) and lo = -sqrt(k / ((n - k) n))
+        cs = CarrierSet.generate(KEY, dim, height, width)
+        n = height * width
+        bits = _integers_words(dim, height, width)
+        for i in range(dim):
+            k = int(np.count_nonzero(bits[i // 16] >> (i % 16) & 1))
+            assert _within_one_ulp(cs.hi[i], Fraction(n - k, k * n)), (i, cs.hi[i])
+            assert _within_one_ulp(cs.lo[i], Fraction(k, (n - k) * n)), (i, cs.lo[i])
 
     def test_generation_peak_memory(self):
-        # the float64 stack alone would be 128 MiB
-        tracemalloc.start()
-        try:
-            CarrierSet.generate(KEY, 256, 256, 256)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 16 * 2**20
+        # the float64 stack alone would be 128 MiB at 256x256.  Above the
+        # held words: per worker one draw of _DRAW_WORDS raw words and its
+        # bits, and the popcount bincount's intp copy of one word
+        for side in (256, 512):
+            tracemalloc.start()
+            try:
+                held = CarrierSet.generate(KEY, 256, side, side).words.nbytes
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak - held < 4 * 2**20, (side, peak - held)
 
     @pytest.mark.parametrize("dim, height, width", [
         (3, 33, 35), (67, 64, 64), (100, 97, 101), (256, 40, 33)])
@@ -151,15 +175,15 @@ class TestCarriers:
     def test_worker_fault_reaches_caller(self, monkeypatch, faulty):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        fill = imagechannel._fill_rows
-        first = 0 if faulty == "main thread" else 128
+        fill = imagechannel._fill_words
+        first = 0 if faulty == "main thread" else 8  # words of 192 carriers: 0, 4, 8
 
-        def flaky(flat, scratch, entropy, lo, hi):
-            if lo == first:
+        def flaky(words, entropy, dim, start, stop):
+            if start == first:
                 raise MemoryError("injected")
-            fill(flat, scratch, entropy, lo, hi)
+            fill(words, entropy, dim, start, stop)
 
-        monkeypatch.setattr(imagechannel, "_fill_rows", flaky)
+        monkeypatch.setattr(imagechannel, "_fill_words", flaky)
         before = set(threading.enumerate())
         with pytest.raises(MemoryError, match="injected"):
             CarrierSet.generate(KEY, 192, 128, 128)
