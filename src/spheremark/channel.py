@@ -36,7 +36,7 @@ from .errors import DomainError
 from .imagechannel import extract
 from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
-from .sphere import UnitVector, cosine, unit
+from .sphere import UnitVector, _from_rows, _to_rows, cosine, unit
 from .streams import label_entropy, stream
 
 
@@ -145,7 +145,8 @@ def default_profiles(dim: int) -> list[ChannelProfile]:
 
 class Watermark:
     """The keyed chain every front end shares: sign encodes and rotates a
-    message; open extracts, unrotates and assesses an image's vector."""
+    message; open extracts, unrotates and assesses an image's vector.
+    Each is the one-row form of sign_many or open_many."""
 
     def __init__(self, key: SecretKey, codec: Codec):
         self.key = key
@@ -153,11 +154,11 @@ class Watermark:
         self.rotation = sample_rotation(key, codec.descriptor.dim)
 
     def sign(self, message: Message) -> UnitVector:
-        return rotate(self.rotation, self.codec.encode(message))
+        return _from_rows(self.sign_many([message])[1], one=True)
 
     def open(self, img: RasterImage, ell_threshold: float) -> ConfidenceReport:
-        v_hat = extract(img, self.key, self.codec.descriptor.dim)
-        return assess(self.codec, unrotate(self.rotation, v_hat), ell_threshold)
+        v_hat, _ = _to_rows(extract(img, self.key, self.codec.descriptor.dim))
+        return _from_rows(self.open_many(v_hat, ell_threshold)[1], one=True)
 
     def sign_many(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
         """sign for a block of messages: the (n, d) encoded rows, and the
@@ -186,7 +187,7 @@ class SweepRow:
 SWEEP_CSV_HEADER = "profile,n,mean_cosine,exact_match,mean_ell,trusted_rate"
 
 # Cells per block in run_sweep: enough rows that one matrix product
-# replaces that many matrix-vector products, few enough that a block's
+# replaces that many one-row products, few enough that a block's
 # arrays stay near 128 KiB each at d = 256.
 _BLOCK_ROWS = 64
 

@@ -27,7 +27,7 @@ from .channel import (Watermark, default_profiles, load_profiles, run_sweep,
                       write_sweep_csv)
 from .channel import calibrate as channel_calibrate
 from .codec import Message, get_codec
-from .confidence import VERDICT_TRUSTED
+from .confidence import VERDICT_TRUSTED, check_ell_threshold
 from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
                      ImageFormatError, ImageSizeError, KeyFileError,
@@ -458,9 +458,7 @@ def main(argv=None) -> int:
         args.seed = secrets.randbits(63)
     try:
         # refused before any key, image or carrier work
-        threshold = getattr(args, "ell_threshold", 0.0)
-        if not math.isfinite(threshold):
-            raise DomainError(f"--ell-threshold {threshold} must be finite")
+        check_ell_threshold(getattr(args, "ell_threshold", 0.0))
         return args.func(args)
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         _note(f"error: {exc}")

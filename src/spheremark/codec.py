@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceededError, DimensionError, DomainError
-from .sphere import UnitVector
+from .sphere import UnitVector, _from_rows, _to_rows
 
 # Guard against float artifacts in tokens*bits_per_token products,
 # e.g. 30*15.6 evaluating to 468.00000000000006.
@@ -98,10 +98,10 @@ class SignCodec(Codec):
     """Reference codec: one bit per component, sign modulated.
 
     encode and decode also take a block (a list of messages, an (n, dim)
-    array of unit rows), and the row methods hand them whole blocks.  A
-    subclass that overrides encode or decode for one item gets the base
-    class's loop over its override instead, so every caller sees the
-    override.
+    array of unit rows), and the row methods hand them whole blocks; one
+    item is a block of one.  A subclass that overrides encode or decode
+    for one item gets the base class's loop over its override instead,
+    so every caller sees the override.
     """
 
     def __init__(self, dim: int = 256):
@@ -110,7 +110,8 @@ class SignCodec(Codec):
         self._scale = 1.0 / math.sqrt(dim)
 
     def encode(self, message: Message | list[Message]) -> UnitVector | np.ndarray:
-        messages = [message] if isinstance(message, Message) else message
+        one = isinstance(message, Message)
+        messages = [message] if one else message
         cap_bytes = self.descriptor.capacity_bytes
         padded = bytearray()
         for m in messages:
@@ -126,17 +127,17 @@ class SignCodec(Codec):
         if spare:
             bits = np.pad(bits, ((0, 0), (0, spare)))
         rows = (2.0 * bits.astype(np.float64) - 1.0) * self._scale
-        return UnitVector(rows[0]) if isinstance(message, Message) else rows
+        return _from_rows(rows, one)
 
     def decode(self, v: UnitVector | np.ndarray) -> Message | list[Message]:
-        rows = v.components[None, :] if isinstance(v, UnitVector) else v
+        rows, one = _to_rows(v)
         if rows.ndim != 2 or rows.shape[1] != self.descriptor.dim:
             raise DimensionError(
-                f"vector dim {rows.shape[-1]} != codec dim {self.descriptor.dim}")
+                f"vector rows {rows.shape} != codec dim {self.descriptor.dim}")
         usable = 8 * self.descriptor.capacity_bytes
         packed = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
         messages = [Message(octets.tobytes().rstrip(b"\x00")) for octets in packed]
-        return messages[0] if isinstance(v, UnitVector) else messages
+        return _from_rows(messages, one)
 
     def encode_rows(self, messages: list[Message]) -> np.ndarray:
         if type(self).encode is not SignCodec.encode:
@@ -172,7 +173,7 @@ def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
     (n, dim) array and a list.  The codec is called through its row
     methods either way.
     """
-    rows = v.components[None, :] if isinstance(v, UnitVector) else np.asarray(v)
+    rows, one = _to_rows(v)
     decoded = codec.decode_rows(rows)
     try:
         reencoded = codec.encode_rows(decoded)
@@ -191,9 +192,7 @@ def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
                 fits.append(True)
     again = codec.decode_rows(reencoded)
     passes = [ok and a.data == d.data for ok, a, d in zip(fits, again, decoded)]
-    if isinstance(v, UnitVector):
-        return passes[0], UnitVector(reencoded[0]), decoded[0]
-    return passes, reencoded, decoded
+    return _from_rows(passes, one), _from_rows(reencoded, one), _from_rows(decoded, one)
 
 
 @dataclass(frozen=True)

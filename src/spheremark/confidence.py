@@ -26,7 +26,7 @@ import numpy as np
 
 from .codec import Codec, Message, idempotence_check
 from .errors import DimensionError, DomainError
-from .sphere import UnitVector, cosine
+from .sphere import UnitVector, _from_rows, _to_rows, cosine
 
 # Reported ell when p underflows to exactly 0 (below ~1e-323).  The
 # cap exceeds every representable -log10(p), so capped scores still
@@ -215,7 +215,7 @@ def assess(codec: Codec, v: UnitVector | np.ndarray,
     scored as a block of one row.
     """
     check_ell_threshold(ell_threshold)
-    rows = v.components[None, :] if isinstance(v, UnitVector) else v
+    rows, one = _to_rows(v)
     passes, reencoded, decoded = idempotence_check(codec, rows)
     reports = []
     for c, ok, message in zip(cosine(rows, reencoded).tolist(), passes, decoded):
@@ -224,4 +224,4 @@ def assess(codec: Codec, v: UnitVector | np.ndarray,
         verdict = VERDICT_TRUSTED if ok and ell >= ell_threshold else VERDICT_UNTRUSTED
         reports.append(ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=ok,
                                         verdict=verdict, message=message))
-    return reports[0] if isinstance(v, UnitVector) else reports
+    return _from_rows(reports, one)

@@ -35,7 +35,7 @@ from .errors import (DimensionError, DomainError, ImageSizeError,
                      UnknownTransformError)
 from .netpbm import MAXVAL, RasterImage
 from .rotation import SecretKey
-from .sphere import UnitVector
+from .sphere import UnitVector, unit
 from .streams import stream
 
 MIN_SIDE = 32
@@ -325,14 +325,12 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
     carriers = _cached_carriers(key.seed, dim, img.height, img.width)
     hp = _highpass(luma(img))
     raw = carriers.correlate(hp)
-    norm = float(np.linalg.norm(raw))
-    if norm == 0.0:
+    if not raw.any():
         # constant image: no signal at all; return a fixed direction,
         # which downstream scoring rejects
         raw = np.zeros(dim)
         raw[0] = 1.0
-        return UnitVector(raw)
-    return UnitVector(raw / norm)
+    return unit(raw)
 
 
 # ---------------------------------------------------------------- attacks

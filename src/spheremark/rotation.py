@@ -23,7 +23,7 @@ import numpy as np
 
 from ._fileio import atomic_write
 from .errors import DimensionError, DimensionMismatchError, KeyFileError
-from .sphere import UnitVector, unit
+from .sphere import UnitVector, _from_rows, _to_rows, unit
 from .streams import stream
 
 MAX_SEED = 2**64 - 1
@@ -137,32 +137,23 @@ def sample_rotation(key: SecretKey, dim: int, haar_fix: bool = True) -> Rotation
     return RotationMatrix(q)
 
 
-def _check_dim(m: RotationMatrix, v: UnitVector | np.ndarray) -> None:
-    if isinstance(v, UnitVector):
-        if m.dim != v.dim:
-            raise DimensionMismatchError(f"matrix dim {m.dim} != vector dim {v.dim}")
-    elif v.ndim != 2 or v.shape[1] != m.dim:
-        raise DimensionMismatchError(f"matrix dim {m.dim} != block shape {v.shape}")
+def _apply(m: RotationMatrix, v: UnitVector | np.ndarray, q: np.ndarray):
+    rows, one = _to_rows(v)
+    if rows.ndim != 2 or rows.shape[1] != m.dim:
+        raise DimensionMismatchError(f"matrix dim {m.dim} != vector rows {rows.shape}")
+    return _from_rows(unit(rows @ q), one)
 
 
 def rotate(m: RotationMatrix, v: UnitVector | np.ndarray) -> UnitVector | np.ndarray:
     """Apply the rotation; renormalizes to absorb float drift.
 
     v may also be a block, an (n, d) array of unit rows, rotated by one
-    matrix product.  A row then agrees with rotate of it to rounding,
-    not bit for bit: the product sums in another order than the
-    matrix-vector product.
+    matrix product; one vector is rotated as a block of one row.
     """
-    _check_dim(m, v)
-    if isinstance(v, UnitVector):
-        return unit(m.entries @ v.components)
-    return unit(v @ m.entries.T)
+    return _apply(m, v, m.entries.T)
 
 
 def unrotate(m: RotationMatrix, v: UnitVector | np.ndarray) -> UnitVector | np.ndarray:
     """Apply the inverse rotation (transpose, since m is orthogonal);
     a block of rows as rotate takes one."""
-    _check_dim(m, v)
-    if isinstance(v, UnitVector):
-        return unit(m.entries.T @ v.components)
-    return unit(v @ m.entries)
+    return _apply(m, v, m.entries)

@@ -6,7 +6,9 @@ Gaussian draws, similarity is plain cosine, and vectors round-trip
 through a little-endian binary form and a plain text form.
 
 unit and cosine also take a block, an (n, d) array with one vector per
-row, and give each row the bits that row alone would get.
+row.  One vector is a block of one row: _to_rows and _from_rows hold that
+rule for every module, so each layer computes a vector and a block by
+the same arithmetic.
 """
 from __future__ import annotations
 
@@ -76,28 +78,43 @@ class UnitVector:
         return cls(np.asarray(values, dtype=np.float64))
 
 
+def _to_rows(v) -> tuple[np.ndarray, bool]:
+    """v as an (n, d) block, and whether v was one UnitVector: its (1, d) row."""
+    if isinstance(v, UnitVector):
+        return v.components[None, :], True
+    return np.asarray(v), False
+
+
+def _from_rows(result, one: bool):
+    """A per-row result for one vector: row 0 of a block as a UnitVector,
+    else item 0 as a plain value.  For a block, the result unchanged."""
+    if not one:
+        return result
+    if isinstance(result, np.ndarray):
+        return UnitVector(result[0]) if result.ndim == 2 else result.item(0)
+    return result[0]
+
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # matmul runs each (1, d) @ (d, 1) product as one BLAS dot, so row k
-    # equals np.dot(a[k], b[k]) bit for bit, as a single vector gets it
+    # equals np.dot(a[k], b[k]) bit for bit, in a block of any size
     return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
 def unit(values: np.ndarray) -> UnitVector | np.ndarray:
     """Normalize an arbitrary nonzero vector onto the sphere.
 
-    An (n, d) array is a block of vectors: each row is normalized to the
-    same bits as that row alone, and the rows come back as an array.
+    An (n, d) array is a block of vectors: each row is normalized, and
+    the rows come back as an array.  A flat array is a block of one row.
     """
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 2:
-        norms = np.sqrt(_row_dots(arr, arr))
-        if not np.all(np.isfinite(norms) & (norms > 0.0)):
-            raise DomainError("cannot normalize a zero or non-finite vector")
-        return arr / norms[:, None]
-    norm = float(np.linalg.norm(arr))
-    if norm == 0.0 or not np.isfinite(norm):
+    if arr.ndim not in (1, 2):
+        raise DimensionError(f"cannot normalize an array of {arr.ndim} dimensions")
+    rows = np.atleast_2d(arr)
+    norms = np.sqrt(_row_dots(rows, rows))
+    if not np.all(np.isfinite(norms) & (norms > 0.0)):
         raise DomainError("cannot normalize a zero or non-finite vector")
-    return UnitVector(arr / norm)
+    return _from_rows(rows / norms[:, None], arr.ndim == 1)
 
 
 def sample_uniform(dim: int, rng: np.random.Generator) -> UnitVector:
@@ -121,27 +138,22 @@ def sample_uniform(dim: int, rng: np.random.Generator) -> UnitVector:
         raise DimensionError(f"dimension {dim} < 2")
     while True:
         g = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(g))
-        if norm > 0.0:
-            return UnitVector(g / norm)
+        if g.any():
+            return unit(g)
 
 
 def cosine(a: UnitVector | np.ndarray, b: UnitVector | np.ndarray) -> float | np.ndarray:
     """Cosine similarity of two unit vectors, clamped to [-1, 1].
 
     For two (n, d) blocks of unit rows, entry k is the cosine of row k
-    of each, with the bits cosine gives that pair alone.
+    of each.
     """
-    if isinstance(a, UnitVector) and isinstance(b, UnitVector):
-        if a.dim != b.dim:
-            raise DimensionMismatchError(f"dimension mismatch: {a.dim} vs {b.dim}")
-        dot = float(np.dot(a.components, b.components))
-        return min(1.0, max(-1.0, dot))
-    if isinstance(a, UnitVector) or isinstance(b, UnitVector):
-        raise DimensionMismatchError("cosine takes two unit vectors or two blocks")
-    if a.ndim != 2 or a.shape != b.shape:
-        raise DimensionMismatchError(f"block shape mismatch: {a.shape} vs {b.shape}")
-    return np.clip(_row_dots(a, b), -1.0, 1.0)
+    rows_a, one = _to_rows(a)
+    rows_b, one_b = _to_rows(b)
+    if one != one_b or rows_a.ndim != 2 or rows_a.shape != rows_b.shape:
+        raise DimensionMismatchError(f"cosine takes two unit vectors or two blocks of "
+                                     f"one shape, got {rows_a.shape} and {rows_b.shape}")
+    return _from_rows(np.clip(_row_dots(rows_a, rows_b), -1.0, 1.0), one)
 
 
 def cosine_loss(a: UnitVector, b: UnitVector) -> float:

@@ -193,6 +193,12 @@ class TestWatermark:
         for k, m in enumerate(messages):
             assert np.allclose(v_hat[k], codec.encode(m).components, rtol=0, atol=1e-14)
             assert reports[k] == assess(codec, unrotate(wm.rotation, wm.sign(m)), 100.0)
+        # sign and open are the one-row forms of sign_many and open_many
+        for m in messages:
+            assert np.array_equal(wm.sign(m).components, wm.sign_many([m])[1][0])
+        sealed = embed(make_image(3, 64, 64), wm.sign(messages[0]), self.KEY)
+        row = extract(sealed, self.KEY, 256).components[None, :]
+        assert wm.open(sealed, 100.0) == wm.open_many(row, 100.0)[1][0]
 
 
 class TestRunSweep:

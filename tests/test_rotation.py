@@ -203,8 +203,8 @@ class TestRotateUnrotate:
 
     @pytest.mark.parametrize("n", [1, 5, 64])
     def test_block_matches_per_vector(self, n):
-        # one matrix product sums in another order than the per-vector
-        # product, so rows agree to rounding, not bit for bit
+        # a block of n rows may sum in another order than a block of one,
+        # so its rows agree with rotate of each to rounding, not bit for bit
         m = sample_rotation(SecretKey(seed=4), 256)
         rng = stream(13, n)
         vs = [sample_uniform(256, rng) for _ in range(n)]
@@ -214,6 +214,10 @@ class TestRotateUnrotate:
         for k, v in enumerate(vs):
             assert np.allclose(rotated[k], rotate(m, v).components, rtol=0, atol=1e-15)
             assert np.allclose(back[k], unrotate(m, v).components, rtol=0, atol=1e-15)
+            # one vector is rotated as a block of one row, bit for bit
+            assert np.array_equal(rotate(m, v).components, rotate(m, v.components[None])[0])
+            assert np.array_equal(unrotate(m, v).components,
+                                  unrotate(m, v.components[None])[0])
         assert np.allclose(unrotate(m, rotated), rows, rtol=0, atol=1e-14)
 
     def test_block_dim_mismatch(self):

@@ -165,6 +165,28 @@ class TestUnitHelper:
         with pytest.raises(DomainError):
             unit(np.zeros(4))
 
+    # the refusals a one-vector input gets, whichever path computes it
+    @pytest.mark.parametrize("bad, error", [
+        (5.0, DimensionError),
+        ([1.0], DimensionError),
+        (np.ones((2, 2, 2)), DimensionError),
+        ([], DomainError),
+        (np.zeros(3), DomainError),
+        ([1.0, math.nan], DomainError),
+        ([1.0, math.inf], DomainError),
+    ])
+    def test_refusals(self, bad, error):
+        with pytest.raises(error):
+            unit(bad)
+
+    def test_cosine_refuses_vector_with_array(self):
+        v = UnitVector(np.ones(4) / 2.0)
+        for other in (np.ones(4) / 2.0, np.ones((1, 4)) / 2.0):
+            with pytest.raises(DimensionMismatchError):
+                cosine(v, other)
+            with pytest.raises(DimensionMismatchError):
+                cosine(other, v)
+
 
 class TestBlocks:
     # a block must get unit's and cosine's bits row by row, so a block of
