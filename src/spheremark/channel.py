@@ -11,13 +11,16 @@ run_sweep pushes messages through a Watermark's rotations, with
 perturb's noise in place of the image, assesses them and aggregates
 per-profile statistics.  Each (profile, message) cell draws its message
 and noise from its own derived substream, so results do not depend on
-evaluation order.  Cells run in blocks of at most _BLOCK_ROWS
-consecutive cells of one profile: the draws are taken cell by cell,
-then encode, rotate, noise, unrotate, decode and the cosines run on the
-block's rows at once, and the p-values row by row.  A block never mixes
-profiles, so a profile's row does not depend on which other profiles
-run or in what order, and memory stays bounded for any number of
-messages.
+evaluation order.  The substream is stream(root, label, i); run_sweep
+derives a block's Philox keys at once with stream_keys and re-keys one
+generator per call to each cell's key in turn (rekey), which draws the
+same numbers as a fresh stream() per cell.  Cells run in blocks of at
+most _BLOCK_ROWS consecutive cells of one profile: the draws are taken
+cell by cell, then encode, rotate, noise, unrotate, decode and the
+cosines run on the block's rows at once, and the p-values row by row.
+A block never mixes profiles, so a profile's row does not depend on
+which other profiles run or in what order, and memory stays bounded
+for any number of messages.
 """
 from __future__ import annotations
 
@@ -37,7 +40,7 @@ from .imagechannel import extract
 from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
 from .sphere import UnitVector, _from_rows, _to_rows, cosine, unit
-from .streams import label_entropy, stream
+from .streams import label_entropy, rekey, stream_keys
 
 
 def calibrate(target_cosine: float, dim: int) -> float:
@@ -206,11 +209,13 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
 
     ``unrotate_key`` substitutes a different key on the receive side
     to measure wrong-key behavior; default is the embedding key.
-    Per-cell substreams are seeded from the caller's rng up front, in
-    a fixed order, so the table is reproducible and order-independent.
+    Cell (profile, i) draws from stream(root, label_entropy(name), i),
+    root being one draw from the caller's rng, so the table is
+    reproducible and order-independent.  A cell index must fit one
+    32-bit entropy word, so n_messages is below 2**32.
     """
-    if n_messages < 1:
-        raise DomainError("n_messages must be >= 1")
+    if not 1 <= n_messages < 2**32:
+        raise DomainError(f"n_messages {n_messages} outside [1, 2**32)")
     if not 1 <= message_len <= codec.descriptor.capacity_bytes:
         raise DomainError(
             f"message_len {message_len} outside [1, {codec.descriptor.capacity_bytes}]")
@@ -226,6 +231,8 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     # one root draw; cells re-derive from (root, profile name, index) so
     # the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
+    # one generator, re-keyed to each cell's stream in turn
+    cell_rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
     for profile in profiles:
         label = label_entropy(profile.name)
@@ -235,8 +242,9 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
         trusted_count = 0
         for start in range(0, n_messages, _BLOCK_ROWS):
             payloads, noise = [], []
-            for i in range(start, min(start + _BLOCK_ROWS, n_messages)):
-                cell_rng = stream(root, label, i)
+            indices = np.arange(start, min(start + _BLOCK_ROWS, n_messages))
+            for cell_key in stream_keys(root, label, indices=indices):
+                rekey(cell_rng, cell_key)
                 payloads.append(_random_message(cell_rng, message_len))
                 if profile.sigma > 0.0:
                     noise.append(_noise(cell_rng, dim, profile.sigma))

@@ -316,7 +316,7 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     amplitude = MAXVAL * 10.0 ** (-target_psnr_db / 20.0) * math.sqrt(n_px)
     delta = (amplitude / norm) * delta
     plane = delta.reshape(img.height, img.width)
-    return _quantize(img.pixels.astype(np.float64) + plane[:, :, np.newaxis])
+    return _quantize(img.pixels + plane[:, :, np.newaxis])
 
 
 def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
@@ -339,7 +339,12 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 # (half to even), clips and wraps once, for attacks and embed alike.
 
 def _quantize(values: np.ndarray) -> RasterImage:
-    return RasterImage(np.clip(np.rint(values), 0, MAXVAL).astype(np.uint8))
+    """Round, clip and wrap float pixels; rounds and clips ``values`` in
+    place, so callers pass an array they own (a transform's output is
+    at most a view of attack()'s own float copy)."""
+    np.rint(values, out=values)
+    np.clip(values, 0, MAXVAL, out=values)
+    return RasterImage(values.astype(np.uint8))
 
 
 def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:

@@ -133,8 +133,10 @@ def psnr(a: RasterImage, b: RasterImage) -> float:
     if a.pixels.shape != b.pixels.shape:
         raise DimensionMismatchError(
             f"shape mismatch: {a.pixels.shape} vs {b.pixels.shape}")
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = float(np.mean(diff * diff))
+    # squared uint8 differences summed exactly in int64; below 2^53 the
+    # float64 sum np.mean would take is the same integer, so the value is too
+    diff = np.subtract(a.pixels, b.pixels, dtype=np.int16)
+    mse = int(np.square(diff, dtype=np.int64).sum()) / diff.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(MAXVAL * MAXVAL / mse)

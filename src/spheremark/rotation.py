@@ -13,9 +13,16 @@ drawn from the uniform (Haar) distribution on SO(d).  Construction:
 
 The same seed yields different but deterministic matrices at
 different dimensions because the stream is derived from (seed, dim).
+
+sample_rotation holds the two most recently used (seed, dim) rotations,
+enough for a wrong-key sweep's sender and receiver, so a process
+factors each key's matrix once.  The held matrices are read-only and
+take 2 * 8 * d^2 bytes (1 MiB at d = 256, 256 MiB at MAX_DIM), below
+the ~5 d x d matrices sampling one of them peaks at.
 """
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -111,13 +118,29 @@ class RotationMatrix:
 def sample_rotation(key: SecretKey, dim: int, haar_fix: bool = True) -> RotationMatrix:
     """Draw the rotation selected by (key, dim) from Haar measure on SO(d).
 
+    The two most recently used (seed, dim) rotations are held, so a
+    process that asks again, such as every sweep with a right and a
+    wrong key, gets the same read-only matrix without a second QR.
+
     ``haar_fix=False`` skips construction step 3 (the R-diagonal sign
     rescale) and exists only to demonstrate that the raw QR output is
-    not Haar distributed; production callers never pass it.
+    not Haar distributed; production callers never pass it, and it is
+    always drawn afresh.
     """
     if not 1 <= dim <= MAX_DIM:
         raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
-    rng = stream(key.seed, dim)
+    if haar_fix:
+        return _held_rotation(key.seed, dim)
+    return _draw_rotation(key.seed, dim, haar_fix=False)
+
+
+@functools.lru_cache(maxsize=2)
+def _held_rotation(seed: int, dim: int) -> RotationMatrix:
+    return _draw_rotation(seed, dim, haar_fix=True)
+
+
+def _draw_rotation(seed: int, dim: int, haar_fix: bool) -> RotationMatrix:
+    rng = stream(seed, dim)
     while True:
         gauss = rng.standard_normal((dim, dim))
         try:

@@ -286,13 +286,32 @@ class TestRunSweep:
             raise AssertionError("sampled or drew before refusing")
 
         monkeypatch.setattr(channel, "sample_rotation", forbidden)
-        monkeypatch.setattr(channel, "stream", forbidden)
+        monkeypatch.setattr(channel, "stream_keys", forbidden)
+        monkeypatch.setattr(channel, "rekey", forbidden)
         codec, key = self._codec_key()
         profiles = [ChannelProfile.from_target("fine", 0.99, 256),
                     ChannelProfile("bad", 0.9, sigma, 256)]
         with pytest.raises(DomainError, match="finite"):
             run_sweep(profiles, codec, key, 2, stream(9), ell_threshold=threshold,
                       unrotate_key=SecretKey(seed=6))
+
+    @pytest.mark.parametrize("n", [2**32, 2**40])
+    def test_refuses_index_needing_two_words(self, monkeypatch, n):
+        # cell i enters its stream as one 32-bit entropy word; a larger
+        # index would need two, so the count is refused before any work
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled or drew before refusing")
+
+        monkeypatch.setattr(channel, "sample_rotation", forbidden)
+        monkeypatch.setattr(channel, "stream_keys", forbidden)
+        codec, key = self._codec_key()
+
+        class NoDraws:
+            integers = staticmethod(forbidden)
+
+        with pytest.raises(DomainError, match="2\\*\\*32"):
+            run_sweep([ChannelProfile.from_target("p", 0.99, 256)], codec, key, n,
+                      NoDraws())
 
     def test_rejects_empty_run(self):
         codec, key = self._codec_key()

@@ -326,6 +326,21 @@ class TestSweep:
         assert rc == EXIT_USAGE
         assert "profiles[0]" in err
 
+    @pytest.mark.parametrize("n", ["4294967296", "99999999999"])
+    def test_refuses_n_needing_two_index_words(self, tmp_path, capsys, keyfile,
+                                               monkeypatch, n):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --n was checked")
+
+        monkeypatch.setattr(channel, "sample_rotation", no_work)
+        out = tmp_path / "s.csv"
+        rc, payload, err = run_cli(capsys, "sweep", "--key", keyfile, "--n", n,
+                                   "--out", str(out))
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert err.startswith("error: ") and "2**32" in err
+        assert not out.exists()
+
 
 class TestRoc:
     def _scores(self, tmp_path, rows):
@@ -460,8 +475,9 @@ class TestBenchCalibrate:
                                  "--batches", "3", "--repeats", "2")
         assert rc == EXIT_OK
         assert [r["batch"] for r in payload["results"]] == [3]
-        # 2 * batch warm-up seeds, then batch (r + 1) uses seeds (r + 1) * batch + j
-        assert calls == [(s, 4) for s in [0, 1, 2, 3, 4, 5, 3, 4, 5, 6, 7, 8]]
+        # 2 * batch warm-up seeds, then repeat r uses seeds (r + 2) * batch + j,
+        # none of them a warm-up seed that sample_rotation may still hold
+        assert calls == [(s, 4) for s in [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11]]
 
     def test_bench_csv_written_atomically(self, tmp_path, capsys, monkeypatch):
         out = tmp_path / "bench.csv"

@@ -215,6 +215,32 @@ class TestPsnr:
         want = 10.0 * math.log10(255.0**2 / (64.0 / 64))
         assert psnr(RasterImage(base), RasterImage(bent)) == pytest.approx(want, abs=1e-9)
 
+    @pytest.mark.parametrize("pair", ["random_rgb", "random_gray", "identical",
+                                      "black_white", "one_sample"])
+    def test_equals_float_formula_bit_for_bit(self, pair):
+        # the float64 mean of squared differences, as psnr once computed it
+        def float_psnr(a, b):
+            diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
+            mse = float(np.mean(diff * diff))
+            return math.inf if mse == 0.0 else 10.0 * math.log10(255.0 * 255.0 / mse)
+
+        black = np.zeros((64, 48, 3), dtype=np.uint8)
+        one = black.copy()
+        one[5, 7, 1] = 255
+        a, b = {
+            "random_rgb": (_rgb(96, 80, seed=4), _rgb(96, 80, seed=5)),
+            "random_gray": (_gray(61, 37, seed=6), _gray(61, 37, seed=7)),
+            "identical": (_rgb(seed=8), _rgb(seed=8)),
+            "black_white": (RasterImage(black), RasterImage(black + 255)),
+            "one_sample": (RasterImage(black), RasterImage(one)),
+        }[pair]
+        assert psnr(a, b) == float_psnr(a, b)
+        assert psnr(b, a) == float_psnr(b, a)
+        if pair == "identical":
+            assert psnr(a, b) == math.inf
+        if pair == "black_white":
+            assert psnr(a, b) == 0.0
+
     def test_shape_mismatch(self):
         with pytest.raises(DimensionMismatchError):
             psnr(_gray(4, 4), _gray(4, 5))

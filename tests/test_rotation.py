@@ -141,6 +141,74 @@ class TestConstruction:
         assert abs(total / n) <= 0.01
 
 
+class TestHeldRotations:
+    @pytest.fixture
+    def qr_calls(self, monkeypatch):
+        # every draw factors one Gaussian matrix; count the factorizations
+        rotation._held_rotation.cache_clear()
+        calls = []
+        real_qr = np.linalg.qr
+
+        def counting_qr(a, *args, **kwargs):
+            calls.append(a.shape)
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(rotation.np.linalg, "qr", counting_qr)
+        yield calls
+        rotation._held_rotation.cache_clear()
+
+    def test_held_equals_fresh_draw(self, qr_calls):
+        for seed, dim in [(0, 2), (42, 16), (2**64 - 1, 256)]:
+            held = sample_rotation(SecretKey(seed=seed), dim)
+            assert sample_rotation(SecretKey(seed=seed), dim) is held
+            fresh = rotation._draw_rotation(seed, dim, haar_fix=True)
+            assert held is not fresh
+            assert held.entries.tobytes() == fresh.entries.tobytes()
+
+    def test_alternating_two_keys_factors_each_once(self, qr_calls):
+        right, wrong = SecretKey(seed=5), SecretKey(seed=6, label="other")
+        first = [sample_rotation(k, 64) for k in (right, wrong)]
+        for _ in range(5):
+            assert [sample_rotation(k, 64) for k in (right, wrong)] == first
+        assert qr_calls == [(64, 64)] * 2
+
+    def test_label_shares_the_held_rotation(self, qr_calls):
+        a = sample_rotation(SecretKey(seed=9, label="x"), 8)
+        assert sample_rotation(SecretKey(seed=9, label="y"), 8) is a
+        assert len(qr_calls) == 1
+
+    def test_raw_qr_is_never_held(self, qr_calls):
+        key = SecretKey(seed=3)
+        held = sample_rotation(key, 8)
+        raw = [sample_rotation(key, 8, haar_fix=False) for _ in range(2)]
+        assert raw[0] is not raw[1] and raw[0] is not held
+        assert raw[0].entries.tobytes() == raw[1].entries.tobytes()
+        assert sample_rotation(key, 8) is held
+        assert len(qr_calls) == 3
+
+    def test_third_key_evicts_least_recent(self, qr_calls):
+        a, b, c = (SecretKey(seed=s) for s in (1, 2, 3))
+        for k in (a, b, c):
+            sample_rotation(k, 8)
+        assert len(qr_calls) == 3
+        sample_rotation(b, 8)
+        sample_rotation(c, 8)
+        assert len(qr_calls) == 3
+        sample_rotation(a, 8)
+        assert len(qr_calls) == 4
+        # a evicted b, the least recently used; c is still held
+        sample_rotation(c, 8)
+        assert len(qr_calls) == 4
+        sample_rotation(b, 8)
+        assert len(qr_calls) == 5
+
+    def test_dim_is_part_of_the_memo_key(self, qr_calls):
+        key = SecretKey(seed=4)
+        assert sample_rotation(key, 8).dim == 8
+        assert sample_rotation(key, 16).dim == 16
+        assert len(qr_calls) == 2
+
+
 class TestRotationMatrixType:
     def test_validate_flags_non_orthogonal(self):
         m = RotationMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
