@@ -166,7 +166,7 @@ class Watermark:
     def sign_many(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
         """sign for a block of messages: the (n, d) encoded rows, and the
         same rows signed by one product with the rotation."""
-        v = self.codec.encode_rows(messages)
+        v = self.codec.encode(messages)
         return v, rotate(self.rotation, v)
 
     def open_many(self, received: np.ndarray, ell_threshold: float

@@ -174,7 +174,7 @@ def cmd_sweep(args) -> int:
             profiles = load_profiles(args.profiles, args.dim)
         except json.JSONDecodeError as exc:
             raise DomainError(f"profile config {args.profiles}: {exc}") from exc
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise DomainError(f"cannot read profile config: {exc}") from exc
     else:
         profiles = default_profiles(args.dim)
@@ -192,11 +192,7 @@ def cmd_sweep(args) -> int:
 
 def _read_scores(path: str) -> list[ScoredSample]:
     samples = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except OSError as exc:
-        raise DomainError(f"cannot read scores: {exc}") from exc
+    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
     if not lines:
         raise DomainError(f"scores file {path} is empty")
     start = 1 if lines[0].lower().replace(" ", "") == "score,label" else 0
@@ -283,7 +279,7 @@ def _read_lines(path: str) -> list[str]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return [ln.rstrip("\n") for ln in fh]
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
 
 
@@ -330,6 +326,12 @@ def cmd_corpus(args) -> int:
         raise ImageFormatError(f"cannot list {args.dir}: {exc}") from exc
     if not names:
         raise ImageFormatError(f"no .pgm/.ppm images under {args.dir}")
+    for name in names:
+        try:
+            name.encode("utf-8")  # the CSV row names the file in UTF-8
+        except UnicodeEncodeError:
+            raise ImageFormatError(
+                f"file name {ascii(name)} under {args.dir} is not valid UTF-8") from None
     transform = _parse_transform(args.transform) if args.transform else None
     rng = _stage_rng(args, "corpus")
     watermark = Watermark(key, codec)

@@ -71,37 +71,29 @@ class CodecDescriptor:
 
 
 class Codec(abc.ABC):
-    """Interface any message<->vector codec must satisfy."""
+    """Interface any message<->vector codec must satisfy: both methods
+    take a block, so a codec is written once, for n items."""
 
     descriptor: CodecDescriptor
 
     @abc.abstractmethod
-    def encode(self, message: Message) -> UnitVector:
-        """Map a message within capacity onto a unit vector."""
+    def encode(self, messages: list[Message]) -> np.ndarray:
+        """Map messages within capacity onto the unit rows of an (n, dim)
+        array: row k encodes messages[k]."""
 
     @abc.abstractmethod
-    def decode(self, v: UnitVector) -> Message:
-        """Total inverse map; never errors on a valid unit vector."""
-
-    def encode_rows(self, messages: list[Message]) -> np.ndarray:
-        """encode for a block of messages: row k of the (n, dim) result
-        encodes messages[k].  This default calls encode once per message."""
-        return np.stack([self.encode(m).components for m in messages])
-
-    def decode_rows(self, rows: np.ndarray) -> list[Message]:
-        """decode for each row of an (n, dim) block of unit vectors.  This
-        default calls decode once per row."""
-        return [self.decode(UnitVector(r)) for r in rows]
+    def decode(self, rows: np.ndarray) -> list[Message]:
+        """Total inverse map, one message per row of an (n, dim) array of
+        unit vectors; never errors on valid unit rows."""
 
 
 class SignCodec(Codec):
     """Reference codec: one bit per component, sign modulated.
 
-    encode and decode also take a block (a list of messages, an (n, dim)
-    array of unit rows), and the row methods hand them whole blocks; one
-    item is a block of one.  A subclass that overrides encode or decode
-    for one item gets the base class's loop over its override instead,
-    so every caller sees the override.
+    encode and decode also take one Message or one UnitVector and then
+    return one item, only because perfbench/worker.py calls them that
+    way.  That form goes once the worker signs and opens through
+    Watermark (ROADMAP item 1 step 1).
     """
 
     def __init__(self, dim: int = 256):
@@ -109,9 +101,9 @@ class SignCodec(Codec):
             name="sign", dim=dim, capacity_bits=dim, deterministic=True)
         self._scale = 1.0 / math.sqrt(dim)
 
-    def encode(self, message: Message | list[Message]) -> UnitVector | np.ndarray:
-        one = isinstance(message, Message)
-        messages = [message] if one else message
+    def encode(self, messages: list[Message] | Message) -> np.ndarray | UnitVector:
+        one = isinstance(messages, Message)
+        messages = [messages] if one else messages
         cap_bytes = self.descriptor.capacity_bytes
         padded = bytearray()
         for m in messages:
@@ -129,8 +121,8 @@ class SignCodec(Codec):
         rows = (2.0 * bits.astype(np.float64) - 1.0) * self._scale
         return _from_rows(rows, one)
 
-    def decode(self, v: UnitVector | np.ndarray) -> Message | list[Message]:
-        rows, one = _to_rows(v)
+    def decode(self, rows: np.ndarray | UnitVector) -> list[Message] | Message:
+        rows, one = _to_rows(rows)
         if rows.ndim != 2 or rows.shape[1] != self.descriptor.dim:
             raise DimensionError(
                 f"vector rows {rows.shape} != codec dim {self.descriptor.dim}")
@@ -138,16 +130,6 @@ class SignCodec(Codec):
         packed = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
         messages = [Message(octets.tobytes().rstrip(b"\x00")) for octets in packed]
         return _from_rows(messages, one)
-
-    def encode_rows(self, messages: list[Message]) -> np.ndarray:
-        if type(self).encode is not SignCodec.encode:
-            return super().encode_rows(messages)
-        return self.encode(list(messages))
-
-    def decode_rows(self, rows: np.ndarray) -> list[Message]:
-        if type(self).decode is not SignCodec.decode:
-            return super().decode_rows(rows)
-        return self.decode(np.asarray(rows))
 
 
 _CODECS = {"sign": SignCodec}
@@ -170,13 +152,12 @@ def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
     reference codec; lossy codecs may fail, and the confidence layer
     treats failure as an immediate rejection.  For a block, an (n, dim)
     array of unit rows, each of the three is per row: a list, an
-    (n, dim) array and a list.  The codec is called through its row
-    methods either way.
+    (n, dim) array and a list.  The codec sees a block either way.
     """
     rows, one = _to_rows(v)
-    decoded = codec.decode_rows(rows)
+    decoded = codec.decode(rows)
     try:
-        reencoded = codec.encode_rows(decoded)
+        reencoded = codec.encode(decoded)
         fits = [True] * len(decoded)
     except CapacityExceededError:
         # a decode that grew past capacity can never re-encode; that row
@@ -185,12 +166,12 @@ def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
         fits = []
         for k, message in enumerate(decoded):
             try:
-                reencoded[k] = codec.encode_rows([message])[0]
+                reencoded[k] = codec.encode([message])[0]
             except CapacityExceededError:
                 fits.append(False)
             else:
                 fits.append(True)
-    again = codec.decode_rows(reencoded)
+    again = codec.decode(reencoded)
     passes = [ok and a.data == d.data for ok, a, d in zip(fits, again, decoded)]
     return _from_rows(passes, one), _from_rows(reencoded, one), _from_rows(decoded, one)
 

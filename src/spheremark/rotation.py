@@ -70,7 +70,7 @@ def load_key(path: str) -> SecretKey:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise KeyFileError(f"cannot read key file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise KeyFileError(f"key file {path} is not valid JSON: {exc}") from exc

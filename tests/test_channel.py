@@ -9,10 +9,11 @@ from scipy.stats import ks_2samp
 
 from spheremark import (ChannelProfile, Codec, CodecDescriptor, DimensionError,
                         DomainError, Message, SecretKey, SignCodec, SweepRow,
-                        Watermark, assess, calibrate, cosine,
-                        default_profiles, embed, extract, load_profiles,
-                        perturb, rotate, run_sweep, sample_rotation,
-                        sample_uniform, unrotate, write_sweep_csv)
+                        UnitVector, Watermark, assess, calibrate, cosine,
+                        default_profiles, embed, extract, idempotence_check,
+                        load_profiles, perturb, rotate, run_sweep,
+                        sample_rotation, sample_uniform, unrotate,
+                        write_sweep_csv)
 from spheremark import channel
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
 from spheremark.streams import label_entropy, stream
@@ -186,7 +187,7 @@ class TestWatermark:
         wm = Watermark(self.KEY, codec)
         messages = [Message(b"first"), Message(b"second"), Message(b"\xff" * 32)]
         v, signed = wm.sign_many(messages)
-        assert np.array_equal(v, codec.encode_rows(messages))
+        assert np.array_equal(v, codec.encode(messages))
         for row, m in zip(signed, messages):
             assert np.allclose(row, wm.sign(m).components, rtol=0, atol=1e-15)
         v_hat, reports = wm.open_many(signed, 100.0)
@@ -346,13 +347,13 @@ class DriftingCodec(SignCodec):
     """Overrides decode only: a decode gains a byte, so no decode is
     idempotent and every sweep cell must come out untrusted."""
 
-    def decode(self, v):
-        return Message(super().decode(v).data + b"!")
+    def decode(self, rows):
+        return [Message(m.data + b"!") for m in super().decode(rows)]
 
 
 class ScalarSignCodec(Codec):
-    """Sign modulation through encode and decode only, so run_sweep goes
-    through the base class row loops; counts the calls it receives."""
+    """Sign modulation from a codec that is not a SignCodec and takes
+    blocks only; counts the calls it receives."""
 
     def __init__(self, dim):
         self.descriptor = CodecDescriptor(name="scalar-sign", dim=dim,
@@ -360,13 +361,15 @@ class ScalarSignCodec(Codec):
         self._inner = SignCodec(dim)
         self.calls = 0
 
-    def encode(self, message):
+    def encode(self, messages):
+        assert isinstance(messages, list), "encode takes a block"
         self.calls += 1
-        return self._inner.encode(message)
+        return self._inner.encode(messages)
 
-    def decode(self, v):
+    def decode(self, rows):
+        assert isinstance(rows, np.ndarray) and rows.ndim == 2, "decode takes a block"
         self.calls += 1
-        return self._inner.decode(v)
+        return self._inner.decode(rows)
 
 
 def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
@@ -385,7 +388,7 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
             body = cell_rng.integers(0, 256, size=message_len, dtype=np.uint8)
             body[-1] = cell_rng.integers(1, 256)
             payload = body.tobytes()
-            v = codec.encode(Message(payload))
+            v = UnitVector(codec.encode([Message(payload)])[0])
             received = perturb(rotate(m_send, v), profile.sigma, cell_rng)
             v_hat = unrotate(m_recv, received)
             report = assess(codec, v_hat, ell_threshold)
@@ -439,19 +442,35 @@ class TestSweepBlocks:
             assert got[0].exact_match == 1.0 and got[2].exact_match < 1.0
 
     def test_codec_without_row_methods(self, tmp_path):
-        # a codec that implements only encode/decode keeps working in
-        # run_sweep through the base class loops
+        # a block-only codec that is not a SignCodec sweeps as the sign
+        # codec does, and as its own per-cell chain does
         codec = ScalarSignCodec(256)
-        assert type(codec).encode_rows is Codec.encode_rows
-        assert type(codec).decode_rows is Codec.decode_rows
         got = run_sweep(self.PROFILES, codec, self.KEY, BLOCK + 1, stream(41))
         assert codec.calls > 0
+        assert got == run_sweep(self.PROFILES, SignCodec(256), self.KEY, BLOCK + 1,
+                                stream(41))
         want = reference_sweep(self.PROFILES, ScalarSignCodec(256), self.KEY,
                                BLOCK + 1, stream(41))
         assert_same_sweep(got, want, tmp_path)
 
+    def test_block_only_codec_assesses_as_sign(self):
+        sign, scalar = SignCodec(256), ScalarSignCodec(256)
+        rng = stream(46)
+        rows = np.stack([sign.encode(Message(b"row")).components,
+                         sample_uniform(256, rng).components,
+                         sample_uniform(256, rng).components])
+        one = UnitVector(rows[1])
+        for v in (rows, one):
+            assert assess(scalar, v, 100.0) == assess(sign, v, 100.0)
+        got, want = idempotence_check(scalar, rows), idempotence_check(sign, rows)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].tobytes() == want[1].tobytes()
+        got, want = idempotence_check(scalar, one), idempotence_check(sign, one)
+        assert got[0] == want[0] and got[2] == want[2]
+        assert got[1].to_bytes() == want[1].to_bytes()
+
     def test_decode_only_subclass_is_honoured(self, tmp_path):
-        # SignCodec's row methods loop a subclass's own decode, so the
+        # a subclass's block decode is what the sweep calls, so the
         # sweep scores such a codec as assess on one vector does
         codec = DriftingCodec(256)
         got = run_sweep(self.PROFILES, codec, self.KEY, BLOCK + 1, stream(44))

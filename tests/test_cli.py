@@ -831,3 +831,103 @@ class TestNonFiniteThreshold:
         assert err.startswith("error: ") and "finite" in err
         assert "Traceback" not in err
         assert not out.exists()
+
+
+KEY_JSON = b'{"seed": 7}'
+NOT_UTF8 = b"\xff\n"
+HOST, EMPTY_DIR = "host", "dir"  # stand-ins for a valid PPM and a directory
+
+# (id, files under tmp_path, argv with "@name" for tmp_path / name, exit
+# code, a fragment of the error line)
+REFUSALS = [
+    ("seal-empty-message", {"key.json": KEY_JSON},
+     ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
+      "--message", ""], EXIT_USAGE, "empty message"),
+    ("profiles-not-array", {"key.json": KEY_JSON, "p.json": b"{}"},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "must be a JSON array"),
+    ("profiles-entry-not-object", {"key.json": KEY_JSON, "p.json": b"[1]"},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profiles[0] is not an object"),
+    ("profiles-target-not-number",
+     {"key.json": KEY_JSON, "p.json": b'[{"name": "a", "target_cosine": "0.9"}]'},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "target_cosine must be a number"),
+    ("profiles-missing", {"key.json": KEY_JSON},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "cannot read profile config"),
+    ("profiles-directory", {"key.json": KEY_JSON, "p.json": EMPTY_DIR},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "cannot read profile config"),
+    ("profiles-not-utf8", {"key.json": KEY_JSON, "p.json": NOT_UTF8},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "cannot read profile config"),
+    ("scores-missing", {}, ["roc", "--scores", "@s.csv", "--out", "@out.csv"],
+     EXIT_USAGE, "cannot read"),
+    ("scores-blank", {"s.csv": b"\n  \n"}, ["roc", "--scores", "@s.csv", "--out", "@out.csv"],
+     EXIT_USAGE, "is empty"),
+    ("scores-not-utf8", {"s.csv": NOT_UTF8}, ["roc", "--scores", "@s.csv", "--out", "@out.csv"],
+     EXIT_USAGE, "cannot read"),
+    ("bleu4-empty", {"c.txt": b"", "r.txt": b""},
+     ["metrics", "--mode", "bleu4", "--candidates", "@c.txt", "--references", "@r.txt"],
+     EXIT_USAGE, "empty input files"),
+    ("novelty-without-train", {"c.txt": b"a b\n"},
+     ["metrics", "--mode", "novelty", "--candidates", "@c.txt"],
+     EXIT_USAGE, "needs --candidates and --train"),
+    ("candidates-missing", {"r.txt": b"a b\n"},
+     ["metrics", "--mode", "em", "--candidates", "@c.txt", "--references", "@r.txt"],
+     EXIT_USAGE, "cannot read"),
+    ("candidates-not-utf8", {"c.txt": NOT_UTF8, "r.txt": b"a b\n"},
+     ["metrics", "--mode", "em", "--candidates", "@c.txt", "--references", "@r.txt"],
+     EXIT_USAGE, "cannot read"),
+    ("references-not-utf8", {"c.txt": b"a b\n", "r.txt": NOT_UTF8},
+     ["metrics", "--mode", "bleu4", "--candidates", "@c.txt", "--references", "@r.txt"],
+     EXIT_USAGE, "cannot read"),
+    ("train-not-utf8", {"c.txt": b"a b\n", "t.txt": NOT_UTF8},
+     ["metrics", "--mode", "novelty", "--candidates", "@c.txt", "--train", "@t.txt"],
+     EXIT_USAGE, "cannot read"),
+    ("corpus-dir-missing", {"key.json": KEY_JSON},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
+      "--out", "@out.csv"], EXIT_IMAGE_IO, "cannot list"),
+    ("corpus-name-not-utf8", {"key.json": KEY_JSON, b"images/\xff.ppm": HOST},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
+      "--out", "@out.csv"], EXIT_IMAGE_IO, r"'\udcff.ppm'"),
+    ("key-label-not-text", {"k.json": b'{"seed": 7, "label": 5}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "non-text label"),
+    ("key-not-utf8", {"k.json": NOT_UTF8},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "cannot read key file"),
+    ("calibrate-dim-1", {}, ["calibrate", "--target-cosine", "0.9", "--dim", "1"],
+     EXIT_USAGE, "dimension 1 < 2"),
+]
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("files, argv, code, fragment",
+                             [case[1:] for case in REFUSALS],
+                             ids=[case[0] for case in REFUSALS])
+    def test_refused_with_code_and_message(self, tmp_path, capsys, monkeypatch,
+                                           files, argv, code, fragment):
+        root = os.fsencode(tmp_path)
+        for name, content in files.items():
+            path = os.path.join(root, os.fsencode(name))
+            if content == EMPTY_DIR:
+                os.makedirs(path)
+                continue
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            if content == HOST:
+                write_image(make_image(0, 64, 64), os.fsdecode(path))
+            else:
+                with open(path, "wb") as fh:
+                    fh.write(content)
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an image was read before the refusal")
+
+        monkeypatch.setattr(cli, "read_image", no_read)
+        argv = [str(tmp_path / a[1:]) if a.startswith("@") else a for a in argv]
+        rc, payload, err = run_cli(capsys, *argv)
+        assert rc == code
+        assert payload is None
+        assert err.startswith("error: ") and fragment in err
+        assert "Traceback" not in err
+        assert not [p for p in os.listdir(root) if b"out" in p]

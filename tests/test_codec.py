@@ -126,9 +126,8 @@ class TestIdempotence:
 
     def test_appending_codec_fails(self):
         class DriftingCodec(SignCodec):
-            def decode(self, v):
-                inner = super().decode(v)
-                return Message(inner.data + b"!")
+            def decode(self, rows):
+                return [Message(m.data + b"!") for m in super().decode(rows)]
 
         c = DriftingCodec(256)
         passes, _, _ = idempotence_check(c, sample_uniform(256, stream(15)))
@@ -139,9 +138,8 @@ class TestIdempotence:
         # appending mock makes re-encode overflow; that must surface as
         # a failed check, not an exception
         class DriftingCodec(SignCodec):
-            def decode(self, v):
-                inner = super().decode(v)
-                return Message(inner.data + b"!")
+            def decode(self, rows):
+                return [Message(m.data + b"!") for m in super().decode(rows)]
 
         c = DriftingCodec(256)
         v = SignCodec(256).encode(Message(bytes(range(1, 33))))
@@ -152,12 +150,9 @@ class TestIdempotence:
 
     def test_mutating_codec_fails(self):
         class FlippingCodec(SignCodec):
-            def decode(self, v):
-                inner = super().decode(v)
-                if not inner.data:
-                    return inner
-                first = bytes([inner.data[0] ^ 0x01])
-                return Message(first + inner.data[1:])
+            def decode(self, rows):
+                return [Message(bytes([m.data[0] ^ 0x01]) + m.data[1:]) if m.data else m
+                        for m in super().decode(rows)]
 
         c = FlippingCodec(256)
         v = SignCodec(256).encode(Message(b"steady payload"))
@@ -166,19 +161,44 @@ class TestIdempotence:
 
 
 class GrowingCodec(Codec):
-    # implements only encode and decode, so the row methods are the base
-    # class loops; decode appends a byte, and a full payload then cannot
-    # re-encode
+    # a codec that is not a SignCodec; decode appends a byte, and a full
+    # payload then cannot re-encode
     def __init__(self, dim):
         self.descriptor = CodecDescriptor(name="growing", dim=dim,
                                           capacity_bits=dim, deterministic=True)
         self._inner = SignCodec(dim)
 
-    def encode(self, message):
-        return self._inner.encode(message)
+    def encode(self, messages):
+        return self._inner.encode(messages)
 
-    def decode(self, v):
-        return Message(self._inner.decode(v).data + b"!")
+    def decode(self, rows):
+        return [Message(m.data + b"!") for m in self._inner.decode(rows)]
+
+
+class TestContract:
+    @pytest.mark.parametrize("missing", ["encode", "decode"])
+    def test_codec_lacking_a_method_cannot_be_instantiated(self, missing):
+        methods = {"encode": lambda self, messages: None,
+                   "decode": lambda self, rows: None}
+        del methods[missing]
+        partial = type("Partial", (Codec,), methods)
+        with pytest.raises(TypeError, match=missing):
+            partial()
+        assert Codec.__abstractmethods__ == {"encode", "decode"}
+
+    @pytest.mark.parametrize("dim", [4, 20, 256])
+    def test_sign_one_item_forms_are_row_zero_of_blocks(self, dim):
+        c = SignCodec(dim)
+        rng = stream(33, dim)
+        cap = c.descriptor.capacity_bytes
+        for k in (0, cap // 2, cap):
+            m = Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
+            v = c.encode(m)
+            assert isinstance(v, UnitVector)
+            assert v.components.tobytes() == c.encode([m])[0].tobytes()
+        for _ in range(5):
+            v = sample_uniform(dim, rng)
+            assert c.decode(v) == c.decode(v.components[None, :])[0]
 
 
 class TestRows:
@@ -189,7 +209,7 @@ class TestRows:
         rng = stream(30, dim)
         messages = [Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
                     for k in (0, cap // 2, cap, cap)]
-        rows = c.encode_rows(messages)
+        rows = c.encode(messages)
         assert rows.shape == (4, dim)
         for row, m in zip(rows, messages):
             assert np.array_equal(row, c.encode(m).components)
@@ -200,48 +220,22 @@ class TestRows:
         rng = stream(31, dim)
         rows = np.stack([sample_uniform(dim, rng).components for _ in range(9)])
         rows[0, 0] = 0.0  # exact zero decodes as a 0 bit
-        assert c.decode_rows(rows) == [c.decode(UnitVector(r)) for r in unit(rows)]
+        assert c.decode(rows) == [c.decode(UnitVector(r)) for r in unit(rows)]
 
     def test_encode_rows_over_capacity(self):
         with pytest.raises(CapacityExceededError):
-            SignCodec(256).encode_rows([Message(b"ok"), Message(b"x" * 33)])
+            SignCodec(256).encode([Message(b"ok"), Message(b"x" * 33)])
 
     def test_decode_rows_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            SignCodec(256).decode_rows(np.ones((2, 128)) / math.sqrt(128))
+            SignCodec(256).decode(np.ones((2, 128)) / math.sqrt(128))
 
     def test_encode_and_decode_take_blocks(self):
         c = SignCodec(64)
         messages = [Message(b"one"), Message(b"two")]
         rows = c.encode(messages)
-        assert np.array_equal(rows, c.encode_rows(messages))
-        assert c.decode(rows) == messages == c.decode_rows(rows)
-
-    def test_subclass_overrides_are_looped(self):
-        # a subclass that overrides one-item encode or decode is reached
-        # through the row methods too, one item at a time
-        class Drifting(SignCodec):
-            def decode(self, v):
-                return Message(super().decode(v).data + b"!")
-
-        class Shifted(SignCodec):
-            def encode(self, message):
-                return super().encode(Message(b"<" + message.data))
-
-        messages = [Message(b"one"), Message(b"two")]
-        rows = SignCodec(64).encode_rows(messages)
-        assert Drifting(64).decode_rows(rows) == [Message(b"one!"), Message(b"two!")]
-        assert np.array_equal(Drifting(64).encode_rows(messages), rows)
-        shifted = Shifted(64).encode_rows(messages)
-        assert SignCodec(64).decode_rows(shifted) == [Message(b"<one"), Message(b"<two")]
-        assert Shifted(64).decode_rows(rows) == messages
-
-    def test_base_class_rows_loop_the_scalar_methods(self):
-        c = GrowingCodec(64)
-        messages = [Message(b"one"), Message(b"two")]
-        rows = c.encode_rows(messages)
-        assert np.array_equal(rows, np.stack([c.encode(m).components for m in messages]))
-        assert c.decode_rows(rows) == [Message(b"one!"), Message(b"two!")]
+        assert isinstance(rows, np.ndarray) and rows.shape == (2, 64)
+        assert c.decode(rows) == messages
 
     @pytest.mark.parametrize("codec", [SignCodec(256), GrowingCodec(256)],
                              ids=["sign", "growing"])

@@ -355,9 +355,8 @@ class TestAssess:
 
     def test_idempotence_failure_short_circuits(self):
         class DriftingCodec(SignCodec):
-            def decode(self, v):
-                inner = super().decode(v)
-                return Message(inner.data + b"!")
+            def decode(self, rows):
+                return [Message(m.data + b"!") for m in super().decode(rows)]
 
         v = sample_uniform(256, stream(16))
         rep = assess(DriftingCodec(256), v, ell_threshold=10.0)
@@ -365,7 +364,7 @@ class TestAssess:
         assert rep.p_value == 1.0
         assert rep.ell == 0.0
         assert rep.verdict == VERDICT_UNTRUSTED
-        assert rep.message == DriftingCodec(256).decode(v)
+        assert rep.message == DriftingCodec(256).decode(v.components[None, :])[0]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_threshold(self, bad):
@@ -392,8 +391,8 @@ class TestAssess:
 
     def test_block_honours_decode_only_subclass(self):
         class DriftingCodec(SignCodec):
-            def decode(self, v):
-                return Message(super().decode(v).data + b"!")
+            def decode(self, rows):
+                return [Message(m.data + b"!") for m in super().decode(rows)]
 
         codec = DriftingCodec(256)
         rng = stream(22)
@@ -407,7 +406,7 @@ class TestAssess:
     def test_block_refuses_non_finite_threshold(self, bad):
         codec = SignCodec(256)
         with pytest.raises(DomainError, match="finite"):
-            assess(codec, codec.encode_rows([Message(b"x")]), bad)
+            assess(codec, codec.encode([Message(b"x")]), bad)
 
     def test_report_serialization(self):
         codec = SignCodec(256)
