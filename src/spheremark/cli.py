@@ -85,7 +85,11 @@ def _parse_message(args) -> Message:
     if (args.message is None) == (args.message_hex is None):
         raise DomainError("provide exactly one of --message or --message-hex")
     if args.message is not None:
-        data = args.message.encode("utf-8")
+        try:
+            data = args.message.encode("utf-8")
+        except UnicodeEncodeError:  # a non-UTF-8 argv byte arrives as a lone surrogate
+            raise DomainError(
+                "--message is not valid UTF-8 text; pass raw bytes with --message-hex") from None
     else:
         try:
             data = bytes.fromhex(args.message_hex)

@@ -270,29 +270,21 @@ def _fill_words(words: np.ndarray, entropy: tuple, dim: int,
         del bits
 
 
-# The last carrier set used.  No caller comes back to an older plane,
-# so one set is held; a miss drops it before generating, which keeps
-# the process at one set.
-_last_carriers: CarrierSet | None = None
+# The last carrier set used, under its (seed, dim, height, width).  No
+# caller comes back to an older plane, so one set is held; a miss
+# empties the dict before generating, which frees the old set first
+# and leaves the dict empty if generate refuses the plane.
+_held_carriers: dict[tuple, CarrierSet] = {}
 _carrier_lock = threading.Lock()
 
 
 def _cached_carriers(seed: int, dim: int, height: int, width: int) -> CarrierSet:
-    global _last_carriers
+    ident = (seed, dim, height, width)
     with _carrier_lock:
-        held = _last_carriers
-        if held is not None and (held.key.seed, held.dim, held.height,
-                                 held.width) == (seed, dim, height, width):
-            return held
-        held = _last_carriers = None  # the local too: free the old stack first
-        _last_carriers = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
-        return _last_carriers
-
-
-def _require_size(img: RasterImage) -> None:
-    if img.height < MIN_SIDE or img.width < MIN_SIDE:
-        raise ImageSizeError(
-            f"image {img.width}x{img.height} below minimum {MIN_SIDE}x{MIN_SIDE}")
+        if ident not in _held_carriers:
+            _held_carriers.clear()
+            _held_carriers[ident] = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
+        return _held_carriers[ident]
 
 
 def embed(img: RasterImage, v: UnitVector, key: SecretKey,
@@ -302,7 +294,6 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     The pre-quantization amplitude realizes the target PSNR exactly;
     integer rounding and clipping move the achieved value slightly.
     """
-    _require_size(img)
     if not PSNR_RANGE[0] <= target_psnr_db <= PSNR_RANGE[1]:
         raise DomainError(f"target PSNR {target_psnr_db} outside {PSNR_RANGE}")
     carriers = _cached_carriers(key.seed, v.dim, img.height, img.width)
@@ -321,7 +312,6 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
 
 def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
     """Correlate high-passed luma against the keyed carriers."""
-    _require_size(img)
     carriers = _cached_carriers(key.seed, dim, img.height, img.width)
     hp = _highpass(luma(img))
     raw = carriers.correlate(hp)

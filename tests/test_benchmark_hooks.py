@@ -44,7 +44,9 @@ def test_sweep_spans(tracer):
     assert SWEEP_SPANS <= _span_names(tracer)
 
 
-def test_image_spans(tracer):
+def test_image_spans(tracer, monkeypatch):
+    # a set held from an earlier test would be a hit, and generate would not run
+    monkeypatch.setattr(spheremark.imagechannel, "_held_carriers", {})
     key = spheremark.SecretKey(seed=5)
     wm = spheremark.Watermark(key, spheremark.SignCodec(256))
     sealed = spheremark.embed(make_image(2, 64, 64), wm.sign(spheremark.Message(b"hook")), key)

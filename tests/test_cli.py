@@ -843,6 +843,12 @@ REFUSALS = [
     ("seal-empty-message", {"key.json": KEY_JSON},
      ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
       "--message", ""], EXIT_USAGE, "empty message"),
+    ("seal-message-not-utf8", {"key.json": KEY_JSON},
+     ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
+      "--message", "\udcff"], EXIT_USAGE, "--message-hex"),
+    ("corpus-message-not-utf8", {"key.json": KEY_JSON, "images/a.ppm": HOST},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "\udcff",
+      "--out", "@out.csv"], EXIT_USAGE, "--message-hex"),
     ("profiles-not-array", {"key.json": KEY_JSON, "p.json": b"{}"},
      ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
      EXIT_USAGE, "must be a JSON array"),

@@ -47,6 +47,10 @@ def _integers_words(dim, height, width):
     return (signs.reshape(-1, 16, n_px) << shifts).sum(axis=1, dtype=np.uint16)
 
 
+def _refuse_carrier_work(*args, **kwargs):
+    raise AssertionError("carrier work began before the refusal")
+
+
 def _within_one_ulp(got, square):
     """Whether the exact root of the Fraction square lies between the
     floats next to got, on got's side of zero."""
@@ -192,7 +196,7 @@ class TestCarriers:
 
 @pytest.fixture
 def no_held_carriers(monkeypatch):
-    monkeypatch.setattr(imagechannel, "_last_carriers", None)
+    monkeypatch.setattr(imagechannel, "_held_carriers", {})
 
 
 class TestCarrierCache:
@@ -234,7 +238,7 @@ class TestCarrierCache:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert imagechannel._last_carriers is got
+        assert imagechannel._held_carriers == {self.KEYS[3]: got}
         assert got.key.seed == self.KEYS[3][0]
         # the new stack plus block temporaries, never two stacks
         assert peak < 1.5 * self.STACK
@@ -283,17 +287,19 @@ class TestEmbed:
         same = (delta[:, :, 0] == delta[:, :, 1]) & (delta[:, :, 1] == delta[:, :, 2])
         assert same[interior.all(axis=2)].mean() > 0.99
 
-    def test_rejects_psnr_outside_range(self):
+    def test_rejects_psnr_outside_range(self, monkeypatch, no_held_carriers):
         img = make_image(3)
         v = SignCodec(DIM).encode(Message(b"x"))
+        monkeypatch.setattr(CarrierSet, "generate", _refuse_carrier_work)
         for bad in (29.9, 60.1):
             with pytest.raises(DomainError):
                 embed(img, v, KEY, target_psnr_db=bad)
 
-    def test_rejects_small_image(self):
+    def test_rejects_small_image(self, monkeypatch):
         img = make_image(4, height=16, width=64)
         v = SignCodec(DIM).encode(Message(b"x"))
-        with pytest.raises(ImageSizeError):
+        monkeypatch.setattr(imagechannel, "stream", _refuse_carrier_work)
+        with pytest.raises(ImageSizeError, match="plane 64x16 below 32x32"):
             embed(img, v, KEY)
 
 
@@ -351,9 +357,10 @@ class TestExtract:
         vhat = extract(flat, KEY, DIM)
         assert abs(float(np.linalg.norm(vhat.components)) - 1.0) <= 1e-9
 
-    def test_rejects_small_image(self):
+    def test_rejects_small_image(self, monkeypatch):
         tiny = RasterImage(np.zeros((8, 8, 1), dtype=np.uint8))
-        with pytest.raises(ImageSizeError):
+        monkeypatch.setattr(imagechannel, "stream", _refuse_carrier_work)
+        with pytest.raises(ImageSizeError, match="plane 8x8 below 32x32"):
             extract(tiny, KEY, DIM)
 
 
