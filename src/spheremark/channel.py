@@ -53,7 +53,11 @@ def calibrate(target_cosine: float, dim: int) -> float:
         raise DomainError(f"target cosine {target_cosine} outside (0, 1]")
     if dim < 2:
         raise DomainError(f"dimension {dim} < 2")
-    return math.sqrt(1.0 / (target_cosine * target_cosine) - 1.0)
+    square = target_cosine * target_cosine
+    sigma = math.sqrt(1.0 / square - 1.0) if square else math.inf
+    if not math.isfinite(sigma):
+        raise DomainError(f"target cosine {target_cosine} has no finite noise scale")
+    return sigma
 
 
 def _check_sigma(sigma: float) -> None:

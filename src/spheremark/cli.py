@@ -364,7 +364,7 @@ def cmd_corpus(args) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
-                        help="root seed for all randomness (default: OS entropy)")
+                        help="non-negative root seed for all randomness (default: OS entropy)")
     common.add_argument("--dim", type=int, default=256,
                         help="payload dimension (default 256)")
     common.add_argument("--codec", default="sign",
@@ -466,6 +466,8 @@ def main(argv=None) -> int:
     try:
         # refused before any key, image or carrier work
         check_ell_threshold(getattr(args, "ell_threshold", 0.0))
+        if args.seed < 0:
+            raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:
         _note(f"error: {exc}")

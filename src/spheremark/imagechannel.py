@@ -147,11 +147,12 @@ class CarrierSet:
         workers = min(_usable_cpus(), n_words)
         bounds = [n_words * i // workers for i in range(workers + 1)]
         words = np.zeros((n_words, n_px), dtype=np.uint16)
+        k = np.zeros(dim, dtype=np.int64)  # each carrier's set bits
         errors: list[BaseException] = []
 
         def fill(start: int, stop: int) -> None:
             try:
-                _fill_words(words, entropy, dim, start, stop)
+                _fill_words(words, k, entropy, dim, start, stop)
             except BaseException as exc:  # re-raised once every worker is done
                 errors.append(exc)
 
@@ -164,7 +165,6 @@ class CarrierSet:
             t.join()
         if errors:
             raise errors[0]
-        k = _bit_sums(words)[:dim]
         hi = np.sqrt((n_px - k) / (k * n_px))
         lo = -np.sqrt(k / ((n_px - k) * n_px))
         for held in (words, hi, lo):
@@ -209,30 +209,21 @@ class CarrierSet:
         """The d inner products of a plane (H*W samples) with the carriers.
 
         Carrier i gives lo[i] * sum(hp) + (hi[i] - lo[i]) * s_i, where
-        s_i sums hp over the pixels whose bit i is set (``_bit_sums``).
+        s_i sums hp over the pixels whose bit i is set.  Per word, one
+        bincount sums hp by word value; its row and column sums fold
+        through the byte bits to the word's 16 carriers.
         """
         hp = hp.ravel()
-        sums = _bit_sums(self.words, hp)[:self.dim]
-        return self.lo * hp.sum() + (self.hi - self.lo) * sums
+        sums = np.empty((len(self.words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
+        for g, word in enumerate(self.words):
+            by_value = np.bincount(word, weights=hp, minlength=65536).reshape(256, 256)
+            sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
+            sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
+        return self.lo * hp.sum() + (self.hi - self.lo) * sums.reshape(-1)[:self.dim]
 
 
 # _BYTE_BITS[b, j] is bit j of the byte b.
 _BYTE_BITS = ((np.arange(256)[:, np.newaxis] >> np.arange(8)) & 1).astype(np.float64)
-
-
-def _bit_sums(words: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """Per carrier (16 per word), the sum of weights over the pixels
-    whose bit is set, or their count when weights is None.
-
-    Per word, one bincount sums by word value; its row and column sums
-    fold through the byte bits to the word's 16 carriers.
-    """
-    sums = np.empty((len(words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
-    for g, word in enumerate(words):
-        by_value = np.bincount(word, weights=weights, minlength=65536).reshape(256, 256)
-        sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
-        sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
-    return sums.reshape(-1)
 
 
 def _usable_cpus() -> int:
@@ -242,10 +233,11 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_words(words: np.ndarray, entropy: tuple, dim: int,
+def _fill_words(words: np.ndarray, counts: np.ndarray, entropy: tuple, dim: int,
                 start: int, stop: int) -> None:
     """OR the bits of carriers 16*start .. min(16*stop, dim) - 1 into
-    words[start:stop], drawing at most _DRAW_WORDS raw words at a time.
+    words[start:stop] and add each carrier's set bits to its entry of
+    counts, drawing at most _DRAW_WORDS raw words at a time.
 
     Half h of the stream belongs to carrier h // n at pixel h % n.  The
     range starts on raw word 8*start*n, and Philox4x64 makes four words
@@ -265,6 +257,7 @@ def _fill_words(words: np.ndarray, entropy: tuple, dim: int,
         for row in range(at // n_px, (at + count - 1) // n_px + 1):
             lo, hi = max(at, row * n_px), min(at + count, (row + 1) * n_px)
             part = bits[lo - at:hi - at]
+            counts[row] += np.count_nonzero(part)
             part <<= row % 16
             words[row // 16, lo - row * n_px:hi - row * n_px] |= part
         del bits

@@ -904,6 +904,24 @@ REFUSALS = [
      ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "cannot read key file"),
     ("calibrate-dim-1", {}, ["calibrate", "--target-cosine", "0.9", "--dim", "1"],
      EXIT_USAGE, "dimension 1 < 2"),
+    ("calibrate-underflow", {}, ["calibrate", "--target-cosine", "1e-170"],
+     EXIT_USAGE, "no finite noise scale"),
+    ("calibrate-overflow", {}, ["calibrate", "--target-cosine", "1e-155"],
+     EXIT_USAGE, "no finite noise scale"),
+    ("profiles-target-underflow",
+     {"key.json": KEY_JSON, "p.json": b'[{"name": "a", "target_cosine": 1e-170}]'},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profiles[0].target_cosine"),
+    ("attack-negative-seed", {"host.ppm": HOST},
+     ["attack", "--in", "@host.ppm", "--transform", "identity", "--out", "@out.ppm",
+      "--seed", "-1"], EXIT_USAGE, "--seed must be a non-negative integer"),
+    ("sweep-negative-seed", {"key.json": KEY_JSON},
+     ["sweep", "--key", "@key.json", "--n", "1", "--out", "@out.csv", "--seed", "-1"],
+     EXIT_USAGE, "--seed must be a non-negative integer"),
+    ("corpus-negative-seed", {"key.json": KEY_JSON, "images/a.ppm": HOST},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
+      "--out", "@out.csv", "--seed", "-1"], EXIT_USAGE,
+     "--seed must be a non-negative integer"),
 ]
 
 

@@ -203,7 +203,7 @@ class TestContract:
 
 class TestRows:
     @pytest.mark.parametrize("dim", [4, 20, 256])
-    def test_encode_rows_are_encodes(self, dim):
+    def test_block_encode_rows_are_one_item_encodes(self, dim):
         c = SignCodec(dim)
         cap = c.descriptor.capacity_bytes
         rng = stream(30, dim)
@@ -215,18 +215,18 @@ class TestRows:
             assert np.array_equal(row, c.encode(m).components)
 
     @pytest.mark.parametrize("dim", [4, 20, 256])
-    def test_decode_rows_are_decodes(self, dim):
+    def test_block_decode_rows_are_one_item_decodes(self, dim):
         c = SignCodec(dim)
         rng = stream(31, dim)
         rows = np.stack([sample_uniform(dim, rng).components for _ in range(9)])
         rows[0, 0] = 0.0  # exact zero decodes as a 0 bit
         assert c.decode(rows) == [c.decode(UnitVector(r)) for r in unit(rows)]
 
-    def test_encode_rows_over_capacity(self):
+    def test_block_encode_over_capacity(self):
         with pytest.raises(CapacityExceededError):
             SignCodec(256).encode([Message(b"ok"), Message(b"x" * 33)])
 
-    def test_decode_rows_dim_mismatch(self):
+    def test_block_decode_dim_mismatch(self):
         with pytest.raises(DimensionError):
             SignCodec(256).decode(np.ones((2, 128)) / math.sqrt(128))
 

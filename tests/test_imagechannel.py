@@ -130,18 +130,20 @@ class TestCarriers:
             assert _within_one_ulp(cs.hi[i], Fraction(n - k, k * n)), (i, cs.hi[i])
             assert _within_one_ulp(cs.lo[i], Fraction(k, (n - k) * n)), (i, cs.lo[i])
 
-    def test_generation_peak_memory(self):
+    def test_generation_peak_memory(self, monkeypatch):
         # the float64 stack alone would be 128 MiB at 256x256.  Above the
         # held words: per worker one draw of _DRAW_WORDS raw words and its
-        # bits, and the popcount bincount's intp copy of one word
-        for side in (256, 512):
+        # bits, whatever the plane's size
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                            raising=False)
+        for side in (256, 512, 1024):
             tracemalloc.start()
             try:
                 held = CarrierSet.generate(KEY, 256, side, side).words.nbytes
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak - held < 4 * 2**20, (side, peak - held)
+            assert peak - held < 2.5 * 2**20, (side, peak - held)
 
     @pytest.mark.parametrize("dim, height, width", [
         (3, 33, 35), (67, 64, 64), (100, 97, 101), (256, 40, 33)])
@@ -182,10 +184,11 @@ class TestCarriers:
         fill = imagechannel._fill_words
         first = 0 if faulty == "main thread" else 8  # words of 192 carriers: 0, 4, 8
 
-        def flaky(words, entropy, dim, start, stop):
+        def flaky(*args):
+            start = args[-2]
             if start == first:
                 raise MemoryError("injected")
-            fill(words, entropy, dim, start, stop)
+            fill(*args)
 
         monkeypatch.setattr(imagechannel, "_fill_words", flaky)
         before = set(threading.enumerate())
