@@ -275,7 +275,7 @@ def cmd_bench(args) -> int:
 def cmd_calibrate(args) -> int:
     sigma = channel_calibrate(args.target_cosine, args.dim)
     _emit({"target_cosine": args.target_cosine, "sigma": sigma, "dim": args.dim})
-    _note(f"sigma={sigma:.6f} for target cosine {args.target_cosine}")
+    _note(f"sigma={sigma:.6g} for target cosine {args.target_cosine}")
     return EXIT_OK
 
 

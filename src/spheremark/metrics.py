@@ -3,17 +3,19 @@
 Text fidelity: sentence-level BLEU-4 against a single reference and
 exact-match rate.  Detection: ROC curve with a tie-aware trapezoid
 AUC (equal to the Mann-Whitney statistic with half credit for ties)
-and operating-point selection at a target false-positive rate.
+and operating-point selection at a target false-positive rate, both
+from one stable array sort (a tied group's threshold is its first score).
 Memorization: fraction of a sentence's 4-grams absent from a
 training-corpus index.
 """
 from __future__ import annotations
 
-import bisect
 import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from ._fileio import atomic_write
 from .errors import DegenerateLabelsError, DomainError
@@ -78,17 +80,19 @@ class RocResult:
     auc: float
 
 
-def _sweep(samples: Sequence[ScoredSample]) -> list[tuple[float, int, int]]:
-    """(inf, 0, 0), then per distinct score, descending, (score, #pos >= it, #neg >= it)."""
-    by_score: dict[float, list[int]] = {}
-    for s in samples:
-        by_score.setdefault(float(s.score), [0, 0])[0 if s.label else 1] += 1
-    groups, tp, fp = [(math.inf, 0, 0)], 0, 0
-    for t in sorted(by_score, reverse=True):
-        dp, dn = by_score[t]
-        tp, fp = tp + dp, fp + dn
-        groups.append((t, tp, fp))
-    return groups
+def _sweep(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct scores descending, and int64 #pos and #neg at or above each,
+    all three led by the (inf, 0, 0) anchor.
+
+    One stable sort groups tied scores; a group's threshold is its first
+    occurrence, so a tied 0.0/-0.0 group keeps the sign seen first.
+    """
+    scores = np.fromiter((float(s.score) for s in samples), np.float64, len(samples))
+    neg = np.fromiter((not s.label for s in samples), np.intp, len(samples))
+    _, first, group = np.unique(-scores, return_index=True, return_inverse=True)
+    counts = np.bincount(2 * group + neg, minlength=2 * len(first)).reshape(-1, 2)
+    tp, fp = np.vstack([(0, 0), np.cumsum(counts, axis=0)]).T
+    return np.concatenate([[math.inf], scores[first]]), tp, fp
 
 
 def roc(samples: Sequence[ScoredSample]) -> RocResult:
@@ -99,19 +103,19 @@ def roc(samples: Sequence[ScoredSample]) -> RocResult:
     Mann-Whitney count, ties worth half) and divides once, so equal
     inputs give bit-equal results regardless of group order.
     """
-    return _roc(_sweep(samples))
+    return _roc(*_sweep(samples))
 
 
-def _roc(groups: list[tuple[float, int, int]]) -> RocResult:
-    n_pos, n_neg = groups[-1][1:]
+def _roc(thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocResult:
+    n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
             f"need both classes, got {n_pos} positives / {n_neg} negatives")
-    # a negative loses to the tp0 positives above it, ties the rest of tp
-    twice_u = sum((fp - fp0) * (tp0 + tp)
-                  for (_, tp0, fp0), (_, tp, fp) in zip(groups, groups[1:]))
-    return RocResult(thresholds=tuple(g[0] for g in groups[1:]),
-                     points=tuple((fp / n_neg, tp / n_pos) for _, tp, fp in groups),
+    # a negative loses to the positives above its group and ties those in it;
+    # the int64 sum is at most n**2 / 2, so it is exact for n < 2**32 samples
+    twice_u = int(np.diff(fp) @ (tp[:-1] + tp[1:]))
+    return RocResult(thresholds=tuple(thresholds[1:].tolist()),
+                     points=tuple(zip((fp / n_neg).tolist(), (tp / n_pos).tolist())),
                      auc=twice_u / (2 * n_pos * n_neg))
 
 
@@ -148,7 +152,7 @@ def operating_points(samples: Sequence[ScoredSample],
     if not targets:
         return []
     _check_target(targets[0])
-    return _operating_points(_sweep(samples), targets)
+    return _operating_points(*_sweep(samples), targets)
 
 
 def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequence[float]
@@ -158,7 +162,7 @@ def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequ
     Results and errors are those of the two calls made in that order.
     """
     groups = _sweep(samples)
-    return _roc(groups), _operating_points(groups, target_fprs)
+    return _roc(*groups), _operating_points(*groups, target_fprs)
 
 
 def _check_target(target_fpr: float) -> None:
@@ -166,20 +170,22 @@ def _check_target(target_fpr: float) -> None:
         raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
 
 
-def _operating_points(groups: list[tuple[float, int, int]],
+def _operating_points(thresholds: np.ndarray, tps: np.ndarray, fps: np.ndarray,
                       target_fprs: Sequence[float]) -> list[OperatingPoint]:
     points: list[OperatingPoint] = []
-    n_pos, n_neg = groups[-1][1:]
+    n_pos, n_neg = int(tps[-1]), int(fps[-1])
     if n_neg == 0:
         raise DegenerateLabelsError("need at least one negative sample")
+    fprs = fps / n_neg
     for target_fpr in target_fprs:
         _check_target(target_fpr)
         # fp never falls along the sweep, so the passing groups are a prefix
-        k = bisect.bisect_right(groups, target_fpr, key=lambda g: g[2] / n_neg)
-        chosen, tp, fp = groups[k - 1]
-        if k == 1:  # only the anchor passes; past 2**53 the + 1 is lost
-            chosen = groups[1][0] + 1.0
-            tp, fp = groups[1][1:] if chosen == groups[1][0] else (0, 0)
+        k = int(np.searchsorted(fprs, target_fpr, side="right")) - 1
+        chosen = float(thresholds[k])
+        if k == 0:  # only the anchor passes; past 2**53 the + 1 is lost
+            chosen = float(thresholds[1]) + 1.0
+            k = 1 if chosen == thresholds[1] else 0
+        tp, fp = int(tps[k]), int(fps[k])
         points.append(OperatingPoint(target_fpr=target_fpr, threshold=chosen,
                                      achieved_tpr=tp / n_pos if n_pos else 0.0,
                                      achieved_fpr=fp / n_neg))

@@ -498,6 +498,16 @@ class TestBenchCalibrate:
         assert rc == EXIT_OK
         assert payload["sigma"] == pytest.approx(0.18106550773430982, abs=1e-12)
 
+    @pytest.mark.parametrize("target, note", [
+        ("7.5e-155", "sigma=1.33333e+154 for target cosine 7.5e-155"),
+        ("0.99999999999999", "sigma=1.41365e-07 for target cosine 0.99999999999999"),
+    ])
+    def test_calibrate_note_readable_at_both_ends(self, capsys, target, note):
+        # six significant digits at any magnitude, not a fixed number of decimals
+        rc, _, err = run_cli(capsys, "calibrate", "--target-cosine", target)
+        assert rc == EXIT_OK
+        assert err.strip() == note
+
     def test_calibrate_rejects_bad_target(self, capsys):
         rc, _, _ = run_cli(capsys, "calibrate", "--target-cosine", "1.5")
         assert rc == EXIT_USAGE

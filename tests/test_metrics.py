@@ -1,6 +1,8 @@
 import math
+import os
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -378,6 +380,49 @@ def test_operating_points_equal_reference_on_ties(samples_targets):
     samples, targets = samples_targets
     assert (_outcome(operating_points, samples, targets)
             == _outcome(operating_points_reference, samples, targets))
+
+
+DENSE_TARGETS = (1e-3, 1e-2, 0.1, 1.0)
+
+
+def _dense_tied_samples(zeros, label=int):
+    """5000 seeded samples at the benchmark's tie density (scores rounded
+    to 0.001), both zeros first in the given order, float32, float64 and
+    a few Python ints beyond 2**53 among the scores."""
+    rng = np.random.default_rng(20061)
+    labels = rng.integers(0, 2, 5000)
+    scores = [round(float(rng.normal(lab, 0.7)), 3) for lab in labels]
+    scores[:2] = zeros
+    scores[2::7] = [np.float32(s) for s in scores[2::7]]
+    scores[3::7] = [np.float64(s) for s in scores[3::7]]
+    scores[1000], scores[3000] = 2 ** 60 + 1, 10 ** 30
+    return [ScoredSample(score=s, label=label(lab)) for s, lab in zip(scores, labels)]
+
+
+def _assert_same_text(got, want):
+    """got == want, failing with the first differing stretch: pytest's
+    own diff of two long reprs can run for minutes."""
+    at = max(len(os.path.commonprefix([got, want])) - 40, 0)
+    assert (len(got), got[at:at + 80]) == (len(want), want[at:at + 80])
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_dense_ties_equal_reference(zeros):
+    samples = _dense_tied_samples(zeros)
+    _assert_same_text(repr(roc(samples)), repr(roc_reference(samples)))
+    _assert_same_text(_outcome(operating_points, samples, DENSE_TARGETS),
+                      _outcome(operating_points_reference, samples, DENSE_TARGETS))
+
+
+@pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
+def test_dense_ties_numpy_bool_labels_equal_bool(zeros):
+    # the references sum numpy labels into numpy floats, so compare
+    # against the same samples with Python bool labels instead
+    samples = _dense_tied_samples(zeros, label=bool)
+    np_samples = _dense_tied_samples(zeros, label=np.bool_)
+    _assert_same_text(repr(roc(np_samples)), repr(roc(samples)))
+    _assert_same_text(_outcome(operating_points, np_samples, DENSE_TARGETS),
+                      _outcome(operating_points, samples, DENSE_TARGETS))
 
 
 def test_threshold_at_fpr_is_not_quadratic():
