@@ -10,17 +10,16 @@ dimension, so the noise scale that realizes a target is
 run_sweep pushes messages through a Watermark's rotations, with
 perturb's noise in place of the image, assesses them and aggregates
 per-profile statistics.  Each (profile, message) cell draws its message
-and noise from its own derived substream, so results do not depend on
-evaluation order.  The substream is stream(root, label, i); run_sweep
-derives a block's Philox keys at once with stream_keys and re-keys one
-generator per call to each cell's key in turn (rekey), which draws the
-same numbers as a fresh stream() per cell.  Cells run in blocks of at
-most _BLOCK_ROWS consecutive cells of one profile: the draws are taken
-cell by cell, then encode, rotate, noise, unrotate, decode and the
-cosines run on the block's rows at once, and the p-values row by row.
-A block never mixes profiles, so a profile's row does not depend on
-which other profiles run or in what order, and memory stays bounded
-for any number of messages.
+and noise from its own stream, so results do not depend on evaluation
+order.  A profile has one Philox key, that of stream(root, label), and
+cell i draws from that key starting at counter block i (rekey), so no
+two cells' draws overlap and one generator, re-pointed per cell, serves
+every cell.  Cells run in blocks of at most _BLOCK_ROWS consecutive
+cells of one profile: the draws are taken cell by cell, then encode,
+rotate, noise, unrotate, decode and the cosines run on the block's rows
+at once, and the p-values row by row.  A block never mixes profiles, so
+a profile's row does not depend on which other profiles run or in what
+order, and memory stays bounded for any number of messages.
 """
 from __future__ import annotations
 
@@ -40,7 +39,7 @@ from .imagechannel import extract
 from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
 from .sphere import UnitVector, _from_rows, _to_rows, cosine, unit
-from .streams import label_entropy, rekey, stream_keys
+from .streams import label_entropy, rekey, stream_key
 
 
 def calibrate(target_cosine: float, dim: int) -> float:
@@ -213,10 +212,12 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
 
     ``unrotate_key`` substitutes a different key on the receive side
     to measure wrong-key behavior; default is the embedding key.
-    Cell (profile, i) draws from stream(root, label_entropy(name), i),
-    root being one draw from the caller's rng, so the table is
-    reproducible and order-independent.  A cell index must fit one
-    32-bit entropy word, so n_messages is below 2**32.
+    Cell (profile, i) draws from the key of stream(root,
+    label_entropy(name)) at counter (0, i, 0, 0), root being one draw
+    from the caller's rng, so the table is reproducible and
+    order-independent, and cell i does not depend on n_messages.
+    n_messages stays below 2**32, the sweep's documented limit, though
+    a counter word would take any 64-bit index.
     """
     if not 1 <= n_messages < 2**32:
         raise DomainError(f"n_messages {n_messages} outside [1, 2**32)")
@@ -232,23 +233,22 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     sender = Watermark(key, codec)
     receiver = sender if unrotate_key is None else Watermark(unrotate_key, codec)
     dim = codec.descriptor.dim
-    # one root draw; cells re-derive from (root, profile name, index) so
-    # the table does not depend on profile order
+    # one root draw; each profile's key derives from (root, profile name)
+    # so the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
-    # one generator, re-keyed to each cell's stream in turn
+    # one generator, re-pointed at each cell's counter block in turn
     cell_rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
     for profile in profiles:
-        label = label_entropy(profile.name)
+        profile_key = stream_key(root, label_entropy(profile.name))
         cos_sum = 0.0
         ell_sum = 0.0
         match_count = 0
         trusted_count = 0
         for start in range(0, n_messages, _BLOCK_ROWS):
             payloads, noise = [], []
-            indices = np.arange(start, min(start + _BLOCK_ROWS, n_messages))
-            for cell_key in stream_keys(root, label, indices=indices):
-                rekey(cell_rng, cell_key)
+            for i in range(start, min(start + _BLOCK_ROWS, n_messages)):
+                rekey(cell_rng, profile_key, i)
                 payloads.append(_random_message(cell_rng, message_len))
                 if profile.sigma > 0.0:
                     noise.append(_noise(cell_rng, dim, profile.sigma))

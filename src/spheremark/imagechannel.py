@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,10 +129,11 @@ class CarrierSet:
         lo = -sqrt(k / ((n - k)*n)) where it is 0, so only the bits and
         each carrier's popcount k are computed; no float sample is
         built.  Word group g (carriers 16g .. 16g + 15) starts at raw
-        word 8*g*n.  The groups are split into one contiguous range
-        per usable core, each filled on its own thread from its own
-        copy of the stream, skipped ahead to the range's first word,
-        so the bits are the same for any number of cores.
+        word 8*g*n.  Each group is one job on a pool of one thread per
+        usable core, filled from its own copy of the stream skipped
+        ahead to the group's first word, so the bits are the same for
+        any number of cores.  A job's fault is re-raised here once the
+        pool has shut down.
         """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
@@ -144,27 +146,11 @@ class CarrierSet:
                 f"samples, above the limit of {MAX_CARRIER_BYTES // 8}")
         entropy = (key.seed, _CARRIER_DOMAIN, dim, height, width)
         n_words = -(-dim // 16)
-        workers = min(_usable_cpus(), n_words)
-        bounds = [n_words * i // workers for i in range(workers + 1)]
         words = np.zeros((n_words, n_px), dtype=np.uint16)
         k = np.zeros(dim, dtype=np.int64)  # each carrier's set bits
-        errors: list[BaseException] = []
-
-        def fill(start: int, stop: int) -> None:
-            try:
-                _fill_words(words, k, entropy, dim, start, stop)
-            except BaseException as exc:  # re-raised once every worker is done
-                errors.append(exc)
-
-        threads = [threading.Thread(target=fill, args=span)
-                   for span in zip(bounds[1:-1], bounds[2:])]
-        for t in threads:
-            t.start()
-        fill(bounds[0], bounds[1])
-        for t in threads:
-            t.join()
-        if errors:
-            raise errors[0]
+        with ThreadPoolExecutor(min(_usable_cpus(), n_words)) as pool:
+            list(pool.map(lambda g: _fill_group(words, k, entropy, dim, g),
+                          range(n_words)))
         hi = np.sqrt((n_px - k) / (k * n_px))
         lo = -np.sqrt(k / ((n_px - k) * n_px))
         for held in (words, hi, lo):
@@ -233,21 +219,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_words(words: np.ndarray, counts: np.ndarray, entropy: tuple, dim: int,
-                start: int, stop: int) -> None:
-    """OR the bits of carriers 16*start .. min(16*stop, dim) - 1 into
-    words[start:stop] and add each carrier's set bits to its entry of
-    counts, drawing at most _DRAW_WORDS raw words at a time.
+def _fill_group(words: np.ndarray, counts: np.ndarray, entropy: tuple, dim: int,
+                g: int) -> None:
+    """OR the bits of carriers 16*g .. min(16*g + 16, dim) - 1 into
+    words[g] and add each carrier's set bits to its entry of counts,
+    drawing at most _DRAW_WORDS raw words at a time.
 
     Half h of the stream belongs to carrier h // n at pixel h % n.  The
-    range starts on raw word 8*start*n, and Philox4x64 makes four words
-    per counter step, so advancing 2*start*n steps puts this copy of
-    the stream exactly where the serial draw would be.
+    group starts on raw word 8*g*n, and Philox4x64 makes four words per
+    counter step, so advancing 2*g*n steps puts this copy of the stream
+    exactly where the serial draw would be.
     """
     n_px = words.shape[1]
-    first, last = 16 * start * n_px, min(16 * stop, dim) * n_px
+    first, last = 16 * g * n_px, min(16 * g + 16, dim) * n_px
     philox = stream(*entropy).bit_generator
-    philox.advance(first // 8)
+    philox.advance(2 * g * n_px)
     for at in range(first, last, 2 * _DRAW_WORDS):
         count = min(2 * _DRAW_WORDS, last - at)
         halves = philox.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")

@@ -115,31 +115,24 @@ class RotationMatrix:
             raise ValueError(f"determinant {det:.17g} deviates from +1 beyond {DET_TOL}")
 
 
-def sample_rotation(key: SecretKey, dim: int, haar_fix: bool = True) -> RotationMatrix:
+def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:
     """Draw the rotation selected by (key, dim) from Haar measure on SO(d).
 
     The two most recently used (seed, dim) rotations are held, so a
     process that asks again, such as every sweep with a right and a
     wrong key, gets the same read-only matrix without a second QR.
-
-    ``haar_fix=False`` skips construction step 3 (the R-diagonal sign
-    rescale) and exists only to demonstrate that the raw QR output is
-    not Haar distributed; production callers never pass it, and it is
-    always drawn afresh.
     """
     if not 1 <= dim <= MAX_DIM:
         raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
-    if haar_fix:
-        return _held_rotation(key.seed, dim)
-    return _draw_rotation(key.seed, dim, haar_fix=False)
+    return _held_rotation(key.seed, dim)
 
 
 @functools.lru_cache(maxsize=2)
 def _held_rotation(seed: int, dim: int) -> RotationMatrix:
-    return _draw_rotation(seed, dim, haar_fix=True)
+    return _draw_rotation(seed, dim)
 
 
-def _draw_rotation(seed: int, dim: int, haar_fix: bool) -> RotationMatrix:
+def _draw_rotation(seed: int, dim: int) -> RotationMatrix:
     rng = stream(seed, dim)
     while True:
         gauss = rng.standard_normal((dim, dim))
@@ -150,13 +143,11 @@ def _draw_rotation(seed: int, dim: int, haar_fix: bool) -> RotationMatrix:
             # continued stream rather than erroring out.
             continue
         break
-    if haar_fix:
-        signs = np.sign(np.diag(r))
-        signs[signs == 0.0] = 1.0
-        q = q * signs  # rescales column j by signs[j]
+    signs = np.sign(np.diag(r))
+    signs[signs == 0.0] = 1.0
+    q = q * signs  # rescales column j by signs[j]
     if float(np.linalg.det(q)) < 0.0:
-        q = q.copy()
-        q[:, 0] = -q[:, 0]
+        q[:, 0] = -q[:, 0]  # q * signs made a new array
     return RotationMatrix(q)
 
 

@@ -32,6 +32,17 @@ def make_image(seed: int, height: int = 256, width: int = 256,
     return RasterImage(np.clip(np.rint(px), 8, 247).astype(np.uint8))
 
 
+def raw_qr_rotation(seed: int, dim: int) -> np.ndarray:
+    """sample_rotation's construction without the R-diagonal sign
+    rescale: the raw Householder Q of the same Gaussian draw, first
+    column negated where det is -1.  Not Haar distributed; the angle
+    tests use it as their negative control."""
+    q, _ = np.linalg.qr(stream(seed, dim).standard_normal((dim, dim)))
+    if float(np.linalg.det(q)) < 0.0:
+        q[:, 0] = -q[:, 0]
+    return q
+
+
 @pytest.fixture
 def synth_image():
     return make_image

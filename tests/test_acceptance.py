@@ -22,7 +22,7 @@ from spheremark.netpbm import RasterImage, psnr, write_image
 from spheremark.rotation import SecretKey, rotate, sample_rotation
 from spheremark.sphere import cosine, sample_uniform
 from spheremark.streams import stream
-from conftest import make_image
+from conftest import make_image, raw_qr_rotation
 
 # chi2 inverse CDF at (df=15, 0.99); 16 bins, alpha = 0.01
 CHI2_CRIT = 30.57791416689249
@@ -47,7 +47,8 @@ def angle_chi2(n_keys, haar_fix):
     # 2-D rotations are a single angle; bin it over [-pi, pi)
     counts = np.zeros(16, dtype=np.int64)
     for seed in range(n_keys):
-        m = sample_rotation(SecretKey(seed=seed), 2, haar_fix=haar_fix).entries
+        m = (sample_rotation(SecretKey(seed=seed), 2).entries if haar_fix
+             else raw_qr_rotation(seed, 2))
         theta = math.atan2(m[1, 0], m[0, 0])
         idx = int((theta + math.pi) * 16.0 / (2.0 * math.pi))
         counts[min(idx, 15)] += 1

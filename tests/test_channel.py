@@ -287,7 +287,7 @@ class TestRunSweep:
             raise AssertionError("sampled or drew before refusing")
 
         monkeypatch.setattr(channel, "sample_rotation", forbidden)
-        monkeypatch.setattr(channel, "stream_keys", forbidden)
+        monkeypatch.setattr(channel, "stream_key", forbidden)
         monkeypatch.setattr(channel, "rekey", forbidden)
         codec, key = self._codec_key()
         profiles = [ChannelProfile.from_target("fine", 0.99, 256),
@@ -298,13 +298,14 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("n", [2**32, 2**40])
     def test_refuses_index_needing_two_words(self, monkeypatch, n):
-        # cell i enters its stream as one 32-bit entropy word; a larger
-        # index would need two, so the count is refused before any work
+        # the sweep's documented limit: a cell index below 2**32; a larger
+        # count is refused before any work
         def forbidden(*args, **kwargs):
             raise AssertionError("sampled or drew before refusing")
 
         monkeypatch.setattr(channel, "sample_rotation", forbidden)
-        monkeypatch.setattr(channel, "stream_keys", forbidden)
+        monkeypatch.setattr(channel, "stream_key", forbidden)
+        monkeypatch.setattr(channel, "rekey", forbidden)
         codec, key = self._codec_key()
 
         class NoDraws:
@@ -374,7 +375,9 @@ class ScalarSignCodec(Codec):
 
 def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
                     ell_threshold=100.0, unrotate_key=None):
-    """The per-cell chain run_sweep replaced, built from public pieces."""
+    """The per-cell chain run_sweep replaced, built from public pieces:
+    cell i of a profile is a fresh Philox under the key of
+    SeedSequence([root, label]), started at counter (0, i, 0, 0)."""
     m_send = sample_rotation(key, codec.descriptor.dim)
     m_recv = m_send if unrotate_key is None else sample_rotation(
         unrotate_key, codec.descriptor.dim)
@@ -383,8 +386,11 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
     for profile in profiles:
         cos_sum = ell_sum = 0.0
         match_count = trusted_count = 0
+        profile_key = np.random.SeedSequence(
+            [root, label_entropy(profile.name)]).generate_state(2, np.uint64)
         for i in range(n_messages):
-            cell_rng = stream(root, label_entropy(profile.name), i)
+            cell_rng = np.random.Generator(
+                np.random.Philox(key=profile_key, counter=[0, i, 0, 0]))
             body = cell_rng.integers(0, 256, size=message_len, dtype=np.uint8)
             body[-1] = cell_rng.integers(1, 256)
             payload = body.tobytes()

@@ -670,7 +670,11 @@ class TestPinnedOutputs:
     # came from the closed form of its popcount instead of float mean
     # and norm passes: both moved by an ulp or two, which moves
     # cosine, ell and p_value in their last digits; the carrier bits,
-    # the sealed bytes and every verdict did not move.
+    # the sealed bytes and every verdict did not move.  The SWEEP
+    # digests were retaken when sweep cells moved from one SeedSequence
+    # stream per cell to one Philox key per profile, cell i at counter
+    # block i: the messages and noise are new draws from the same
+    # distributions.
     OPEN = {
         "right key": "aacff7740c92cbc9fa46485eebb8e1308f8ecd39b885f45cea7327980d84f4e0",
         "unmarked": "93432a50fac4f9d735ec4b413cd46a01396f1bd69da4935a1f46822f6493e92b",
@@ -683,8 +687,8 @@ class TestPinnedOutputs:
             "95179709dbebdcb1aa22afaa614d4cbd61da1b1db648fd6f2bf41942c73e5858",
     }
     SWEEP = {
-        "right key": "68823261b68ae676b1dd714ac7703db5f365f7d593d45496d267152e404d26a1",
-        "wrong key": "37c53a808427574c1e1ce83d57846bca6384534cbbf3744937bc862a2b526b14",
+        "right key": "62d06efefb8610e222afddac7ea5fc7b315b39a6dcc5f2644db3f2b002299744",
+        "wrong key": "80a59e32befdca63cf7d1a81136df62a0e9f91305d5c80f0c201bfc991d84562",
     }
 
     @pytest.fixture

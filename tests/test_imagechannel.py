@@ -177,20 +177,19 @@ class TestCarriers:
         with pytest.raises(ImageSizeError):
             CarrierSet.generate(KEY, 5, 32, 32)
 
-    @pytest.mark.parametrize("faulty", ["main thread", "worker thread"])
+    @pytest.mark.parametrize("faulty", ["first group", "last group"])
     def test_worker_fault_reaches_caller(self, monkeypatch, faulty):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2},
                             raising=False)
-        fill = imagechannel._fill_words
-        first = 0 if faulty == "main thread" else 8  # words of 192 carriers: 0, 4, 8
+        fill = imagechannel._fill_group
+        bad = 0 if faulty == "first group" else 11  # 192 carriers: groups 0 .. 11
 
         def flaky(*args):
-            start = args[-2]
-            if start == first:
+            if args[-1] == bad:
                 raise MemoryError("injected")
             fill(*args)
 
-        monkeypatch.setattr(imagechannel, "_fill_words", flaky)
+        monkeypatch.setattr(imagechannel, "_fill_group", flaky)
         before = set(threading.enumerate())
         with pytest.raises(MemoryError, match="injected"):
             CarrierSet.generate(KEY, 192, 128, 128)

@@ -9,6 +9,7 @@ from spheremark import (DimensionError, DimensionMismatchError, KeyFileError,
                         sample_rotation, sample_uniform, save_key, unrotate)
 from spheremark import rotation
 from spheremark.streams import stream
+from conftest import raw_qr_rotation
 
 # chi-square critical value, 15 degrees of freedom, significance 0.01
 CHI2_CRIT_15_99 = 30.57791416689249
@@ -21,8 +22,9 @@ WRONG_KEY_BOUND = 5.0 / math.sqrt(256)  # 0.3125
 def _angle_stat(n_keys: int, haar_fix: bool) -> float:
     angles = np.empty(n_keys)
     for s in range(n_keys):
-        m = sample_rotation(SecretKey(seed=s), 2, haar_fix=haar_fix)
-        angles[s] = math.atan2(m.entries[1, 0], m.entries[0, 0]) % (2.0 * math.pi)
+        m = (sample_rotation(SecretKey(seed=s), 2).entries if haar_fix
+             else raw_qr_rotation(s, 2))
+        angles[s] = math.atan2(m[1, 0], m[0, 0]) % (2.0 * math.pi)
     counts, _ = np.histogram(angles, bins=ANGLE_BINS, range=(0.0, 2.0 * math.pi))
     expected = n_keys / ANGLE_BINS
     return float(((counts - expected) ** 2 / expected).sum())
@@ -161,7 +163,7 @@ class TestHeldRotations:
         for seed, dim in [(0, 2), (42, 16), (2**64 - 1, 256)]:
             held = sample_rotation(SecretKey(seed=seed), dim)
             assert sample_rotation(SecretKey(seed=seed), dim) is held
-            fresh = rotation._draw_rotation(seed, dim, haar_fix=True)
+            fresh = rotation._draw_rotation(seed, dim)
             assert held is not fresh
             assert held.entries.tobytes() == fresh.entries.tobytes()
 
@@ -176,15 +178,6 @@ class TestHeldRotations:
         a = sample_rotation(SecretKey(seed=9, label="x"), 8)
         assert sample_rotation(SecretKey(seed=9, label="y"), 8) is a
         assert len(qr_calls) == 1
-
-    def test_raw_qr_is_never_held(self, qr_calls):
-        key = SecretKey(seed=3)
-        held = sample_rotation(key, 8)
-        raw = [sample_rotation(key, 8, haar_fix=False) for _ in range(2)]
-        assert raw[0] is not raw[1] and raw[0] is not held
-        assert raw[0].entries.tobytes() == raw[1].entries.tobytes()
-        assert sample_rotation(key, 8) is held
-        assert len(qr_calls) == 3
 
     def test_third_key_evicts_least_recent(self, qr_calls):
         a, b, c = (SecretKey(seed=s) for s in (1, 2, 3))

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from spheremark.channel import _noise, _random_message
-from spheremark.streams import label_entropy, rekey, stream, stream_keys
+from spheremark.streams import label_entropy, rekey, stream, stream_key
 
 ROOTS = [0, 7, 2**32 - 1, 2**32, 2**63 - 1, 0x243F6A8885A308D3]
 LABELS = [0, label_entropy("a"), label_entropy("identity_42db"),
           label_entropy("é" * 20)]  # 40 bytes of UTF-8: ten entropy words
-INDICES = [0, 1, 63, 64, 65, 2**32 - 1]
+BLOCKS = [0, 63, 64, 2**32 - 1, 2**40]
 
 
 def _seed_sequence_key(*entropy):
@@ -22,36 +22,27 @@ class TestStreamKeys:
     @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("label", LABELS)
     def test_equal_seed_sequence_state(self, root, label):
-        keys = stream_keys(root, label, indices=np.array(INDICES))
-        assert keys.dtype == np.uint64 and keys.shape == (len(INDICES), 2)
-        for i, got in zip(INDICES, keys):
-            assert np.array_equal(got, _seed_sequence_key(root, label, i))
+        # the key a sweep profile's cells share
+        key = stream_key(root, label)
+        assert key.dtype == np.uint64 and key.shape == (2,)
+        assert np.array_equal(key, _seed_sequence_key(root, label))
 
     @pytest.mark.parametrize("prefix", [(), (5,), (1, 2, 3), (1, 2, 3, 4, 5, 6),
                                         (2**64 - 1, 2**96 + 5)])
     def test_any_prefix_length(self, prefix):
-        # the index word lands in the 4-word pool or after it
-        indices = np.arange(70)
-        keys = stream_keys(*prefix, indices=indices)
-        for i in indices:
-            assert np.array_equal(keys[i], _seed_sequence_key(*prefix, int(i)))
+        # the last word lands in SeedSequence's 4-word pool or after it
+        for i in range(70):
+            assert np.array_equal(stream_key(*prefix, i), _seed_sequence_key(*prefix, i))
 
     def test_is_the_philox_key_of_stream(self):
-        keys = stream_keys(11, 12, indices=np.arange(3))
-        for i, key in enumerate(keys):
-            assert np.array_equal(stream(11, 12, i).bit_generator.state["state"]["key"], key)
-
-    def test_empty_block(self):
-        assert stream_keys(1, 2, indices=np.arange(0)).shape == (0, 2)
-
-    def test_refuses_two_word_index(self):
-        with pytest.raises(ValueError, match="2\\*\\*32"):
-            stream_keys(1, 2, indices=np.array([0, 2**32]))
+        # a fresh Philox under the key, at counter 0, is the stream
+        fresh = np.random.Generator(np.random.Philox(key=stream_key(11, 12)))
+        assert np.array_equal(fresh.integers(0, 2**63, size=9),
+                              stream(11, 12).integers(0, 2**63, size=9))
 
 
 class TestRekey:
-    ROOT = 0x243F6A8885A308D3
-    LABEL = label_entropy("reference_42db")
+    KEY = stream_key(0x243F6A8885A308D3, label_entropy("reference_42db"))
 
     def _used_generator(self):
         # one bounded uint32 draw leaves half a Philox word buffered
@@ -61,11 +52,14 @@ class TestRekey:
         assert rng.bit_generator.state["has_uint32"] == 1
         return rng
 
-    @pytest.mark.parametrize("i", [0, 63, 2**32 - 1])
+    def _fresh(self, block):
+        return np.random.Generator(np.random.Philox(key=self.KEY, counter=[0, block, 0, 0]))
+
+    @pytest.mark.parametrize("i", BLOCKS)
     def test_state_equals_fresh_stream(self, i):
         rng = self._used_generator()
-        rekey(rng, stream_keys(self.ROOT, self.LABEL, indices=[i])[0])
-        fresh = stream(self.ROOT, self.LABEL, i).bit_generator.state
+        rekey(rng, self.KEY, i)
+        fresh = self._fresh(i).bit_generator.state
         got = rng.bit_generator.state
         assert got["bit_generator"] == fresh["bit_generator"]
         for field in ("counter", "key"):
@@ -74,10 +68,20 @@ class TestRekey:
         for field in ("buffer_pos", "has_uint32", "uinteger"):
             assert got[field] == fresh[field]
 
-    @pytest.mark.parametrize("i", [0, 64, 2**32 - 1])
+    @pytest.mark.parametrize("i", BLOCKS)
     def test_draws_equal_fresh_stream(self, i):
         rng = self._used_generator()
-        rekey(rng, stream_keys(self.ROOT, self.LABEL, indices=[i])[0])
-        fresh = stream(self.ROOT, self.LABEL, i)
+        rekey(rng, self.KEY, i)
+        fresh = self._fresh(i)
         assert _random_message(rng, 16) == _random_message(fresh, 16)
         assert np.array_equal(_noise(rng, 256, 0.18), _noise(fresh, 256, 0.18))
+
+    @pytest.mark.parametrize("i", BLOCKS)
+    def test_block_owns_two_to_the_64_steps(self, i):
+        # block i's stream reaches block i + 1's start counter only after
+        # 2**64 steps, so the draws of distinct blocks never overlap
+        philox = self._fresh(i).bit_generator
+        philox.advance(2**64 - 1)
+        assert philox.state["state"]["counter"].tolist() == [2**64 - 1, i, 0, 0]
+        philox.advance(1)
+        assert philox.state["state"]["counter"].tolist() == [0, i + 1, 0, 0]
