@@ -304,13 +304,25 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 
 # ---------------------------------------------------------------- attacks
 # Every transform maps float64 pixels (height, width, channels) to
-# float64 pixels.  attack() converts the image once; _quantize rounds
-# (half to even), clips and wraps once, for attacks and embed alike.
+# float64 pixels.  attack() converts the image once and hands that copy
+# to the transform, which may overwrite it; _quantize rounds (half to
+# even), clips and wraps once, for attacks and embed alike.  No
+# transform holds more than about two float64 copies of the image: the
+# pointwise ones work in place, and crop and rotate fill one new array
+# a band of rows at a time.
+
+# Largest 16 * H * W * C (two float64 copies of the image) that
+# attack() accepts.
+MAX_ATTACK_BYTES = 2**31
+
+# Most output pixels that one band of _resample computes at once.
+_BAND_PIXELS = 2**15
+
 
 def _quantize(values: np.ndarray) -> RasterImage:
     """Round, clip and wrap float pixels; rounds and clips ``values`` in
     place, so callers pass an array they own (a transform's output is
-    at most a view of attack()'s own float copy)."""
+    attack()'s own float copy, a view of it or a new array)."""
     np.rint(values, out=values)
     np.clip(values, 0, MAXVAL, out=values)
     return RasterImage(values.astype(np.uint8))
@@ -323,40 +335,58 @@ def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     return np.where(m < n, m, period - 1 - m)
 
 
-def _bilinear_sample(plane: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    """Sample a plane at float coordinates with reflect padding."""
-    h, w = plane.shape
-    y0 = np.floor(yy).astype(np.int64)
-    x0 = np.floor(xx).astype(np.int64)
-    wy = yy - y0
-    wx = xx - x0
-    y0r = _reflect_index(y0, h)
-    y1r = _reflect_index(y0 + 1, h)
-    x0r = _reflect_index(x0, w)
-    x1r = _reflect_index(x0 + 1, w)
-    top = plane[y0r, x0r] * (1.0 - wx) + plane[y0r, x1r] * wx
-    bot = plane[y1r, x0r] * (1.0 - wx) + plane[y1r, x1r] * wx
-    return top * (1.0 - wy) + bot * wy
+def _resample(px: np.ndarray, coords) -> np.ndarray:
+    """Bilinear samples of every channel, with reflect padding, into a
+    new array of px's shape.
+
+    ``coords(r0, r1)`` gives the source (y, x) coordinates of output
+    rows r0 .. r1 - 1, as two arrays that broadcast to (r1 - r0, width).
+    Rows go in bands of at most _BAND_PIXELS pixels; each band's
+    weights and reflected corner indices are computed once and serve
+    every channel.
+    """
+    h, w = px.shape[:2]
+    out = np.empty_like(px)
+    rows = max(1, _BAND_PIXELS // w)
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        yy, xx = coords(r0, r1)
+        wy, y0, y1 = _axis_corners(yy, h)
+        wx, x0, x1 = _axis_corners(xx, w)
+        top = px[y0, x0] * (1.0 - wx) + px[y0, x1] * wx
+        bot = px[y1, x0] * (1.0 - wx) + px[y1, x1] * wx
+        top *= 1.0 - wy
+        bot *= wy
+        np.add(top, bot, out=out[r0:r1])
+    return out
 
 
-def _resample(px: np.ndarray, yy: np.ndarray, xx: np.ndarray) -> np.ndarray:
-    # one channel at a time: sampling all channels at once holds every
-    # channel's gathered corners together and raises the peak memory
-    return np.stack([_bilinear_sample(px[:, :, c], yy, xx)
-                     for c in range(px.shape[2])], axis=2)
+def _axis_corners(t: np.ndarray, n: int) -> tuple:
+    """For float coordinates t along an axis of n samples: the weight of
+    each upper neighbour, with a trailing axis for the channels, and
+    the reflected indices of the lower and upper neighbours."""
+    lower = np.floor(t).astype(np.int64)
+    return ((t - lower)[..., np.newaxis], _reflect_index(lower, n),
+            _reflect_index(lower + 1, n))
+
+
+def _scale_about(px: np.ndarray, centre, factor: float) -> np.ndarray:
+    """centre + factor * (px - centre), written into px."""
+    px -= centre
+    px *= factor
+    px += centre
+    return px
 
 
 def _contrast(px: np.ndarray, rng, factor: float) -> np.ndarray:
-    mean = float(np.mean(_luma(px)))
-    return mean + factor * (px - mean)
+    return _scale_about(px, float(np.mean(_luma(px))), factor)
 
 
 def _saturation(px: np.ndarray, rng, factor: float) -> np.ndarray:
     # luma interpolation: factor 0 is grayscale, 1 is identity
     if px.shape[2] == 1:
         return px
-    gray = _luma(px)[:, :, np.newaxis]
-    return gray + factor * (px - gray)
+    return _scale_about(px, _luma(px)[:, :, np.newaxis], factor)
 
 
 def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
@@ -370,8 +400,7 @@ def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
     x0 = (w - cw) // 2
     ys = y0 + (np.arange(h) + 0.5) * (ch / h) - 0.5
     xs = x0 + (np.arange(w) + 0.5) * (cw / w) - 0.5
-    yy, xx = np.meshgrid(ys, xs, indexing="ij")
-    return _resample(px, yy, xx)
+    return _resample(px, lambda r0, r1: (ys[r0:r1, np.newaxis], xs))
 
 
 def _rotate(px: np.ndarray, rng, degrees: float) -> np.ndarray:
@@ -380,15 +409,15 @@ def _rotate(px: np.ndarray, rng, degrees: float) -> np.ndarray:
     theta = math.radians(degrees)
     cy = (h - 1) / 2.0
     cx = (w - 1) / 2.0
-    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
-                         np.arange(w, dtype=np.float64), indexing="ij")
-    dy = yy - cy
-    dx = xx - cx
+    dx = np.arange(w, dtype=np.float64) - cx
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    src_y = cy + cos_t * dy + sin_t * dx
-    src_x = cx - sin_t * dy + cos_t * dx
-    return _resample(px, src_y, src_x)
+
+    def coords(r0, r1):
+        dy = np.arange(r0, r1, dtype=np.float64)[:, np.newaxis] - cy
+        return cy + cos_t * dy + sin_t * dx, cx - sin_t * dy + cos_t * dx
+
+    return _resample(px, coords)
 
 
 # Standard luminance quantization table (8x8, row major).
@@ -452,15 +481,17 @@ def _jpeg_like(px: np.ndarray, rng, quality: float) -> np.ndarray:
     y2 = _jpeg_plane(y, q)
     if px.shape[2] == 1:
         return y2[:, :, np.newaxis]
-    return px + (y2 - y)[:, :, np.newaxis]
+    y2 -= y
+    px += y2[:, :, np.newaxis]
+    return px
 
 
 # name -> (transform, its parameter's name or None)
 _TRANSFORMS = {
     "identity": (lambda px, rng: px, None),
     "hflip": (lambda px, rng: px[:, ::-1], None),
-    "brightness": (lambda px, rng, factor: px * factor, "factor"),
-    "brightness_add": (lambda px, rng, offset: px + offset, "offset"),
+    "brightness": (lambda px, rng, factor: np.multiply(px, factor, out=px), "factor"),
+    "brightness_add": (lambda px, rng, offset: np.add(px, offset, out=px), "offset"),
     "contrast": (_contrast, "factor"),
     "saturation": (_saturation, "factor"),
     "gaussian_noise": (lambda px, rng, sigma: px + sigma * rng.standard_normal(px.shape),
@@ -499,6 +530,11 @@ def attack(img: RasterImage, name: str, value: float | None = None,
             raise DomainError(f"transform {name!r} needs a finite {param}, got {value}")
         if param in ("factor", "sigma") and args[0] < 0.0:
             raise DomainError(f"transform {name!r} needs {param} >= 0, got {value}")
+    need = 16 * img.pixels.size
+    if need > MAX_ATTACK_BYTES:
+        raise ImageSizeError(
+            f"image {img.width}x{img.height}x{img.channels} needs {need} bytes "
+            f"for two float64 copies, above the limit of {MAX_ATTACK_BYTES}")
     if rng is None:
         rng = stream(0)
     return _quantize(fn(img.pixels.astype(np.float64), rng, *args))

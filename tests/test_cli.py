@@ -247,6 +247,19 @@ class TestAttack:
                            "--transform", "rotate:fast")
         assert rc == EXIT_USAGE
 
+    def test_image_above_attack_limit_is_image_error(self, tmp_path, capsys,
+                                                     host_image, monkeypatch):
+        # two float64 copies of the 256x256 colour host are 3 MiB
+        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", 16 * 256 * 256 * 3 - 1)
+        out = tmp_path / "x.ppm"
+        rc, payload, err = run_cli(capsys, "attack", "--in", host_image,
+                                   "--out", str(out), "--transform", "rotate:5")
+        assert rc == EXIT_IMAGE_IO
+        assert payload is None
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert "limit of 3145727" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
     @pytest.mark.parametrize("name", PARAMETERISED)
     def test_non_finite_parameter(self, tmp_path, capsys, host_image, name, bad):

@@ -530,6 +530,115 @@ class TestAttackDigests:
     def test_every_transform_pinned(self):
         assert {name for name, _, _ in self.DIGESTS} == set(transform_names())
 
+    # _resample walks the output in bands of rows: 1 pixel gives one row
+    # per band (a band narrower than a row), 97 one row at these widths,
+    # and 300 several rows with a shorter last band
+    @pytest.mark.parametrize("band", [1, 97, 300])
+    @pytest.mark.parametrize("name, value, digest", DIGESTS)
+    def test_outputs_pinned_for_any_band(self, monkeypatch, band, name, value, digest):
+        monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
+        self.test_outputs_pinned(name, value, digest)
+
+
+def _whole_plane_bilinear(plane, yy, xx):
+    """The resampler before banding: one channel at full-plane float
+    coordinates, reflect padding."""
+    h, w = plane.shape
+    y0 = np.floor(yy).astype(np.int64)
+    x0 = np.floor(xx).astype(np.int64)
+    wy = yy - y0
+    wx = xx - x0
+    y0r = imagechannel._reflect_index(y0, h)
+    y1r = imagechannel._reflect_index(y0 + 1, h)
+    x0r = imagechannel._reflect_index(x0, w)
+    x1r = imagechannel._reflect_index(x0 + 1, w)
+    top = plane[y0r, x0r] * (1.0 - wx) + plane[y0r, x1r] * wx
+    bot = plane[y1r, x0r] * (1.0 - wx) + plane[y1r, x1r] * wx
+    return top * (1.0 - wy) + bot * wy
+
+
+def _whole_plane_crop(px, ratio):
+    """Full-plane source coordinates of a crop, as before banding."""
+    h, w = px.shape[:2]
+    ch, cw = max(1, round(ratio * h)), max(1, round(ratio * w))
+    ys = (h - ch) // 2 + (np.arange(h) + 0.5) * (ch / h) - 0.5
+    xs = (w - cw) // 2 + (np.arange(w) + 0.5) * (cw / w) - 0.5
+    return np.meshgrid(ys, xs, indexing="ij")
+
+
+def _whole_plane_rotate(px, degrees):
+    """Full-plane source coordinates of a rotation, as before banding."""
+    h, w = px.shape[:2]
+    theta = math.radians(degrees)
+    cy, cx = (h - 1) / 2.0, (w - 1) / 2.0
+    yy, xx = np.meshgrid(np.arange(h, dtype=np.float64),
+                         np.arange(w, dtype=np.float64), indexing="ij")
+    dy, dx = yy - cy, xx - cx
+    cos_t, sin_t = math.cos(theta), math.sin(theta)
+    return cy + cos_t * dy + sin_t * dx, cx - sin_t * dy + cos_t * dx
+
+
+class TestBandedResample:
+    @pytest.mark.parametrize("band", [imagechannel._BAND_PIXELS, 97])
+    @pytest.mark.parametrize("height, width, color",
+                             [(301, 517, True), (97, 1031, True), (1031, 97, False)])
+    @pytest.mark.parametrize("transform, oracle, value",
+                             [(imagechannel._crop, _whole_plane_crop, 0.9),
+                              (imagechannel._crop, _whole_plane_crop, 0.55),
+                              (imagechannel._rotate, _whole_plane_rotate, 5.0),
+                              (imagechannel._rotate, _whole_plane_rotate, -31.0)])
+    def test_bit_equal_to_whole_plane(self, monkeypatch, band, height, width, color,
+                                      transform, oracle, value):
+        monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
+        px = make_image(23, height=height, width=width, color=color).pixels.astype(np.float64)
+        yy, xx = oracle(px, value)
+        want = np.stack([_whole_plane_bilinear(px[:, :, c], yy, xx)
+                         for c in range(px.shape[2])], axis=2)
+        assert np.array_equal(transform(px, None, value), want)
+
+
+# each transform's first pinned parameter
+ONE_VALUE = {name: value for name, value, _ in reversed(TestAttackDigests.DIGESTS)}
+
+
+class TestAttackMemory:
+    @pytest.mark.parametrize("color", [True, False])
+    @pytest.mark.parametrize("name", sorted(ONE_VALUE))
+    def test_input_untouched(self, name, color):
+        img = make_image(24, height=41, width=67, color=color)
+        before = img.pixels.tobytes()
+        out = attack(img, name, ONE_VALUE[name])
+        assert img.pixels.tobytes() == before
+        assert not np.shares_memory(out.pixels, img.pixels)
+
+    @pytest.mark.parametrize("name", sorted(ONE_VALUE))
+    def test_peak_within_two_float_copies(self, name):
+        # two float64 copies of a 512x512 colour image are 12 MiB
+        img = make_image(25, height=512, width=512)
+        tracemalloc.start()
+        try:
+            attack(img, name, ONE_VALUE[name])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
+
+    @pytest.mark.parametrize("color", [True, False])
+    def test_refuses_image_above_limit_before_converting(self, monkeypatch, color):
+        img = make_image(26, height=512, width=512, color=color)
+        need = 16 * img.pixels.size
+        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", need)
+        assert attack(img, "rotate", 5.0).pixels.shape == img.pixels.shape
+        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", need - 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImageSizeError, match=f"{need} bytes .* limit of {need - 1}"):
+                attack(img, "rotate", 5.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < img.pixels.size  # no float copy was made
+
 
 class TestJpegTables:
     def test_quality_50_is_base_table(self):
