@@ -308,8 +308,9 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 # to the transform, which may overwrite it; _quantize rounds (half to
 # even), clips and wraps once, for attacks and embed alike.  No
 # transform holds more than about two float64 copies of the image: the
-# pointwise ones work in place, and crop and rotate fill one new array
-# a band of rows at a time.
+# pointwise ones work in place (gaussian_noise draws its noise a band of
+# rows at a time), jpeg_like quantizes its padded luma plane in place,
+# and crop and rotate fill one new array a band of rows at a time.
 
 # Largest 16 * H * W * C (two float64 copies of the image) that
 # attack() accepts.
@@ -389,6 +390,16 @@ def _saturation(px: np.ndarray, rng, factor: float) -> np.ndarray:
     return _scale_about(px, _luma(px)[:, :, np.newaxis], factor)
 
 
+def _gaussian_noise(px: np.ndarray, rng, sigma: float) -> np.ndarray:
+    # bands of whole rows draw one stream in row-major order, as one
+    # full-plane draw would
+    rows = max(1, _BAND_PIXELS // px.shape[1])
+    for r0 in range(0, px.shape[0], rows):
+        band = px[r0:r0 + rows]
+        band += sigma * rng.standard_normal(band.shape)
+    return px
+
+
 def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
     """Central crop to a side ratio, rescaled back to original size."""
     if not 0.0 < ratio <= 1.0:
@@ -461,13 +472,19 @@ def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
     h, w = plane.shape
     ph = (8 - h % 8) % 8
     pw = (8 - w % 8) % 8
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="symmetric") - 128.0
+    padded = np.pad(plane, ((0, ph), (0, pw)), mode="symmetric")
+    padded -= 128.0
     bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
     blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
     coeff = np.einsum("ij,abjk,lk->abil", _DCT8, blocks, _DCT8)
-    coeff = np.rint(coeff / qt) * qt
+    del padded, blocks
+    coeff /= qt
+    np.rint(coeff, out=coeff)
+    coeff *= qt
     back = np.einsum("ji,abjk,kl->abil", _DCT8, coeff, _DCT8)
-    out = back.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8) + 128.0
+    del coeff
+    out = back.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
+    out += 128.0
     return out[:h, :w]
 
 
@@ -494,8 +511,7 @@ _TRANSFORMS = {
     "brightness_add": (lambda px, rng, offset: np.add(px, offset, out=px), "offset"),
     "contrast": (_contrast, "factor"),
     "saturation": (_saturation, "factor"),
-    "gaussian_noise": (lambda px, rng, sigma: px + sigma * rng.standard_normal(px.shape),
-                       "sigma"),
+    "gaussian_noise": (_gaussian_noise, "sigma"),
     "crop": (_crop, "ratio"),
     "rotate": (_rotate, "degrees"),
     "jpeg_like": (_jpeg_like, "quality"),

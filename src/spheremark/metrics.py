@@ -4,7 +4,8 @@ Text fidelity: sentence-level BLEU-4 against a single reference and
 exact-match rate.  Detection: ROC curve with a tie-aware trapezoid
 AUC (equal to the Mann-Whitney statistic with half credit for ties)
 and operating-point selection at a target false-positive rate, both
-from one stable array sort (a tied group's threshold is its first score).
+from one array sort (a tied group's threshold is its first occurrence,
+the one of least input index).
 Memorization: fraction of a sentence's 4-grams absent from a
 training-corpus index.
 """
@@ -84,15 +85,23 @@ def _sweep(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.
     """Distinct scores descending, and int64 #pos and #neg at or above each,
     all three led by the (inf, 0, 0) anchor.
 
-    One stable sort groups tied scores; a group's threshold is its first
-    occurrence, so a tied 0.0/-0.0 group keeps the sign seen first.
+    One array sort, which need not be stable, groups tied scores; a
+    group's threshold is its first occurrence (least input index), so a
+    tied 0.0/-0.0 group keeps the sign seen first, whatever order the
+    sort leaves the group in.
     """
-    scores = np.fromiter((float(s.score) for s in samples), np.float64, len(samples))
-    neg = np.fromiter((not s.label for s in samples), np.intp, len(samples))
-    _, first, group = np.unique(-scores, return_index=True, return_inverse=True)
-    counts = np.bincount(2 * group + neg, minlength=2 * len(first)).reshape(-1, 2)
-    tp, fp = np.vstack([(0, 0), np.cumsum(counts, axis=0)]).T
-    return np.concatenate([[math.inf], scores[first]]), tp, fp
+    scores = np.array([s.score for s in samples], dtype=np.float64)
+    neg = np.array([not s.label for s in samples], dtype=bool)
+    if not len(scores):
+        return np.array([math.inf]), np.zeros(1, np.int64), np.zeros(1, np.int64)
+    order = np.argsort(-scores)
+    ranked = scores[order]
+    # a group starts where the sorted score changes; 0.0 == -0.0, so they tie
+    starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
+    ends = np.append(starts[1:], len(ranked))
+    fp = np.concatenate([[0], np.cumsum(neg[order])[ends - 1]])
+    first = np.minimum.reduceat(order, starts)
+    return np.concatenate([[math.inf], scores[first]]), np.concatenate([[0], ends]) - fp, fp
 
 
 def roc(samples: Sequence[ScoredSample]) -> RocResult:

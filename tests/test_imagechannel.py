@@ -611,9 +611,14 @@ class TestAttackMemory:
         assert img.pixels.tobytes() == before
         assert not np.shares_memory(out.pixels, img.pixels)
 
+    # one float64 copy of a 512x512 colour image is 6 MiB: gaussian_noise
+    # adds its noise to that copy a band at a time, jpeg_like holds about
+    # a second copy in luma planes, and crop and rotate hold a second
+    # copy plus a band's corner indices and weights per channel
+    PEAK_MIB = {"gaussian_noise": 8.5, "jpeg_like": 12.5}
+
     @pytest.mark.parametrize("name", sorted(ONE_VALUE))
     def test_peak_within_two_float_copies(self, name):
-        # two float64 copies of a 512x512 colour image are 12 MiB
         img = make_image(25, height=512, width=512)
         tracemalloc.start()
         try:
@@ -621,7 +626,8 @@ class TestAttackMemory:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 20 * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
+        bound = self.PEAK_MIB.get(name, 20)
+        assert peak <= bound * 2**20, f"{name} peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("color", [True, False])
     def test_refuses_image_above_limit_before_converting(self, monkeypatch, color):

@@ -321,6 +321,17 @@ def operating_points_reference(samples, targets):
     return [threshold_at_fpr_reference(samples, t) for t in targets]
 
 
+def _zero_group_mid_list(first):
+    """500 zeros whose first member, of sign ``first``, comes after 400
+    other samples; the other 499 zeros, interleaved with 0.5s, have the
+    other sign."""
+    samples = [ScoredSample(1.5 if k % 2 else -1.5, k % 3 == 0) for k in range(400)]
+    samples.append(ScoredSample(first, True))
+    for k in range(499):
+        samples += [ScoredSample(-first, k % 2 == 0), ScoredSample(0.5, k % 5 == 0)]
+    return samples
+
+
 class TestSweepMatchesReference:
     CASES = {
         "no positives": _mk([], [1.0, 2.0, 2.0, 3.0]),
@@ -331,6 +342,9 @@ class TestSweepMatchesReference:
         "empty": [],
         # max score + 1 rounds back to max: neither version may claim fpr 0
         "beyond 2**53": _mk([1.0], [2.0 ** 53, 2.0 ** 53]),
+        # a tied group far longer than any sort's small-array cutoff
+        "zero group led by -0.0 mid-list": _zero_group_mid_list(-0.0),
+        "zero group led by 0.0 mid-list": _zero_group_mid_list(0.0),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -359,6 +373,9 @@ class TestSweepMatchesReference:
         assert (op.threshold, op.achieved_tpr, op.achieved_fpr) == (2.0, 1.0, 1.0)
         with pytest.raises(DomainError):
             threshold_at_fpr(self.CASES["beyond 2**53"], 0.5)
+        for first in (-0.0, 0.0):
+            zero = roc(self.CASES[f"zero group led by {first} mid-list"]).thresholds[2]
+            assert repr(zero) == repr(first)
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,6 +395,30 @@ def test_sweep_equals_reference_on_ties(samples_target):
 @example((_mk([1.0], [2.0 ** 53, 2.0 ** 53]), [1.0, 0.5, 2.0]))
 def test_operating_points_equal_reference_on_ties(samples_targets):
     samples, targets = samples_targets
+    assert (_outcome(operating_points, samples, targets)
+            == _outcome(operating_points_reference, samples, targets))
+
+
+@st.composite
+def long_tied_samples_and_targets(draw):
+    """Up to 300 samples over at most four scores, both zeros among
+    them, so tied groups run past the sort kernels' small-array
+    cutoffs, where unstable kernels reorder ties."""
+    pool = [0.0, -0.0] + draw(st.lists(TIED_SCORES, max_size=2))
+    n = draw(st.integers(0, 300))
+    scores = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    samples = [ScoredSample(s, lab) for s, lab in zip(scores, labels)]
+    return samples, [_draw_target(draw, samples) for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(long_tied_samples_and_targets())
+def test_long_tied_groups_equal_reference(samples_targets):
+    samples, targets = samples_targets
+    assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+    assert (_outcome(threshold_at_fpr, samples, targets[0])
+            == _outcome(threshold_at_fpr_reference, samples, targets[0]))
     assert (_outcome(operating_points, samples, targets)
             == _outcome(operating_points_reference, samples, targets))
 
