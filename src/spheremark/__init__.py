@@ -13,8 +13,8 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
                      ImageFormatError, ImageSizeError, KeyFileError,
                      UnknownTransformError)
-from .codec import (CapacityReport, Codec, CodecDescriptor, Message,
-                    SignCodec, capacity_report, get_codec, idempotence_check)
+from .codec import (Codec, CodecDescriptor, Message, SignCodec, get_codec,
+                    idempotence_check)
 from .confidence import (ELL_CAP, ConfidenceReport, assess, ell_from_p,
                          log_reg_inc_beta, reg_inc_beta, spherical_log10_p,
                          spherical_p_value)
@@ -25,7 +25,6 @@ from .metrics import (NgramIndex, OperatingPoint, RocResult, ScoredSample,
 from .netpbm import RasterImage, psnr, read_image, write_image
 from .rotation import (RotationMatrix, SecretKey, load_key, rotate,
                        sample_rotation, save_key, unrotate)
-from .sphere import (DEFAULT_DIM, UnitVector, cosine, cosine_loss,
-                     sample_uniform, unit)
+from .sphere import DEFAULT_DIM, UnitVector, cosine, sample_uniform, unit
 
 __version__ = "0.1.0"

@@ -9,17 +9,19 @@ dimension, so the noise scale that realizes a target is
 
 run_sweep pushes messages through a Watermark's rotations, with
 perturb's noise in place of the image, assesses them and aggregates
-per-profile statistics.  Each (profile, message) cell draws its message
-and noise from its own stream, so results do not depend on evaluation
-order.  A profile has one Philox key, that of stream(root, label), and
-cell i draws from that key starting at counter block i (rekey), so no
-two cells' draws overlap and one generator, re-pointed per cell, serves
-every cell.  Cells run in blocks of at most _BLOCK_ROWS consecutive
-cells of one profile: the draws are taken cell by cell, then encode,
-rotate, noise, unrotate, decode and the cosines run on the block's rows
-at once, and the p-values row by row.  A block never mixes profiles, so
-a profile's row does not depend on which other profiles run or in what
-order, and memory stays bounded for any number of messages.
+per-profile statistics.  Cells run in blocks of _BLOCK_ROWS consecutive
+cells of one profile, block k holding cells 64k ... 64k + 63 (the last
+block may be shorter).  A profile has one Philox key, that of
+stream(root, label), and each of a block's three fields draws from that
+key at its own counter block (rekey): the message bytes at 3k, their
+last bytes at 3k + 1 and the noise at 3k + 2.  numpy's samplers draw
+row after row, so a cell's values depend only on (root, profile name,
+cell index), not on the number of cells, on other profiles or on
+evaluation order, and one generator, re-pointed per field, serves every
+block.  Encode, rotate, noise, unrotate, decode and the cosines then run
+on the block's rows at once, and the p-values row by row.  A block
+never mixes profiles, and memory stays bounded for any number of
+messages.
 """
 from __future__ import annotations
 
@@ -38,7 +40,7 @@ from .errors import DomainError
 from .imagechannel import extract
 from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
-from .sphere import UnitVector, _from_rows, _to_rows, cosine, unit
+from .sphere import UnitVector, _from_rows, _row_dots, _to_rows, cosine, unit
 from .streams import label_entropy, rekey, stream_key
 
 
@@ -194,14 +196,32 @@ SWEEP_CSV_HEADER = "profile,n,mean_cosine,exact_match,mean_ell,trusted_rate"
 
 # Cells per block in run_sweep: enough rows that one matrix product
 # replaces that many one-row products, few enough that a block's
-# arrays stay near 128 KiB each at d = 256.
+# arrays stay near 128 KiB each at d = 256.  It is part of the sweep's
+# stream layout: block k's fields start at counter blocks 3k, 3k + 1
+# and 3k + 2, so changing it changes every sweep's draws.
 _BLOCK_ROWS = 64
 
 
-def _random_message(rng: np.random.Generator, length: int) -> bytes:
-    body = rng.integers(0, 256, size=length, dtype=np.uint8)
-    body[-1] = rng.integers(1, 256)  # trailing NUL would break padding
-    return body.tobytes()
+def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: int,
+                message_len: int, dim: int, sigma: float
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The first n cells of block k of one profile: their (n, message_len)
+    uint8 message bytes, and their (n, dim) noise rows of norm sigma
+    (None at sigma 0).  Row j is the same for any n > j."""
+    rekey(rng, profile_key, 3 * k)
+    body = rng.integers(0, 256, size=(n, message_len), dtype=np.uint8)
+    rekey(rng, profile_key, 3 * k + 1)
+    body[:, -1] = rng.integers(1, 256, size=n)  # trailing NUL would break padding
+    if sigma == 0.0:
+        return body, None
+    rekey(rng, profile_key, 3 * k + 2)
+    noise = rng.standard_normal((n, dim))
+    norms = np.sqrt(_row_dots(noise, noise))
+    noise *= np.divide(sigma, norms, out=np.zeros(n), where=norms > 0.0)[:, None]
+    # a zero-norm row (chance ~0) is redrawn after the block's rows
+    for j in np.flatnonzero(norms == 0.0):
+        noise[j] = _noise(rng, dim, sigma)
+    return body, noise
 
 
 def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
@@ -212,12 +232,12 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
 
     ``unrotate_key`` substitutes a different key on the receive side
     to measure wrong-key behavior; default is the embedding key.
-    Cell (profile, i) draws from the key of stream(root,
-    label_entropy(name)) at counter (0, i, 0, 0), root being one draw
-    from the caller's rng, so the table is reproducible and
+    Cell (profile, i) sits in block k = i // _BLOCK_ROWS, and its
+    fields draw from the key of stream(root, label_entropy(name)) at
+    counters (0, 3k + f, 0, 0), f = 0, 1, 2, root being one draw from
+    the caller's rng, so the table is reproducible and
     order-independent, and cell i does not depend on n_messages.
-    n_messages stays below 2**32, the sweep's documented limit, though
-    a counter word would take any 64-bit index.
+    n_messages stays below 2**32, the sweep's documented limit.
     """
     if not 1 <= n_messages < 2**32:
         raise DomainError(f"n_messages {n_messages} outside [1, 2**32)")
@@ -236,8 +256,8 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     # one root draw; each profile's key derives from (root, profile name)
     # so the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
-    # one generator, re-pointed at each cell's counter block in turn
-    cell_rng = np.random.Generator(np.random.Philox(key=0))
+    # one generator, re-pointed at each field's counter block in turn
+    block_rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
     for profile in profiles:
         profile_key = stream_key(root, label_entropy(profile.name))
@@ -246,15 +266,13 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
         match_count = 0
         trusted_count = 0
         for start in range(0, n_messages, _BLOCK_ROWS):
-            payloads, noise = [], []
-            for i in range(start, min(start + _BLOCK_ROWS, n_messages)):
-                rekey(cell_rng, profile_key, i)
-                payloads.append(_random_message(cell_rng, message_len))
-                if profile.sigma > 0.0:
-                    noise.append(_noise(cell_rng, dim, profile.sigma))
+            n = min(_BLOCK_ROWS, n_messages - start)
+            body, noise = _draw_block(block_rng, profile_key, start // _BLOCK_ROWS, n,
+                                      message_len, dim, profile.sigma)
+            payloads = [row.tobytes() for row in body]
             v, received = sender.sign_many([Message(p) for p in payloads])
-            if noise:
-                received = unit(received + np.array(noise))
+            if noise is not None:
+                received = unit(received + noise)
             v_hat, reports = receiver.open_many(received, ell_threshold)
             cosines = cosine(v, v_hat).tolist()
             for payload, c, report in zip(payloads, cosines, reports):

@@ -23,10 +23,6 @@ import numpy as np
 from .errors import CapacityExceededError, DimensionError, DomainError
 from .sphere import UnitVector, _from_rows, _to_rows
 
-# Guard against float artifacts in tokens*bits_per_token products,
-# e.g. 30*15.6 evaluating to 468.00000000000006.
-_CEIL_EPS = 1e-9
-
 
 @dataclass(frozen=True)
 class Message:
@@ -174,21 +170,3 @@ def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
     again = codec.decode(reencoded)
     passes = [ok and a.data == d.data for ok, a, d in zip(fits, again, decoded)]
     return _from_rows(passes, one), _from_rows(reencoded, one), _from_rows(decoded, one)
-
-
-@dataclass(frozen=True)
-class CapacityReport:
-    raw_bits: int
-    codec_bits: int
-    fits: bool
-
-
-def capacity_report(codec: Codec, tokens_per_message: int,
-                    bits_per_token: float) -> CapacityReport:
-    """Compare a token-stream payload size against codec capacity."""
-    if tokens_per_message <= 0 or bits_per_token <= 0:
-        raise DomainError("tokens_per_message and bits_per_token must be positive")
-    raw_bits = math.ceil(tokens_per_message * bits_per_token - _CEIL_EPS)
-    codec_bits = codec.descriptor.capacity_bits
-    return CapacityReport(raw_bits=raw_bits, codec_bits=codec_bits,
-                          fits=raw_bits <= codec_bits)

@@ -154,8 +154,3 @@ def cosine(a: UnitVector | np.ndarray, b: UnitVector | np.ndarray) -> float | np
         raise DimensionMismatchError(f"cosine takes two unit vectors or two blocks of "
                                      f"one shape, got {rows_a.shape} and {rows_b.shape}")
     return _from_rows(np.clip(_row_dots(rows_a, rows_b), -1.0, 1.0), one)
-
-
-def cosine_loss(a: UnitVector, b: UnitVector) -> float:
-    """1 - cosine(a, b); zero iff the vectors coincide."""
-    return 1.0 - cosine(a, b)

@@ -16,7 +16,7 @@ from spheremark import (ChannelProfile, Codec, CodecDescriptor, DimensionError,
                         write_sweep_csv)
 from spheremark import channel
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
-from spheremark.streams import label_entropy, stream
+from spheremark.streams import label_entropy, stream, stream_key
 from conftest import make_image
 
 CHI2_CRIT_15_99 = 30.57791416689249
@@ -344,6 +344,9 @@ class TestRunSweep:
         assert [row[0] for row in table[1:]] == names
 
 
+BLOCK = channel._BLOCK_ROWS
+
+
 class DriftingCodec(SignCodec):
     """Overrides decode only: a decode gains a byte, so no decode is
     idempotent and every sweep cell must come out untrusted."""
@@ -375,12 +378,14 @@ class ScalarSignCodec(Codec):
 
 def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
                     ell_threshold=100.0, unrotate_key=None):
-    """The per-cell chain run_sweep replaced, built from public pieces:
-    cell i of a profile is a fresh Philox under the key of
-    SeedSequence([root, label]), started at counter (0, i, 0, 0)."""
-    m_send = sample_rotation(key, codec.descriptor.dim)
-    m_recv = m_send if unrotate_key is None else sample_rotation(
-        unrotate_key, codec.descriptor.dim)
+    """The sweep cell by cell, built from public pieces: cell i of a
+    profile is row j = i % BLOCK of block k = i // BLOCK.  Its field f
+    (message bytes, last byte, noise) comes from a fresh Philox under the
+    key of SeedSequence([root, label]), started at counter
+    (0, 3k + f, 0, 0), which draws rows 0 ... j and keeps row j."""
+    dim = codec.descriptor.dim
+    m_send = sample_rotation(key, dim)
+    m_recv = m_send if unrotate_key is None else sample_rotation(unrotate_key, dim)
     root = int(rng.integers(0, 2**63))
     rows = []
     for profile in profiles:
@@ -389,13 +394,17 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
         profile_key = np.random.SeedSequence(
             [root, label_entropy(profile.name)]).generate_state(2, np.uint64)
         for i in range(n_messages):
-            cell_rng = np.random.Generator(
-                np.random.Philox(key=profile_key, counter=[0, i, 0, 0]))
-            body = cell_rng.integers(0, 256, size=message_len, dtype=np.uint8)
-            body[-1] = cell_rng.integers(1, 256)
+            k, j = divmod(i, BLOCK)
+            body_rng, last_rng, noise_rng = (
+                np.random.Generator(np.random.Philox(key=profile_key,
+                                                     counter=[0, 3 * k + f, 0, 0]))
+                for f in range(3))
+            body = body_rng.integers(0, 256, size=(j + 1, message_len), dtype=np.uint8)[j]
+            body[-1] = last_rng.integers(1, 256, size=j + 1)[j]
             payload = body.tobytes()
             v = UnitVector(codec.encode([Message(payload)])[0])
-            received = perturb(rotate(m_send, v), profile.sigma, cell_rng)
+            noise_rng.standard_normal((j, dim))  # rows 0 ... j - 1
+            received = perturb(rotate(m_send, v), profile.sigma, noise_rng)
             v_hat = unrotate(m_recv, received)
             report = assess(codec, v_hat, ell_threshold)
             cos_sum += cosine(v, v_hat)
@@ -406,6 +415,24 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
                              match_count / n_messages, ell_sum / n_messages,
                              trusted_count / n_messages))
     return rows
+
+
+def per_cell_chain_cosines(profile, n_messages, root, *, message_len=16, dim=256):
+    """Cell cosines of the layout the block draws replaced: cell i is one
+    fresh Philox under the profile's key at counter (0, i, 0, 0), drawing
+    its message bytes, its last byte and its noise in turn.  The noise is
+    isotropic, so the rotations, which keep every cosine, are left out."""
+    codec = SignCodec(dim)
+    profile_key = np.random.SeedSequence(
+        [root, label_entropy(profile.name)]).generate_state(2, np.uint64)
+    out = np.empty(n_messages)
+    for i in range(n_messages):
+        cell_rng = np.random.Generator(np.random.Philox(key=profile_key, counter=[0, i, 0, 0]))
+        body = cell_rng.integers(0, 256, size=message_len, dtype=np.uint8)
+        body[-1] = cell_rng.integers(1, 256)
+        v = codec.encode(Message(body.tobytes()))
+        out[i] = cosine(v, perturb(v, profile.sigma, cell_rng))
+    return out
 
 
 def assert_same_sweep(got, want, tmp_path):
@@ -423,9 +450,6 @@ def assert_same_sweep(got, want, tmp_path):
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
-BLOCK = channel._BLOCK_ROWS
-
-
 class TestSweepBlocks:
     KEY = SecretKey(seed=5)
     WRONG = SecretKey(seed=6)
@@ -436,7 +460,7 @@ class TestSweepBlocks:
                 ChannelProfile.from_target("hard", 0.7, 256)]
 
     @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
     def test_equals_per_cell_chain(self, tmp_path, n, wrong):
         unrotate_key = self.WRONG if wrong else None
         got = run_sweep(self.PROFILES, SignCodec(256), self.KEY, n, stream(40, n),
@@ -530,3 +554,92 @@ class TestSweepBlocks:
             tracemalloc.stop()
         assert rows[0].n == 20_000
         assert peak < 6 * 2**20, peak
+
+
+class ZeroRowGenerator:
+    """A numpy Generator whose (n, d) normal draws come back with one row
+    zeroed."""
+
+    generator = np.random.Generator
+
+    def __init__(self, bit_generator, row=0):
+        self.inner = self.generator(bit_generator)
+        self.bit_generator = self.inner.bit_generator
+        self.row = row
+
+    def integers(self, *args, **kwargs):
+        return self.inner.integers(*args, **kwargs)
+
+    def standard_normal(self, shape):
+        g = self.inner.standard_normal(shape)
+        if g.ndim == 2:
+            g[self.row] = 0.0
+        return g
+
+
+class TestBlockDraws:
+    PROFILE_KEY = stream_key(3, 4)
+    SIGMA = 0.3
+
+    def _draw(self, k, n, rng=None, sigma=SIGMA):
+        rng = np.random.Generator(np.random.Philox(key=0)) if rng is None else rng
+        return channel._draw_block(rng, self.PROFILE_KEY, k, n, 16, 256, sigma)
+
+    @pytest.mark.parametrize("k", [0, 1, 7])
+    def test_shorter_block_is_a_prefix(self, k):
+        # cells [64k, 64k + m) draw the first m rows of what cells
+        # [64k, 64k + m') draw, so a cell does not depend on n_messages
+        for m, longer in ((1, 2), (5, 17), (17, BLOCK - 1), (BLOCK - 1, BLOCK)):
+            body, noise = self._draw(k, m)
+            long_body, long_noise = self._draw(k, longer)
+            assert np.array_equal(body, long_body[:m])
+            assert np.array_equal(noise, long_noise[:m])
+            # the noise has its own stream: sigma 0 draws none and moves no byte
+            quiet_body, quiet_noise = self._draw(k, m, sigma=0.0)
+            assert quiet_noise is None and np.array_equal(quiet_body, body)
+
+    def test_fields_and_rows(self):
+        body, noise = self._draw(2, BLOCK)
+        assert body.shape == (BLOCK, 16) and body.dtype == np.uint8
+        assert np.all(body[:, -1] != 0)
+        assert noise.shape == (BLOCK, 256)
+        assert np.allclose(np.linalg.norm(noise, axis=1), self.SIGMA, rtol=1e-14, atol=0)
+        # block k's fields start at counter blocks 3k, 3k + 1 and 3k + 2
+        fields = [np.random.Generator(np.random.Philox(key=self.PROFILE_KEY,
+                                                       counter=[0, 6 + f, 0, 0]))
+                  for f in range(3)]
+        assert np.array_equal(body[:, :-1], fields[0].integers(
+            0, 256, size=(BLOCK, 16), dtype=np.uint8)[:, :-1])
+        assert np.array_equal(body[:, -1], fields[1].integers(1, 256, size=BLOCK))
+        g = fields[2].standard_normal((BLOCK, 256))
+        assert np.array_equal(noise[5], self.SIGMA / np.linalg.norm(g[5]) * g[5])
+
+    def test_zero_norm_row_is_redrawn(self):
+        body, noise = self._draw(1, 5, ZeroRowGenerator(np.random.Philox(key=0), row=2))
+        want_body, want = self._draw(1, 5)
+        assert np.array_equal(body, want_body)
+        assert np.all(np.isfinite(noise))
+        assert np.array_equal(np.delete(noise, 2, axis=0), np.delete(want, 2, axis=0))
+        # the redraw is the noise stream's next row after the block's rows
+        g = np.random.Generator(np.random.Philox(
+            key=self.PROFILE_KEY, counter=[0, 5, 0, 0])).standard_normal((6, 256))[5]
+        assert np.array_equal(noise[2], self.SIGMA / np.linalg.norm(g) * g)
+
+    def test_zero_norm_row_does_not_raise_in_sweep(self, monkeypatch):
+        monkeypatch.setattr(np.random, "Generator", ZeroRowGenerator)
+        prof = ChannelProfile.from_target("p", 0.984, 256)
+        rows = run_sweep([prof], SignCodec(256), SecretKey(seed=5), BLOCK + 1, stream(47))
+        assert rows[0].exact_match == 1.0 and 0.9 < rows[0].mean_cosine < 1.0
+
+    def test_mean_cosine_matches_per_cell_layout(self):
+        # old and new draws share a distribution: over 2000 cells each
+        # default profile's mean cosine lies within 4 standard errors of
+        # the per-cell chain's, under an unrelated root
+        n = 2000
+        profiles = default_profiles(256)
+        rows = run_sweep(profiles, SignCodec(256), SecretKey(seed=5), n, stream(48))
+        for profile, row in zip(profiles, rows):
+            old = per_cell_chain_cosines(profile, n, root=49)
+            standard_error = math.sqrt(2.0 / n) * float(old.std(ddof=1))
+            assert abs(row.mean_cosine - float(old.mean())) <= 4 * standard_error, \
+                (profile.name, row.mean_cosine, float(old.mean()), standard_error)

@@ -687,7 +687,10 @@ class TestPinnedOutputs:
     # digests were retaken when sweep cells moved from one SeedSequence
     # stream per cell to one Philox key per profile, cell i at counter
     # block i: the messages and noise are new draws from the same
-    # distributions.
+    # distributions.  They were retaken again when each 64-cell block's
+    # message bytes, last bytes and noise moved to one draw per field,
+    # block k's fields at counter blocks 3k, 3k + 1 and 3k + 2: new draws
+    # from the same distributions once more.
     OPEN = {
         "right key": "aacff7740c92cbc9fa46485eebb8e1308f8ecd39b885f45cea7327980d84f4e0",
         "unmarked": "93432a50fac4f9d735ec4b413cd46a01396f1bd69da4935a1f46822f6493e92b",
@@ -700,8 +703,8 @@ class TestPinnedOutputs:
             "95179709dbebdcb1aa22afaa614d4cbd61da1b1db648fd6f2bf41942c73e5858",
     }
     SWEEP = {
-        "right key": "62d06efefb8610e222afddac7ea5fc7b315b39a6dcc5f2644db3f2b002299744",
-        "wrong key": "80a59e32befdca63cf7d1a81136df62a0e9f91305d5c80f0c201bfc991d84562",
+        "right key": "99af16e7fbb436e392d99785856943a54e1a7f9086d5d0dd8f59cddef3653538",
+        "wrong key": "885c77be6fe1f99da96163e9f1af32e3dccd91a662e1d8a79760587b88d1b26e",
     }
 
     @pytest.fixture

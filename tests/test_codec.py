@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from spheremark import (CapacityExceededError, Codec, CodecDescriptor,
                         DimensionError, DomainError, Message, SignCodec,
-                        UnitVector, capacity_report, get_codec,
-                        idempotence_check, perturb, sample_uniform, unit)
+                        UnitVector, get_codec, idempotence_check, perturb,
+                        sample_uniform, unit)
 from spheremark.streams import stream
 
 PHI_MINUS_2_5 = 0.0062096653257761351  # Gaussian tail at -2.5
@@ -284,39 +284,6 @@ class TestNoiseFlipRate:
     def test_tiny_noise_never_flips(self):
         # sigma=0.01 puts the tail at Phi(-100); no flip can occur
         assert self._flip_rate(0.01) == 0.0
-
-
-class TestCapacityReport:
-    def test_boundary_fits(self):
-        r = capacity_report(SignCodec(256), 16, 16.0)
-        assert r.raw_bits == 256
-        assert r.codec_bits == 256
-        assert r.fits
-
-    def test_single_bit(self):
-        r = capacity_report(SignCodec(256), 1, 1.0)
-        assert r.raw_bits == 1
-        assert r.fits
-
-    def test_fractional_bits_round_up(self):
-        r = capacity_report(SignCodec(256), 30, 15.6)
-        assert r.raw_bits == 468
-        assert not r.fits
-
-    def test_float_artifact_does_not_overcount(self):
-        # 25 * 2.2 evaluates to 55.00000000000001 in binary; the report
-        # must not ceil that artifact to 56
-        assert 25 * 2.2 > 55.0
-        assert capacity_report(SignCodec(64), 25, 2.2).raw_bits == 55
-
-    def test_wide_codec_fits(self):
-        assert capacity_report(SignCodec(468), 30, 15.6).fits
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            capacity_report(SignCodec(256), 0, 15.6)
-        with pytest.raises(DomainError):
-            capacity_report(SignCodec(256), 30, 0.0)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from spheremark import (DEFAULT_DIM, DimensionError, DimensionMismatchError,
-                        DomainError, UnitVector, cosine, cosine_loss,
-                        sample_uniform, unit)
+                        DomainError, UnitVector, cosine, sample_uniform,
+                        unit)
 from spheremark.streams import stream
 
 # mean pairwise cosine at d=256: per-pair sd is 1/16, so over 1e4 pairs
@@ -138,22 +138,6 @@ class TestCosine:
         rng = stream(6)
         with pytest.raises(DimensionMismatchError):
             cosine(sample_uniform(8, rng), sample_uniform(16, rng))
-
-    def test_loss_zero_for_equal_inputs(self):
-        rng = stream(7)
-        for _ in range(50):
-            v = sample_uniform(128, rng)
-            assert cosine_loss(v, v) <= 1e-12
-
-    def test_loss_separates_distinct_inputs(self):
-        a = UnitVector(np.array([1.0, 0.0]))
-        b = unit(np.array([1.0, 1e-3]))
-        assert cosine_loss(a, b) > 1e-9
-        assert not np.allclose(a.components, b.components, atol=1e-9)
-
-    def test_loss_range(self):
-        a = UnitVector(np.array([1.0, 0.0]))
-        assert cosine_loss(a, UnitVector(np.array([-1.0, 0.0]))) == 2.0
 
 
 class TestUnitHelper:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spheremark.channel import _noise, _random_message
+from spheremark.channel import _noise
 from spheremark.streams import label_entropy, rekey, stream, stream_key
 
 ROOTS = [0, 7, 2**32 - 1, 2**32, 2**63 - 1, 0x243F6A8885A308D3]
@@ -73,7 +73,11 @@ class TestRekey:
         rng = self._used_generator()
         rekey(rng, self.KEY, i)
         fresh = self._fresh(i)
-        assert _random_message(rng, 16) == _random_message(fresh, 16)
+        # the samplers the sweep draws a block's fields with
+        assert np.array_equal(rng.integers(0, 256, size=(3, 16), dtype=np.uint8),
+                              fresh.integers(0, 256, size=(3, 16), dtype=np.uint8))
+        assert np.array_equal(rng.integers(1, 256, size=3), fresh.integers(1, 256, size=3))
+        assert np.array_equal(rng.standard_normal((3, 256)), fresh.standard_normal((3, 256)))
         assert np.array_equal(_noise(rng, 256, 0.18), _noise(fresh, 256, 0.18))
 
     @pytest.mark.parametrize("i", BLOCKS)
