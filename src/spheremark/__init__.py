@@ -16,12 +16,10 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
 from .codec import (Codec, CodecDescriptor, Message, SignCodec, get_codec,
                     idempotence_check)
 from .confidence import (ELL_CAP, ConfidenceReport, assess, ell_from_p,
-                         log_reg_inc_beta, reg_inc_beta, spherical_log10_p,
-                         spherical_p_value)
+                         log_reg_inc_beta, reg_inc_beta, spherical_p_value)
 from .imagechannel import CarrierSet, attack, embed, extract, transform_names
 from .metrics import (NgramIndex, OperatingPoint, RocResult, ScoredSample,
-                      bleu4, exact_match, novelty_score, operating_points, roc,
-                      threshold_at_fpr)
+                      bleu4, exact_match, novelty_score, roc, threshold_at_fpr)
 from .netpbm import RasterImage, psnr, read_image, write_image
 from .rotation import (RotationMatrix, SecretKey, load_key, rotate,
                        sample_rotation, save_key, unrotate)

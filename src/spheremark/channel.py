@@ -130,6 +130,10 @@ def profiles_from_dicts(entries: list, dim: int) -> list[ChannelProfile]:
         name = entry.get("name")
         if not isinstance(name, str) or not name:
             raise DomainError(f"{where}.name must be a non-empty string")
+        if "\x00" in name:
+            # label_entropy reads the name as a little-endian integer, so
+            # trailing NULs would not change the profile's stream
+            raise DomainError(f"{where}.name must not contain a NUL character")
         target = entry.get("target_cosine")
         if not isinstance(target, (int, float)) or isinstance(target, bool):
             raise DomainError(f"{where}.target_cosine must be a number")

@@ -34,10 +34,6 @@ class Message:
         if not isinstance(self.data, bytes):
             object.__setattr__(self, "data", bytes(self.data))
 
-    @classmethod
-    def from_text(cls, text: str) -> "Message":
-        return cls(text.encode("utf-8"))
-
     @property
     def text(self) -> str | None:
         """UTF-8 view of the payload, or None when it does not decode."""
@@ -52,7 +48,6 @@ class CodecDescriptor:
     name: str
     dim: int
     capacity_bits: int
-    deterministic: bool
 
     def __post_init__(self):
         if self.dim < 2:
@@ -93,8 +88,7 @@ class SignCodec(Codec):
     """
 
     def __init__(self, dim: int = 256):
-        self.descriptor = CodecDescriptor(
-            name="sign", dim=dim, capacity_bits=dim, deterministic=True)
+        self.descriptor = CodecDescriptor(name="sign", dim=dim, capacity_bits=dim)
         self._scale = 1.0 / math.sqrt(dim)
 
     def encode(self, messages: list[Message] | Message) -> np.ndarray | UnitVector:

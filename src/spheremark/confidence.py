@@ -14,8 +14,8 @@ The incomplete beta is evaluated one way, in log space: a modified
 Lentz continued fraction times a prefactor, with the symmetry
 I_x(a,b) = 1 - I_{1-x}(b,a) for the upper range (Press et al.,
 Numerical Recipes, 3rd ed., section 6.4).  Payload cosines near 1 drive
-p below the smallest positive float; the log value stays finite there,
-so spherical_log10_p still tells genuine detections apart.
+p below the smallest positive float; log_reg_inc_beta stays finite
+there, so the log value still tells genuine detections apart.
 """
 from __future__ import annotations
 
@@ -125,19 +125,6 @@ def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     return math.log1p(-tail)
 
 
-def _tail_x(c: float, dim: int) -> float | None:
-    """Shared argument checks: x = 1 - c^2 of the clamped cosine for the
-    tail integral, or None when c <= 0 (see spherical_p_value)."""
-    if dim < 2:
-        raise DimensionError(f"dimension {dim} < 2")
-    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
-        raise DomainError(f"cosine {c} outside [-1, 1]")
-    c = min(1.0, max(-1.0, c))
-    if c <= 0.0:
-        return None
-    return (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
-
-
 def spherical_p_value(c: float, dim: int) -> float:
     """Chance probability of cosine alignment at least |c| in dimension d.
 
@@ -145,22 +132,15 @@ def spherical_p_value(c: float, dim: int) -> float:
     Cosines beyond |1| by more than a rounding tolerance are domain
     errors; within it they are clamped.
     """
-    x = _tail_x(c, dim)
-    if x is None:
+    if dim < 2:
+        raise DimensionError(f"dimension {dim} < 2")
+    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
+        raise DomainError(f"cosine {c} outside [-1, 1]")
+    c = min(1.0, max(-1.0, c))
+    if c <= 0.0:
         return 1.0
+    x = (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
     return reg_inc_beta(x, (dim - 1) / 2.0, 0.5)  # may underflow to 0.0
-
-
-def spherical_log10_p(c: float, dim: int) -> float:
-    """log10 of spherical_p_value, finite through the underflow range.
-
-    Diagnostic accessor: reported ell values come from the p-value
-    itself so that ell == -log10(p_value) holds exactly.
-    """
-    x = _tail_x(c, dim)
-    if x is None:
-        return 0.0
-    return log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)
 
 
 @dataclass(frozen=True)

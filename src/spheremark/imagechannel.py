@@ -99,8 +99,8 @@ class CarrierSet:
     ``lo[i]``, so the set keeps one bit per sample: bit i % 16 of
     ``words[i // 16, p]`` is set where carrier i takes ``hi[i]`` at
     pixel p (pixels in row-major order).  Bits past the last carrier
-    are zero.  That is about d*H*W/8 bytes, against 8*d*H*W for the
-    float64 stack that ``patterns`` rebuilds on request.
+    are zero.  That is about d*H*W/8 bytes, against 8*d*H*W for a
+    float64 stack of the carriers.
     """
 
     key: SecretKey
@@ -157,18 +157,6 @@ class CarrierSet:
             held.flags.writeable = False
         return cls(key=key, dim=dim, height=height, width=width,
                    words=words, hi=hi, lo=lo)
-
-    @property
-    def patterns(self) -> np.ndarray:
-        """The (dim, height, width) float64 carriers, rebuilt from the
-        bits; a new read-only array of 8*d*H*W bytes on every call."""
-        shifts = np.arange(16, dtype=np.uint16)[:, np.newaxis]
-        bits = (self.words[:, np.newaxis, :] >> shifts) & 1
-        bits = bits.reshape(-1, self.height * self.width)[:self.dim]
-        pats = np.where(bits == 1, self.hi[:, np.newaxis], self.lo[:, np.newaxis])
-        pats = pats.reshape(self.dim, self.height, self.width)
-        pats.flags.writeable = False
-        return pats
 
     def superpose(self, v: np.ndarray) -> np.ndarray:
         """sum_i v[i] * carrier i, flattened to H*W samples.

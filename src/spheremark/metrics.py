@@ -149,26 +149,12 @@ class OperatingPoint:
         }
 
 
-def operating_points(samples: Sequence[ScoredSample],
-                     target_fprs: Sequence[float]) -> list[OperatingPoint]:
-    """`threshold_at_fpr` for each target in turn, from one sweep.
-
-    Results and errors are those of the one-target calls made in
-    order: the samples are swept, and their negatives required, once
-    the first target has passed its range check.
-    """
-    targets = list(target_fprs)
-    if not targets:
-        return []
-    _check_target(targets[0])
-    return _operating_points(*_sweep(samples), targets)
-
-
 def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequence[float]
                               ) -> tuple[RocResult, list[OperatingPoint]]:
-    """`roc` and then `operating_points`, from one sweep.
+    """`roc` and then `threshold_at_fpr` for each target in turn, from
+    one sweep.
 
-    Results and errors are those of the two calls made in that order.
+    Results and errors are those of these calls, made in that order.
     """
     groups = _sweep(samples)
     return _roc(*groups), _operating_points(*groups, target_fprs)
@@ -210,7 +196,8 @@ def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> Oper
     misses, the threshold is max score + 1 (rejects everything).
     Positives are optional; with none, achieved_tpr is 0.
     """
-    return operating_points(samples, [target_fpr])[0]
+    _check_target(target_fpr)
+    return _operating_points(*_sweep(samples), [target_fpr])[0]
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,8 @@
 
 Payload vectors live on the surface of the unit hypersphere S^(d-1),
 stored as float64 arrays.  Uniform samples come from normalized
-Gaussian draws, similarity is plain cosine, and vectors round-trip
-through a little-endian binary form and a plain text form.
+Gaussian draws, similarity is plain cosine, and a vector's byte form
+(to_bytes) is what seal's vector_sha256 hashes.
 
 unit and cosine also take a block, an (n, d) array with one vector per
 row.  One vector is a block of one row: _to_rows and _from_rows hold that
@@ -21,11 +21,6 @@ from .errors import DimensionError, DimensionMismatchError, DomainError
 
 DEFAULT_DIM = 256
 NORM_TOL = 1e-9
-
-# Binary layout: u32 little-endian component count, then that many
-# little-endian float64 components.
-_LEN_FMT = "<I"
-_LEN_SIZE = struct.calcsize(_LEN_FMT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,29 +48,10 @@ class UnitVector:
         return int(self.components.size)
 
     def to_bytes(self) -> bytes:
-        """Length-prefixed little-endian float64 serialization."""
+        """u32 little-endian component count, then that many
+        little-endian float64 components."""
         body = self.components.astype("<f8").tobytes()
-        return struct.pack(_LEN_FMT, self.dim) + body
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "UnitVector":
-        if len(data) < _LEN_SIZE:
-            raise DomainError("truncated vector: missing length prefix")
-        (n,) = struct.unpack_from(_LEN_FMT, data)
-        expected = _LEN_SIZE + 8 * n
-        if len(data) != expected:
-            raise DomainError(f"vector payload is {len(data)} bytes, expected {expected}")
-        arr = np.frombuffer(data, dtype="<f8", count=n, offset=_LEN_SIZE)
-        return cls(arr.astype(np.float64))
-
-    def to_text(self) -> str:
-        """One component per line, 17 significant digits."""
-        return "".join(format(float(x), ".17g") + "\n" for x in self.components)
-
-    @classmethod
-    def from_text(cls, text: str) -> "UnitVector":
-        values = [float(line) for line in text.split("\n") if line.strip()]
-        return cls(np.asarray(values, dtype=np.float64))
+        return struct.pack("<I", self.dim) + body
 
 
 def _to_rows(v) -> tuple[np.ndarray, bool]:

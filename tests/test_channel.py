@@ -135,6 +135,11 @@ class TestProfiles:
         with pytest.raises(DomainError, match=r"profiles\[1\]"):
             profiles_from_dicts([{"name": "a", "target_cosine": 0.9},
                                  {"name": "b", "target_cosine": 1.7}], 256)
+        # "a" and "a\x00" have one label_entropy, so they would share a stream
+        for name in ("a\x00", "\x00", "a\x00b"):
+            with pytest.raises(DomainError, match=r"profiles\[1\]\.name"):
+                profiles_from_dicts([{"name": "a", "target_cosine": 0.9},
+                                     {"name": name, "target_cosine": 0.9}], 256)
 
     def test_load_profiles(self, tmp_path):
         path = tmp_path / "p.json"
@@ -360,8 +365,7 @@ class ScalarSignCodec(Codec):
     blocks only; counts the calls it receives."""
 
     def __init__(self, dim):
-        self.descriptor = CodecDescriptor(name="scalar-sign", dim=dim,
-                                          capacity_bits=dim, deterministic=True)
+        self.descriptor = CodecDescriptor(name="scalar-sign", dim=dim, capacity_bits=dim)
         self._inner = SignCodec(dim)
         self.calls = 0
 

@@ -898,6 +898,12 @@ REFUSALS = [
     ("profiles-not-utf8", {"key.json": KEY_JSON, "p.json": NOT_UTF8},
      ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
      EXIT_USAGE, "cannot read profile config"),
+    ("profiles-name-nul",
+     {"key.json": KEY_JSON,
+      "p.json": b'[{"name": "a", "target_cosine": 0.9},'
+                b' {"name": "a\\u0000", "target_cosine": 0.9}]'},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profiles[1].name"),
     ("scores-missing", {}, ["roc", "--scores", "@s.csv", "--out", "@out.csv"],
      EXIT_USAGE, "cannot read"),
     ("scores-blank", {"s.csv": b"\n  \n"}, ["roc", "--scores", "@s.csv", "--out", "@out.csv"],

@@ -16,7 +16,7 @@ PHI_MINUS_2_5 = 0.0062096653257761351  # Gaussian tail at -2.5
 
 class TestMessage:
     def test_text_roundtrip(self):
-        m = Message.from_text("hej värld")
+        m = Message("hej värld".encode("utf-8"))
         assert m.text == "hej värld"
 
     def test_text_none_for_binary(self):
@@ -99,7 +99,6 @@ class TestDescriptor:
         assert d.dim == 256
         assert d.capacity_bits == 256
         assert d.capacity_bytes == 32
-        assert d.deterministic
 
     def test_odd_dim_capacity(self):
         # capacity in whole bytes rounds down
@@ -164,8 +163,7 @@ class GrowingCodec(Codec):
     # a codec that is not a SignCodec; decode appends a byte, and a full
     # payload then cannot re-encode
     def __init__(self, dim):
-        self.descriptor = CodecDescriptor(name="growing", dim=dim,
-                                          capacity_bits=dim, deterministic=True)
+        self.descriptor = CodecDescriptor(name="growing", dim=dim, capacity_bits=dim)
         self._inner = SignCodec(dim)
 
     def encode(self, messages):

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 
 from spheremark import (ELL_CAP, DimensionError, DomainError, Message,
                         SignCodec, assess, ell_from_p, log_reg_inc_beta,
-                        reg_inc_beta, sample_uniform, spherical_log10_p,
-                        spherical_p_value)
-from spheremark.confidence import (_FPMIN, _LENTZ_EPS, _MAX_ITER,
+                        reg_inc_beta, sample_uniform, spherical_p_value)
+from spheremark.confidence import (_COS_SLACK, _FPMIN, _LENTZ_EPS, _MAX_ITER,
                                    VERDICT_TRUSTED, VERDICT_UNTRUSTED,
-                                   _beta_cf, _check_beta_args, _ln_beta,
-                                   _tail_x)
+                                   _beta_cf, _check_beta_args, _ln_beta)
 from spheremark.streams import stream
 
 mp.mp.dps = 50
@@ -27,6 +25,17 @@ TINY = sys.float_info.min
 # Verbatim copies of the two-path evaluation that the single log-space
 # core replaced (renamed with an ``old_`` prefix), kept as references.
 _LOG_SPACE_X = 1e-4
+
+
+def old_tail_x(c: float, dim: int) -> float | None:
+    if dim < 2:
+        raise DimensionError(f"dimension {dim} < 2")
+    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
+        raise DomainError(f"cosine {c} outside [-1, 1]")
+    c = min(1.0, max(-1.0, c))
+    if c <= 0.0:
+        return None
+    return (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
 
 
 def old_beta_cf(a: float, b: float, x: float) -> float:
@@ -82,7 +91,7 @@ def old_reg_inc_beta(x: float, a: float, b: float) -> float:
 
 
 def old_spherical_p_value(c: float, dim: int) -> float:
-    x = _tail_x(c, dim)
+    x = old_tail_x(c, dim)
     if x is None:
         return 1.0
     a = (dim - 1) / 2.0
@@ -94,7 +103,7 @@ def old_spherical_p_value(c: float, dim: int) -> float:
 
 
 def old_spherical_log10_p(c: float, dim: int) -> float:
-    x = _tail_x(c, dim)
+    x = old_tail_x(c, dim)
     if x is None:
         return 0.0
     if x == 0.0:
@@ -208,9 +217,11 @@ class TestSingleLogSpaceCore:
 
     @pytest.mark.parametrize("dim", [64, 256, 512])
     def test_log10_p_bit_equal(self, dim):
+        # the deep tail through the log core alone, c = 1 (x = 0) included
         for c in _cosine_grid():
-            assert (repr(spherical_log10_p(c, dim))
-                    == repr(old_spherical_log10_p(c, dim))), c
+            x = (1.0 - c) * (1.0 + c)
+            got = log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)
+            assert repr(got) == repr(old_spherical_log10_p(c, dim)), c
 
     def test_reg_inc_beta_matches_linear_code(self):
         for a in (0.5, 2.5, 31.5, 127.5, 255.5):
@@ -239,15 +250,6 @@ class TestSphericalPValue:
     def test_dim_validation(self):
         with pytest.raises(DimensionError):
             spherical_p_value(0.5, 1)
-
-    def test_log10_shares_validation(self):
-        assert spherical_log10_p(1.0 + 5e-13, 256) == -math.inf
-        assert spherical_log10_p(-0.7, 256) == 0.0
-        for bad in (1.01, -1.01, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                spherical_log10_p(bad, 256)
-        with pytest.raises(DimensionError):
-            spherical_log10_p(0.5, 1)
 
     def test_dim3_closed_form(self):
         # on S^2 the two-sided tail is exactly 1 - c
@@ -294,17 +296,18 @@ class TestSphericalPValue:
         se = math.sqrt(p * (1.0 - p) / n)
         assert abs(hits / n - p) <= 3.0 * se
 
-    def test_log10_accessor(self):
+    def test_log_core_matches_p_value(self):
         for c in (0.1, 0.3):
             want = math.log10(spherical_p_value(c, 256))
-            assert spherical_log10_p(c, 256) == pytest.approx(want, rel=1e-10)
+            got = log_reg_inc_beta((1.0 - c) * (1.0 + c), 127.5, 0.5) / math.log(10.0)
+            assert got == pytest.approx(want, rel=1e-10)
 
     def test_log10_survives_underflow(self):
-        # p underflows float64 near c = 1; the log path keeps going
+        # p underflows float64 near c = 1; the log core keeps going
         want = mp.log10(mp.betainc(mp.mpf("127.5"), mp.mpf("0.5"), 0,
                                    (1 - mp.mpf("0.999")) * (1 + mp.mpf("0.999")),
                                    regularized=True))
-        got = spherical_log10_p(0.999, 256)
+        got = log_reg_inc_beta((1.0 - 0.999) * (1.0 + 0.999), 127.5, 0.5) / math.log(10.0)
         assert got == pytest.approx(float(want), rel=1e-9)
         assert spherical_p_value(0.999, 256) == 0.0
 

@@ -47,6 +47,23 @@ def _integers_words(dim, height, width):
     return (signs.reshape(-1, 16, n_px) << shifts).sum(axis=1, dtype=np.uint16)
 
 
+def _patterns(cs):
+    """The (dim, height, width) float64 carriers rebuilt from the set's
+    bits, hi and lo: the dense reference for superpose and correlate."""
+    shifts = np.arange(16, dtype=np.uint16)[:, np.newaxis]
+    bits = (cs.words[:, np.newaxis, :] >> shifts) & 1
+    bits = bits.reshape(-1, cs.height * cs.width)[:cs.dim]
+    pats = np.where(bits == 1, cs.hi[:, np.newaxis], cs.lo[:, np.newaxis])
+    return pats.reshape(cs.dim, cs.height, cs.width)
+
+
+def _same_carriers(a, b):
+    """Whether two sets hold the same bits, and bit-equal hi and lo."""
+    return (np.array_equal(a.words, b.words)
+            and np.array_equal(a.hi.view(np.uint64), b.hi.view(np.uint64))
+            and np.array_equal(a.lo.view(np.uint64), b.lo.view(np.uint64)))
+
+
 def _refuse_carrier_work(*args, **kwargs):
     raise AssertionError("carrier work began before the refusal")
 
@@ -62,7 +79,7 @@ def _within_one_ulp(got, square):
 class TestCarriers:
     def test_rows_unit_norm_and_zero_mean(self):
         cs = CarrierSet.generate(KEY, 16, 32, 48)
-        flat = cs.patterns.reshape(16, -1)
+        flat = _patterns(cs).reshape(16, -1)
         assert np.allclose(np.linalg.norm(flat, axis=1), 1.0, atol=1e-9)
         assert float(np.abs(flat.mean(axis=1)).max()) <= 1e-6
 
@@ -70,16 +87,16 @@ class TestCarriers:
         base = CarrierSet.generate(KEY, 8, 32, 32)
         for _ in range(100):
             again = CarrierSet.generate(KEY, 8, 32, 32)
-            assert np.array_equal(base.patterns, again.patterns)
+            assert _same_carriers(base, again)
 
     def test_key_separates_carriers(self):
         a = CarrierSet.generate(SecretKey(seed=1), 8, 32, 32)
         b = CarrierSet.generate(SecretKey(seed=2), 8, 32, 32)
-        assert not np.allclose(a.patterns, b.patterns)
+        assert not np.allclose(_patterns(a), _patterns(b))
 
     def test_shape_separates_carriers(self):
-        a = CarrierSet.generate(KEY, 8, 32, 32).patterns.reshape(8, -1)
-        b = CarrierSet.generate(KEY, 8, 32, 64).patterns.reshape(8, -1)
+        a = _patterns(CarrierSet.generate(KEY, 8, 32, 32)).reshape(8, -1)
+        b = _patterns(CarrierSet.generate(KEY, 8, 32, 64)).reshape(8, -1)
         assert not np.allclose(a, b[:, : a.shape[1]])
 
     def test_rejects_small_plane(self):
@@ -159,7 +176,7 @@ class TestCarriers:
         (3, 33, 35), (67, 64, 64), (100, 97, 101), (256, 40, 33)])
     def test_correlate_and_superpose_match_dense(self, dim, height, width):
         cs = CarrierSet.generate(KEY, dim, height, width)
-        dense = cs.patterns.reshape(dim, -1)
+        dense = _patterns(cs).reshape(dim, -1)
         rng = stream(3, dim, height, width)
         hp = rng.standard_normal((height, width))
         want = dense @ hp.ravel()
@@ -220,7 +237,7 @@ class TestCarrierCache:
         assert got is not first
         assert (got.key.seed, got.dim, got.height, got.width) == tuple(changed)
         want = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
-        assert np.array_equal(got.patterns.view(np.uint64), want.patterns.view(np.uint64))
+        assert _same_carriers(got, want)
 
     @pytest.mark.parametrize("limit, generated", [
         (2**31, 3),        # the default byte limit
@@ -247,14 +264,13 @@ class TestCarrierCache:
 
     def test_threads_alternating_planes_get_their_carriers(self, no_held_carriers):
         planes = [(KEY.seed, 8, 32 + i, 40) for i in range(4)]
-        want = {p: CarrierSet.generate(KEY, *p[1:]).patterns for p in planes}
+        want = {p: CarrierSet.generate(KEY, *p[1:]) for p in planes}
         equal = []
 
         def client(mine):
             for i in range(40):
                 p = mine[i % 2]
-                got = imagechannel._cached_carriers(*p).patterns
-                equal.append(np.array_equal(got.view(np.uint64), want[p].view(np.uint64)))
+                equal.append(_same_carriers(imagechannel._cached_carriers(*p), want[p]))
 
         threads = [threading.Thread(target=client, args=(planes[2 * t:2 * t + 2],))
                    for t in range(2)]

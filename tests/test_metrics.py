@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from spheremark import (DegenerateLabelsError, DomainError, NgramIndex,
                         OperatingPoint, RocResult, ScoredSample, bleu4,
-                        exact_match, novelty_score, operating_points, roc,
-                        threshold_at_fpr)
-from spheremark.metrics import write_roc_csv
+                        exact_match, novelty_score, roc, threshold_at_fpr)
+from spheremark.metrics import roc_with_operating_points, write_roc_csv
 
 # brute-force oracle, frozen by hand:
 # 100 * (5/6 * 3/5 * 1/2 * 1/3) ** 0.25
@@ -321,6 +320,11 @@ def operating_points_reference(samples, targets):
     return [threshold_at_fpr_reference(samples, t) for t in targets]
 
 
+def roc_with_operating_points_reference(samples, targets):
+    """The roc reference, then one threshold reference per target."""
+    return roc_reference(samples), operating_points_reference(samples, targets)
+
+
 def _zero_group_mid_list(first):
     """500 zeros whose first member, of sign ``first``, comes after 400
     other samples; the other 499 zeros, interleaved with 0.5s, have the
@@ -362,8 +366,8 @@ class TestSweepMatchesReference:
         [0.2, 0.2], [0.5, 1.5], [1.5, 0.5], [0.0], []])
     def test_named_cases_several_targets(self, name, targets):
         samples = self.CASES[name]
-        assert (_outcome(operating_points, samples, targets)
-                == _outcome(operating_points_reference, samples, targets))
+        assert (_outcome(roc_with_operating_points, samples, targets)
+                == _outcome(roc_with_operating_points_reference, samples, targets))
 
     def test_named_case_outcomes(self):
         assert threshold_at_fpr(self.CASES["no positives"], 0.5).achieved_tpr == 0.0
@@ -392,11 +396,12 @@ def test_sweep_equals_reference_on_ties(samples_target):
 @settings(max_examples=300, deadline=None)
 @given(tied_samples_and_targets())
 @example(([ScoredSample(1.0, True)], [0.5, 1.5]))
+@example((_mk([1.0], [0.5]), [0.5, 1.5, 0.0]))
 @example((_mk([1.0], [2.0 ** 53, 2.0 ** 53]), [1.0, 0.5, 2.0]))
-def test_operating_points_equal_reference_on_ties(samples_targets):
+def test_roc_with_operating_points_equal_reference_on_ties(samples_targets):
     samples, targets = samples_targets
-    assert (_outcome(operating_points, samples, targets)
-            == _outcome(operating_points_reference, samples, targets))
+    assert (_outcome(roc_with_operating_points, samples, targets)
+            == _outcome(roc_with_operating_points_reference, samples, targets))
 
 
 @st.composite
@@ -419,8 +424,8 @@ def test_long_tied_groups_equal_reference(samples_targets):
     assert _outcome(roc, samples) == _outcome(roc_reference, samples)
     assert (_outcome(threshold_at_fpr, samples, targets[0])
             == _outcome(threshold_at_fpr_reference, samples, targets[0]))
-    assert (_outcome(operating_points, samples, targets)
-            == _outcome(operating_points_reference, samples, targets))
+    assert (_outcome(roc_with_operating_points, samples, targets)
+            == _outcome(roc_with_operating_points_reference, samples, targets))
 
 
 DENSE_TARGETS = (1e-3, 1e-2, 0.1, 1.0)
@@ -451,8 +456,8 @@ def _assert_same_text(got, want):
 def test_dense_ties_equal_reference(zeros):
     samples = _dense_tied_samples(zeros)
     _assert_same_text(repr(roc(samples)), repr(roc_reference(samples)))
-    _assert_same_text(_outcome(operating_points, samples, DENSE_TARGETS),
-                      _outcome(operating_points_reference, samples, DENSE_TARGETS))
+    _assert_same_text(_outcome(roc_with_operating_points, samples, DENSE_TARGETS),
+                      _outcome(roc_with_operating_points_reference, samples, DENSE_TARGETS))
 
 
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
@@ -462,8 +467,8 @@ def test_dense_ties_numpy_bool_labels_equal_bool(zeros):
     samples = _dense_tied_samples(zeros, label=bool)
     np_samples = _dense_tied_samples(zeros, label=np.bool_)
     _assert_same_text(repr(roc(np_samples)), repr(roc(samples)))
-    _assert_same_text(_outcome(operating_points, np_samples, DENSE_TARGETS),
-                      _outcome(operating_points, samples, DENSE_TARGETS))
+    _assert_same_text(_outcome(roc_with_operating_points, np_samples, DENSE_TARGETS),
+                      _outcome(roc_with_operating_points, samples, DENSE_TARGETS))
 
 
 def test_threshold_at_fpr_is_not_quadratic():
