@@ -223,6 +223,11 @@ class TestThresholdAtFpr:
         with pytest.raises(DegenerateLabelsError):
             threshold_at_fpr([ScoredSample(1.0, True)], 0.1)
 
+    def test_target_checked_before_negatives(self):
+        # an out-of-range target is refused even where the sweep would fail
+        with pytest.raises(DomainError, match="target fpr"):
+            threshold_at_fpr([ScoredSample(1.0, True)], 1.5)
+
 
 def roc_reference(samples):
     """The dict-of-groups ROC that the shared sweep replaced, kept as the

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from spheremark.channel import _noise
 from spheremark.streams import label_entropy, rekey, stream, stream_key
@@ -18,6 +20,16 @@ class TestStreamKeys:
     def test_labels_cover_one_to_ten_words(self):
         assert label_entropy("a") < 2**8
         assert 2**(32 * 9) <= label_entropy("é" * 20) < 2**(32 * 10)
+
+    @given(st.lists(st.text(st.characters(blacklist_categories=("Cs",),
+                                           blacklist_characters="\x00")),
+                    min_size=2, max_size=2, unique=True))
+    def test_nul_free_labels_are_distinct(self, labels):
+        # a trailing NUL adds no entropy (label_entropy("a") equals
+        # label_entropy("a\x00")), so sweep profile names may not contain one
+        a, b = labels
+        assert label_entropy(a) != label_entropy(b)
+        assert label_entropy(a + "\x00") == label_entropy(a)
 
     @pytest.mark.parametrize("root", ROOTS)
     @pytest.mark.parametrize("label", LABELS)
