@@ -248,9 +248,14 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     if not 1 <= message_len <= codec.descriptor.capacity_bytes:
         raise DomainError(
             f"message_len {message_len} outside [1, {codec.descriptor.capacity_bytes}]")
-    names = [p.name for p in profiles]
-    if len(set(names)) != len(names):
-        raise DomainError("profile names must be unique")
+    # the stream label, not the name, decides a profile's draws:
+    # "a" and "a\x00" have one label_entropy
+    try:
+        labels = [label_entropy(p.name) for p in profiles]
+    except UnicodeEncodeError as exc:
+        raise DomainError(f"profile name is not valid UTF-8: {exc}") from None
+    if len(set(labels)) != len(labels):
+        raise DomainError("profile names must be unique, also ignoring trailing NULs")
     check_ell_threshold(ell_threshold)
     for profile in profiles:
         _check_sigma(profile.sigma)
@@ -263,8 +268,8 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     # one generator, re-pointed at each field's counter block in turn
     block_rng = np.random.Generator(np.random.Philox(key=0))
     rows = []
-    for profile in profiles:
-        profile_key = stream_key(root, label_entropy(profile.name))
+    for profile, label in zip(profiles, labels):
+        profile_key = stream_key(root, label)
         cos_sum = 0.0
         ell_sum = 0.0
         match_count = 0

@@ -271,6 +271,21 @@ class TestRunSweep:
         with pytest.raises(DomainError):
             run_sweep([prof, prof], codec, key, 5, stream(9))
 
+    @pytest.mark.parametrize("name", ["dup\x00", "dup\x00\x00"])
+    def test_rejects_names_sharing_a_stream(self, name):
+        # label_entropy ignores trailing NULs, so these would draw alike
+        codec, key = self._codec_key()
+        profs = [ChannelProfile.from_target("dup", 0.99, 256),
+                 ChannelProfile.from_target(name, 0.99, 256)]
+        with pytest.raises(DomainError, match="unique"):
+            run_sweep(profs, codec, key, 5, stream(9))
+
+    def test_rejects_name_not_utf8(self):
+        codec, key = self._codec_key()
+        prof = ChannelProfile.from_target("a\ud800", 0.99, 256)
+        with pytest.raises(DomainError, match="UTF-8"):
+            run_sweep([prof], codec, key, 5, stream(9))
+
     def test_rejects_bad_message_len(self):
         codec, key = self._codec_key()
         prof = ChannelProfile.from_target("p", 0.99, 256)

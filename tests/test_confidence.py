@@ -242,10 +242,9 @@ class TestSphericalPValue:
 
     def test_clamp_slack(self):
         assert spherical_p_value(1.0 + 5e-13, 256) == 0.0
-        with pytest.raises(DomainError):
-            spherical_p_value(1.01, 256)
-        with pytest.raises(DomainError):
-            spherical_p_value(math.nan, 256)
+        for bad in (1.01, -1.01, math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                spherical_p_value(bad, 256)
 
     def test_dim_validation(self):
         with pytest.raises(DimensionError):

@@ -218,15 +218,13 @@ class TestThresholdAtFpr:
         for bad in (0.0, -0.1, 1.1):
             with pytest.raises(DomainError):
                 threshold_at_fpr(samples, bad)
+        # the target is checked first, even where the sweep would fail
+        with pytest.raises(DomainError, match="target fpr"):
+            threshold_at_fpr([ScoredSample(1.0, True)], 1.5)
 
     def test_needs_negatives(self):
         with pytest.raises(DegenerateLabelsError):
             threshold_at_fpr([ScoredSample(1.0, True)], 0.1)
-
-    def test_target_checked_before_negatives(self):
-        # an out-of-range target is refused even where the sweep would fail
-        with pytest.raises(DomainError, match="target fpr"):
-            threshold_at_fpr([ScoredSample(1.0, True)], 1.5)
 
 
 def roc_reference(samples):
