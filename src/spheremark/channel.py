@@ -145,8 +145,14 @@ def profiles_from_dicts(entries: list, dim: int) -> list[ChannelProfile]:
 
 
 def load_profiles(path: str, dim: int) -> list[ChannelProfile]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return profiles_from_dicts(json.load(fh), dim)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            entries = json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DomainError(f"profile config {path}: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read profile config: {exc}") from exc
+    return profiles_from_dicts(entries, dim)
 
 
 def default_profiles(dim: int) -> list[ChannelProfile]:
@@ -174,7 +180,10 @@ class Watermark:
 
     def sign_many(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
         """sign for a block of messages: the (n, d) encoded rows, and the
-        same rows signed by one product with the rotation."""
+        same rows signed by one product with the rotation.  Refuses a
+        message ending in a NUL byte, which decode strips with the padding."""
+        if any(m.data.endswith(b"\x00") for m in messages):
+            raise DomainError("message ends in a NUL byte, which decode would strip")
         v = self.codec.encode(messages)
         return v, rotate(self.rotation, v)
 

@@ -33,7 +33,7 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      ImageFormatError, ImageSizeError, KeyFileError,
                      UnknownTransformError)
 from .imagechannel import attack as apply_attack
-from .imagechannel import embed, transform_names
+from .imagechannel import check_transform, embed, transform_names
 from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
                       novelty_score, roc_with_operating_points, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
@@ -95,10 +95,6 @@ def _parse_message(args) -> Message:
             data = bytes.fromhex(args.message_hex)
         except ValueError as exc:
             raise DomainError(f"--message-hex is not valid hex: {exc}") from exc
-    if data.endswith(b"\x00"):
-        raise DomainError(
-            "message ends in a NUL byte, which the zero-padding convention "
-            "cannot represent")
     if not data:
         raise DomainError("empty message")
     return Message(data)
@@ -106,12 +102,7 @@ def _parse_message(args) -> Message:
 
 def _parse_transform(spec: str) -> tuple[str, float | None]:
     name, sep, raw = spec.partition(":")
-    if not sep:
-        return name, None
-    try:
-        return name, float(raw)
-    except ValueError as exc:
-        raise DomainError(f"transform parameter {raw!r} is not a number") from exc
+    return name, check_transform(name, raw if sep else None)
 
 
 def cmd_keygen(args) -> int:
@@ -128,8 +119,8 @@ def cmd_seal(args) -> int:
     key = load_key(args.key)
     codec = get_codec(args.codec, args.dim)
     message = _parse_message(args)
-    img = read_image(args.infile)
     carrier_vec = Watermark(key, codec).sign(message)
+    img = read_image(args.infile)
     marked = embed(img, carrier_vec, key, args.psnr)
     out = _resolve_out(args, args.out)
     write_image(marked, out)
@@ -159,8 +150,8 @@ def cmd_open(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    img = read_image(args.infile)
     name, value = _parse_transform(args.transform)
+    img = read_image(args.infile)
     out_img = apply_attack(img, name, value, rng=_stage_rng(args, "attack"))
     out = _resolve_out(args, args.out)
     write_image(out_img, out)
@@ -173,15 +164,8 @@ def cmd_attack(args) -> int:
 def cmd_sweep(args) -> int:
     key = load_key(args.key)
     codec = get_codec(args.codec, args.dim)
-    if args.profiles:
-        try:
-            profiles = load_profiles(args.profiles, args.dim)
-        except json.JSONDecodeError as exc:
-            raise DomainError(f"profile config {args.profiles}: {exc}") from exc
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DomainError(f"cannot read profile config: {exc}") from exc
-    else:
-        profiles = default_profiles(args.dim)
+    profiles = (load_profiles(args.profiles, args.dim) if args.profiles
+                else default_profiles(args.dim))
     unrotate_key = load_key(args.unrotate_key) if args.unrotate_key else None
     rows = run_sweep(profiles, codec, key, args.n, _stage_rng(args, "sweep"),
                      message_len=args.message_len,
@@ -320,9 +304,12 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_corpus(args) -> int:
+    transform = _parse_transform(args.transform) if args.transform else None
     key = load_key(args.key)
     codec = get_codec(args.codec, args.dim)
     message = _parse_message(args)
+    watermark = Watermark(key, codec)
+    carrier_vec = watermark.sign(message)
     try:
         names = sorted(n for n in os.listdir(args.dir)
                        if n.endswith((".pgm", ".ppm")))
@@ -336,10 +323,7 @@ def cmd_corpus(args) -> int:
         except UnicodeEncodeError:
             raise ImageFormatError(
                 f"file name {ascii(name)} under {args.dir} is not valid UTF-8") from None
-    transform = _parse_transform(args.transform) if args.transform else None
     rng = _stage_rng(args, "corpus")
-    watermark = Watermark(key, codec)
-    carrier_vec = watermark.sign(message)
     out = _resolve_out(args, args.out)
     with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")

@@ -10,7 +10,7 @@ calibrating everything downstream.
 
 Padding convention: messages shorter than capacity are zero-padded,
 and decode strips trailing zero bytes.  Messages therefore must not
-end in a NUL byte themselves; front ends reject those.
+end in a NUL byte themselves; Watermark.sign_many rejects those.
 """
 from __future__ import annotations
 

@@ -390,8 +390,6 @@ def _gaussian_noise(px: np.ndarray, rng, sigma: float) -> np.ndarray:
 
 def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
     """Central crop to a side ratio, rescaled back to original size."""
-    if not 0.0 < ratio <= 1.0:
-        raise DomainError(f"crop ratio {ratio} outside (0, 1]")
     h, w = px.shape[:2]
     ch = max(1, round(ratio * h))
     cw = max(1, round(ratio * w))
@@ -444,8 +442,6 @@ _DCT8 = _dct8_matrix()
 
 
 def _scaled_quant_table(quality: int) -> np.ndarray:
-    if not 1 <= quality <= 100:
-        raise DomainError(f"jpeg quality {quality} outside [1, 100]")
     if quality < 50:
         scale = 5000.0 / quality
     else:
@@ -479,11 +475,8 @@ def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
 def _jpeg_like(px: np.ndarray, rng, quality: float) -> np.ndarray:
     """Luma-only JPEG proxy; on color images the luma delta is added
     to every channel, leaving chroma untouched."""
-    q = int(quality)
-    if q != quality:
-        raise DomainError(f"jpeg quality {quality} must be an integer")
     y = _luma(px)
-    y2 = _jpeg_plane(y, q)
+    y2 = _jpeg_plane(y, int(quality))
     if px.shape[2] == 1:
         return y2[:, :, np.newaxis]
     y2 -= y
@@ -491,18 +484,22 @@ def _jpeg_like(px: np.ndarray, rng, quality: float) -> np.ndarray:
     return px
 
 
-# name -> (transform, its parameter's name or None)
+_NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
+
+# name -> (transform(px, rng, value), its parameter's name or None, and
+# the parameter's domain as (test, wording) or None for any finite value)
 _TRANSFORMS = {
-    "identity": (lambda px, rng: px, None),
-    "hflip": (lambda px, rng: px[:, ::-1], None),
-    "brightness": (lambda px, rng, factor: np.multiply(px, factor, out=px), "factor"),
-    "brightness_add": (lambda px, rng, offset: np.add(px, offset, out=px), "offset"),
-    "contrast": (_contrast, "factor"),
-    "saturation": (_saturation, "factor"),
-    "gaussian_noise": (_gaussian_noise, "sigma"),
-    "crop": (_crop, "ratio"),
-    "rotate": (_rotate, "degrees"),
-    "jpeg_like": (_jpeg_like, "quality"),
+    "identity": (lambda px, rng, _: px, None, None),
+    "hflip": (lambda px, rng, _: px[:, ::-1], None, None),
+    "brightness": (lambda px, rng, f: np.multiply(px, f, out=px), "factor", _NON_NEGATIVE),
+    "brightness_add": (lambda px, rng, v: np.add(px, v, out=px), "offset", None),
+    "contrast": (_contrast, "factor", _NON_NEGATIVE),
+    "saturation": (_saturation, "factor", _NON_NEGATIVE),
+    "gaussian_noise": (_gaussian_noise, "sigma", _NON_NEGATIVE),
+    "crop": (_crop, "ratio", (lambda v: 0.0 < v <= 1.0, "in (0, 1]")),
+    "rotate": (_rotate, "degrees", None),
+    "jpeg_like": (_jpeg_like, "quality",
+                  (lambda v: v.is_integer() and 1 <= v <= 100, "an integer in [1, 100]")),
 }
 
 
@@ -510,30 +507,39 @@ def transform_names() -> list[str]:
     return sorted(_TRANSFORMS)
 
 
+def check_transform(name: str, value: float | str | None = None) -> float | None:
+    """The one check of a transform spec: UnknownTransformError or DomainError
+    if attack() must refuse it, else the value as a float (None if it takes none)."""
+    if name not in _TRANSFORMS:
+        raise UnknownTransformError(
+            f"unknown transform {name!r}; valid: {', '.join(transform_names())}")
+    _, param, domain = _TRANSFORMS[name]
+    if (param is None) != (value is None):
+        raise DomainError(f"transform {name!r} takes no parameter" if param is None
+                          else f"transform {name!r} requires parameter {param!r}")
+    if value is None:
+        return None
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise DomainError(f"transform parameter {value!r} is not a number") from None
+    if not math.isfinite(number):
+        raise DomainError(f"transform {name!r} needs a finite {param}, got {value}")
+    if domain is not None and not domain[0](number):
+        raise DomainError(f"transform {name!r} needs {param} {domain[1]}, got {value}")
+    return number
+
+
 def attack(img: RasterImage, name: str, value: float | None = None,
            rng: np.random.Generator | None = None) -> RasterImage:
     """Apply a named pixel-domain transform.
 
     ``value`` is the transform's single parameter (None for identity
-    and hflip).  ``rng`` feeds gaussian_noise; when omitted, a fixed
-    stream makes repeated calls deterministic.
+    and hflip), checked by check_transform before the image is copied.
+    ``rng`` feeds gaussian_noise; when omitted, a fixed stream makes
+    repeated calls deterministic.
     """
-    if name not in _TRANSFORMS:
-        raise UnknownTransformError(
-            f"unknown transform {name!r}; valid: {', '.join(transform_names())}")
-    fn, param = _TRANSFORMS[name]
-    if param is None:
-        if value is not None:
-            raise DomainError(f"transform {name!r} takes no parameter")
-        args = ()
-    else:
-        if value is None:
-            raise DomainError(f"transform {name!r} requires parameter {param!r}")
-        args = (float(value),)
-        if not math.isfinite(args[0]):
-            raise DomainError(f"transform {name!r} needs a finite {param}, got {value}")
-        if param in ("factor", "sigma") and args[0] < 0.0:
-            raise DomainError(f"transform {name!r} needs {param} >= 0, got {value}")
+    value = check_transform(name, value)
     need = 16 * img.pixels.size
     if need > MAX_ATTACK_BYTES:
         raise ImageSizeError(
@@ -541,4 +547,4 @@ def attack(img: RasterImage, name: str, value: float | None = None,
             f"for two float64 copies, above the limit of {MAX_ATTACK_BYTES}")
     if rng is None:
         rng = stream(0)
-    return _quantize(fn(img.pixels.astype(np.float64), rng, *args))
+    return _quantize(_TRANSFORMS[name][0](img.pixels.astype(np.float64), rng, value))

@@ -25,8 +25,8 @@ BLEU_EPS = 1e-9
 NGRAM_ORDER = 4
 
 
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngrams(tokens: Sequence[str], n: int) -> list[tuple]:
+    return [tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1)]
 
 
 def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> float:
@@ -40,8 +40,8 @@ def bleu4(candidate: Sequence[str], reference: Sequence[str]) -> float:
         return 0.0
     log_sum = 0.0
     for n in range(1, NGRAM_ORDER + 1):
-        cand = _ngram_counts(candidate, n)
-        ref = _ngram_counts(reference, n)
+        cand = Counter(_ngrams(candidate, n))
+        ref = Counter(_ngrams(reference, n))
         total = sum(cand.values())
         clipped = sum(min(count, ref[gram]) for gram, count in cand.items())
         if total == 0:  # candidate shorter than n tokens
@@ -211,8 +211,7 @@ class NgramIndex:
     def from_lines(cls, lines: Sequence[str], n: int = NGRAM_ORDER) -> "NgramIndex":
         grams = set()
         for line in lines:
-            tokens = line.split()
-            grams.update(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+            grams.update(_ngrams(line.split(), n))
         return cls(n=n, grams=frozenset(grams))
 
 
@@ -224,7 +223,7 @@ def novelty_score(tokens: Sequence[str], index: NgramIndex) -> float | None:
     """
     if len(tokens) < index.n:
         return None
-    grams = [tuple(tokens[i:i + index.n]) for i in range(len(tokens) - index.n + 1)]
+    grams = _ngrams(tokens, index.n)
     novel = sum(g not in index.grams for g in grams)
     return novel / len(grams)
 

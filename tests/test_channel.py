@@ -151,6 +151,18 @@ class TestProfiles:
         assert profs[0].name == "soft"
         assert profs[0].dim == 128
 
+    @pytest.mark.parametrize("content, fragment", [
+        (b"\xff\n", "cannot read profile config"),  # not UTF-8
+        (None, "cannot read profile config"),  # no such file
+        (b"[{", "profile config"),  # not JSON
+    ], ids=["not-utf8", "missing", "not-json"])
+    def test_load_refuses_unreadable_file(self, tmp_path, content, fragment):
+        path = tmp_path / "p.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(DomainError, match=fragment):
+            load_profiles(path, 128)
+
     def test_default_profiles_shipped(self):
         profs = default_profiles(256)
         assert len(profs) == 21
@@ -188,6 +200,15 @@ class TestWatermark:
         v_hat = unrotate(wm.rotation, extract(sealed, self.KEY, dim))
         assert wm.open(sealed, 100.0) == assess(codec, v_hat, 100.0)
         assert wm.open(sealed, 100.0).message == Message(b"open")
+
+    @pytest.mark.parametrize("messages", [[b"ab\x00"], [b"\x00"], [b"ok", b"ok\x00"]])
+    def test_refuses_trailing_nul(self, messages):
+        # decode strips the zero padding, so b"ab\x00" would open as b"ab"
+        wm = Watermark(self.KEY, SignCodec(256))
+        with pytest.raises(DomainError, match="NUL"):
+            wm.sign_many([Message(m) for m in messages])
+        with pytest.raises(DomainError, match="NUL"):
+            wm.sign(Message(messages[-1]))
 
     def test_sign_many_and_open_many(self):
         codec = SignCodec(256)

@@ -873,9 +873,15 @@ REFUSALS = [
     ("seal-empty-message", {"key.json": KEY_JSON},
      ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
       "--message", ""], EXIT_USAGE, "empty message"),
+    ("seal-message-trailing-nul", {"key.json": KEY_JSON},
+     ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
+      "--message-hex", "6100"], EXIT_USAGE, "NUL byte"),
     ("seal-message-not-utf8", {"key.json": KEY_JSON},
      ["seal", "--in", "@host.ppm", "--out", "@out.ppm", "--key", "@key.json",
       "--message", "\udcff"], EXIT_USAGE, "--message-hex"),
+    ("corpus-message-trailing-nul", {"key.json": KEY_JSON},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message-hex", "6100",
+      "--out", "@out.csv"], EXIT_USAGE, "NUL byte"),
     ("corpus-message-not-utf8", {"key.json": KEY_JSON, "images/a.ppm": HOST},
      ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "\udcff",
       "--out", "@out.csv"], EXIT_USAGE, "--message-hex"),
@@ -928,6 +934,16 @@ REFUSALS = [
     ("train-not-utf8", {"c.txt": b"a b\n", "t.txt": NOT_UTF8},
      ["metrics", "--mode", "novelty", "--candidates", "@c.txt", "--train", "@t.txt"],
      EXIT_USAGE, "cannot read"),
+    ("corpus-transform-unknown", {"key.json": KEY_JSON, "images/a.ppm": b"P6\n"},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
+      "--transform", "nope", "--out", "@out.csv"], EXIT_USAGE, "unknown transform 'nope'"),
+    ("corpus-transform-before-key", {"images/a.ppm": HOST},
+     ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
+      "--transform", "jpeg_like:0", "--out", "@out.csv"], EXIT_USAGE,
+     "quality an integer in [1, 100]"),
+    ("attack-crop-above-one", {},
+     ["attack", "--in", "@missing.ppm", "--transform", "crop:2", "--out", "@out.ppm"],
+     EXIT_USAGE, "ratio in (0, 1]"),
     ("corpus-dir-missing", {"key.json": KEY_JSON},
      ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
       "--out", "@out.csv"], EXIT_IMAGE_IO, "cannot list"),

@@ -23,7 +23,7 @@ from conftest import make_image
 KEY = SecretKey(seed=99)
 DIM = 256
 WRONG_KEY_BOUND = 5.0 / math.sqrt(DIM)
-PARAMETERISED = sorted(n for n, (_, param) in imagechannel._TRANSFORMS.items() if param)
+PARAMETERISED = sorted(n for n, (_, param, _) in imagechannel._TRANSFORMS.items() if param)
 
 
 def _sealed(seed=0, color=True, message=b"hello image chan",
@@ -486,16 +486,24 @@ class TestAttacks:
         assert "identity" in names and "jpeg_like" in names
 
     def test_parameter_validation(self):
-        _, _, wm = _sealed(18)
-        with pytest.raises(DomainError):
-            attack(wm, "identity", 1.0)  # takes no parameter
-        with pytest.raises(DomainError):
-            attack(wm, "rotate")  # needs one
-        for name, bad in (("brightness", -0.1), ("crop", 0.0), ("crop", 1.0001),
-                          ("gaussian_noise", -1.0), ("jpeg_like", 0.0),
-                          ("jpeg_like", 101.0), ("jpeg_like", 80.5)):
+        # refused before the float copy: one copy of this image is 24 MiB
+        img = RasterImage(np.zeros((1024, 1024, 3), dtype=np.uint8))
+        tracemalloc.start()
+        try:
             with pytest.raises(DomainError):
-                attack(wm, name, bad)
+                attack(img, "identity", 1.0)  # takes no parameter
+            with pytest.raises(DomainError):
+                attack(img, "rotate")  # needs one
+            for name, bad in (("brightness", -0.1), ("crop", 0.0), ("crop", 1.0001),
+                              ("crop", 2.0), ("gaussian_noise", -1.0), ("jpeg_like", 0.0),
+                              ("jpeg_like", 101.0), ("jpeg_like", 80.5), ("jpeg_like", 50.5),
+                              ("rotate", "fast")):
+                with pytest.raises(DomainError):
+                    attack(img, name, bad)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, f"refusals peaked at {peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("name", PARAMETERISED)
