@@ -18,9 +18,14 @@ last bytes at 3k + 1 and the noise at 3k + 2.  numpy's samplers draw
 row after row, so a cell's values depend only on (root, profile name,
 cell index), not on the number of cells, on other profiles or on
 evaluation order, and one generator, re-pointed per field, serves every
-block.  Encode, rotate, noise, unrotate, decode and the cosines then run
-on the block's rows at once, and the p-values row by row.  A block
-never mixes profiles, and memory stays bounded for any number of
+block.  Encode, rotate, noise and unrotate then run on the block's rows
+at once.  A block never mixes profiles: a BLAS product row's bits can
+depend on the rows beside it, so the products stay per profile block
+and a profile's rows do not depend on its neighbours.  Scoring (decode,
+re-encode, the cosines and the p-values) is exact row by row, so the
+unrotated blocks queue across profiles and are scored together in
+chunks of _SCORE_ROWS or more rows, each profile adding its cells to
+its sums in cell order.  Memory stays bounded for any number of
 messages.
 """
 from __future__ import annotations
@@ -122,6 +127,8 @@ def profiles_from_dicts(entries: list, dim: int) -> list[ChannelProfile]:
     """Build profiles from parsed JSON; errors carry the offending path."""
     if not isinstance(entries, list):
         raise DomainError("profile config must be a JSON array")
+    if not entries:
+        raise DomainError("profile config must list at least one profile")
     out = []
     for i, entry in enumerate(entries):
         where = f"profiles[{i}]"
@@ -214,6 +221,12 @@ SWEEP_CSV_HEADER = "profile,n,mean_cosine,exact_match,mean_ell,trusted_rate"
 # and 3k + 2, so changing it changes every sweep's draws.
 _BLOCK_ROWS = 64
 
+# Rows run_sweep queues, across profiles, before it scores them in one
+# assess call.  Scoring is row by row exact, so it moves no output: it
+# only trades numpy's fixed cost per call against a chunk's memory,
+# under 0.7 MiB per (rows, d) array at d = 256.
+_SCORE_ROWS = 256
+
 
 def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: int,
                 message_len: int, dim: int, sigma: float
@@ -237,6 +250,19 @@ def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: in
     return body, noise
 
 
+def _score_chunk(codec: Codec, v: np.ndarray, v_hat: np.ndarray, cells: list,
+                 ell_threshold: float) -> None:
+    """Assess a chunk of queued rows in one pass, and add each cell to
+    its profile's [cosine, ell, match, trusted] totals, in cell order.
+    cells holds (totals, payload) per row of v and v_hat."""
+    reports = assess(codec, v_hat, ell_threshold)
+    for (total, payload), c, report in zip(cells, cosine(v, v_hat).tolist(), reports):
+        total[0] += c
+        total[1] += report.ell
+        total[2] += report.message.data == payload
+        total[3] += report.verdict == VERDICT_TRUSTED
+
+
 def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
               n_messages: int, rng: np.random.Generator, *,
               message_len: int = 16, ell_threshold: float = 100.0,
@@ -251,7 +277,17 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     the caller's rng, so the table is reproducible and
     order-independent, and cell i does not depend on n_messages.
     n_messages stays below 2**32, the sweep's documented limit.
+
+    The rotation products run per block of one profile: a BLAS product
+    row's bits can depend on the rows beside it, so a profile's rows
+    must not share a product with another's.  Scoring is row by row
+    exact, so the unrotated blocks queue across profiles and are
+    assessed _SCORE_ROWS or more rows at a time; on a sweep of few
+    cells per profile that pays numpy's fixed cost once per chunk
+    rather than once per profile.
     """
+    if not profiles:
+        raise DomainError("run_sweep needs at least one profile")
     if not 1 <= n_messages < 2**32:
         raise DomainError(f"n_messages {n_messages} outside [1, 2**32)")
     if not 1 <= message_len <= codec.descriptor.capacity_bytes:
@@ -269,20 +305,20 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     for profile in profiles:
         _check_sigma(profile.sigma)
     sender = Watermark(key, codec)
-    receiver = sender if unrotate_key is None else Watermark(unrotate_key, codec)
     dim = codec.descriptor.dim
+    receive = sender.rotation if unrotate_key is None else sample_rotation(unrotate_key, dim)
     # one root draw; each profile's key derives from (root, profile name)
     # so the table does not depend on profile order
     root = int(rng.integers(0, 2**63))
     # one generator, re-pointed at each field's counter block in turn
     block_rng = np.random.Generator(np.random.Philox(key=0))
-    rows = []
-    for profile, label in zip(profiles, labels):
+    totals = [[0.0, 0.0, 0, 0] for _ in profiles]
+    # the queue: encoded and unrotated rows, and (totals, payload) per row
+    sent = np.empty((_SCORE_ROWS + _BLOCK_ROWS - 1, dim))
+    unrotated = np.empty_like(sent)
+    cells = []
+    for profile, label, total in zip(profiles, labels, totals):
         profile_key = stream_key(root, label)
-        cos_sum = 0.0
-        ell_sum = 0.0
-        match_count = 0
-        trusted_count = 0
         for start in range(0, n_messages, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, n_messages - start)
             body, noise = _draw_block(block_rng, profile_key, start // _BLOCK_ROWS, n,
@@ -291,20 +327,21 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
             v, received = sender.sign_many([Message(p) for p in payloads])
             if noise is not None:
                 received = unit(received + noise)
-            v_hat, reports = receiver.open_many(received, ell_threshold)
-            cosines = cosine(v, v_hat).tolist()
-            for payload, c, report in zip(payloads, cosines, reports):
-                cos_sum += c
-                ell_sum += report.ell
-                match_count += report.message.data == payload
-                trusted_count += report.verdict == VERDICT_TRUSTED
-        rows.append(SweepRow(
-            profile=profile.name, n=n_messages,
-            mean_cosine=cos_sum / n_messages,
-            exact_match=match_count / n_messages,
-            mean_ell=ell_sum / n_messages,
-            trusted_rate=trusted_count / n_messages))
-    return rows
+            q = len(cells)
+            sent[q:q + n] = v
+            unrotated[q:q + n] = unrotate(receive, received)
+            cells += [(total, p) for p in payloads]
+            if len(cells) >= _SCORE_ROWS:
+                _score_chunk(codec, sent[:len(cells)], unrotated[:len(cells)], cells,
+                             ell_threshold)
+                cells = []
+    if cells:
+        _score_chunk(codec, sent[:len(cells)], unrotated[:len(cells)], cells, ell_threshold)
+    return [SweepRow(profile=profile.name, n=n_messages,
+                     mean_cosine=cos_sum / n_messages, exact_match=match_count / n_messages,
+                     mean_ell=ell_sum / n_messages, trusted_rate=trusted_count / n_messages)
+            for profile, (cos_sum, ell_sum, match_count, trusted_count)
+            in zip(profiles, totals)]
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:

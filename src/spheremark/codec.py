@@ -108,7 +108,10 @@ class SignCodec(Codec):
         spare = self.descriptor.dim - bits.shape[1]  # dim not divisible by 8
         if spare:
             bits = np.pad(bits, ((0, 0), (0, spare)))
-        rows = (2.0 * bits.astype(np.float64) - 1.0) * self._scale
+        rows = bits.astype(np.float64)
+        rows *= 2.0  # in place: (2b - 1)/sqrt(d) without three block-sized temporaries
+        rows -= 1.0
+        rows *= self._scale
         return _from_rows(rows, one)
 
     def decode(self, rows: np.ndarray | UnitVector) -> list[Message] | Message:

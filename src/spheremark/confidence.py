@@ -16,6 +16,16 @@ I_x(a,b) = 1 - I_{1-x}(b,a) for the upper range (Press et al.,
 Numerical Recipes, 3rd ed., section 6.4).  Payload cosines near 1 drive
 p below the smallest positive float; log_reg_inc_beta stays finite
 there, so the log value still tells genuine detections apart.
+
+A block of rows is scored in one pass: the continued fractions of
+each branch run as one masked Lentz recurrence over an array of x,
+each element stopping at its own convergence step.  The recurrence
+uses only + - * /, abs and compares, which numpy rounds as Python
+does, so every element carries the bits of a one-element call.  The
+prefactor and ell stay per row on math.log, log1p, exp, lgamma and
+log10: numpy's vectorised log, log1p, exp and log10 can differ from
+the C library's in the last bit, and a p-value must not depend on
+the block it was scored in.
 """
 from __future__ import annotations
 
@@ -49,39 +59,49 @@ def _ln_beta(a: float, b: float) -> float:
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _beta_cf(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, by modified Lentz.
+def _beta_cf(a: float, b: float, x: list[float]) -> np.ndarray:
+    """Continued fraction for the incomplete beta, by modified Lentz, at
+    each element of an array of x.
 
     Converges for x < (a + 1)/(a + b + 2); the caller routes the
-    complementary range through the symmetry relation.
+    complementary range through the symmetry relation.  Every element
+    runs the scalar recurrence, with the same operations in the same
+    order, and leaves the array at its own convergence step.
     """
+    x = np.asarray(x, dtype=np.float64)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
-    c = 1.0
+    out = np.empty_like(x)
+    live = np.arange(x.size)  # where each element still iterating goes in out
+    c = np.ones_like(x)
     d = 1.0 - qab * x / qap
-    if abs(d) < _FPMIN:
-        d = _FPMIN
+    d[np.abs(d) < _FPMIN] = _FPMIN
     d = 1.0 / d
     h = d
-    for m in range(1, _MAX_ITER + 1):
+    m = 0
+    while live.size:
+        if m == _MAX_ITER:
+            raise ArithmeticError(f"incomplete beta continued fraction stalled at "
+                                  f"a={a}, b={b}, x={float(x[0])}")
+        m += 1
         m2 = 2 * m
         # one Lentz update for the even, then the odd coefficient
         for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
                    -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
             d = 1.0 + aa * d
-            if abs(d) < _FPMIN:
-                d = _FPMIN
+            d[np.abs(d) < _FPMIN] = _FPMIN
             c = 1.0 + aa / c
-            if abs(c) < _FPMIN:
-                c = _FPMIN
+            c[np.abs(c) < _FPMIN] = _FPMIN
             d = 1.0 / d
             delta = d * c
-            h *= delta
-        if abs(delta - 1.0) <= _LENTZ_EPS:
-            return h
-    raise ArithmeticError(
-        f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
+            h = h * delta
+        done = np.abs(delta - 1.0) <= _LENTZ_EPS
+        if done.any():
+            out[live[done]] = h[done]
+            going = ~done
+            live, x, c, d, h = live[going], x[going], c[going], d[going], h[going]
+    return out
 
 
 def _check_beta_args(x: float, a: float, b: float) -> None:
@@ -114,15 +134,29 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
 def log_reg_inc_beta(x: float, a: float, b: float) -> float:
     """Natural log of I_x(a, b); finite even where the value underflows."""
     _check_beta_args(x, a, b)
-    if x == 0.0:
-        return -math.inf
-    if x == 1.0:
-        return 0.0
-    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return ln_front + math.log(_beta_cf(a, b, x) / a)
-    tail = math.exp(ln_front) * _beta_cf(b, a, 1.0 - x) / b
-    return math.log1p(-tail)
+    return _log_reg_inc_betas([x], a, b)[0]
+
+
+def _log_reg_inc_betas(xs: list[float], a: float, b: float) -> list[float]:
+    """log I_x(a, b) at each checked x of a list: each branch of the
+    symmetry relation runs its continued fractions as one array."""
+    edge = (a + 1.0) / (a + b + 2.0)
+    lower = iter(_beta_cf(a, b, [x for x in xs if 0.0 < x < edge]).tolist())
+    upper = iter(_beta_cf(b, a, [1.0 - x for x in xs if edge <= x < 1.0]).tolist())
+    ln_beta = _ln_beta(a, b)
+    out = []
+    for x in xs:
+        if x == 0.0:
+            out.append(-math.inf)
+        elif x == 1.0:
+            out.append(0.0)
+        else:
+            ln_front = a * math.log(x) + b * math.log1p(-x) - ln_beta
+            if x < edge:
+                out.append(ln_front + math.log(next(lower) / a))
+            else:
+                out.append(math.log1p(-(math.exp(ln_front) * next(upper) / b)))
+    return out
 
 
 def spherical_p_value(c: float, dim: int) -> float:
@@ -132,15 +166,24 @@ def spherical_p_value(c: float, dim: int) -> float:
     Cosines beyond |1| by more than a rounding tolerance are domain
     errors; within it they are clamped.
     """
+    return _p_values([c], dim)[0]
+
+
+def _p_values(cosines: list[float], dim: int) -> list[float]:
+    """spherical_p_value at each cosine of a list, the continued
+    fractions in one pass."""
     if dim < 2:
         raise DimensionError(f"dimension {dim} < 2")
-    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
-        raise DomainError(f"cosine {c} outside [-1, 1]")
-    c = min(1.0, max(-1.0, c))
-    if c <= 0.0:
-        return 1.0
-    x = (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
-    return reg_inc_beta(x, (dim - 1) / 2.0, 0.5)  # may underflow to 0.0
+    xs = []
+    for c in cosines:
+        if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
+            raise DomainError(f"cosine {c} outside [-1, 1]")
+        c = min(1.0, max(-1.0, c))
+        # 1 - c^2 without cancellation at c ~ 1; None marks p = 1
+        xs.append((1.0 - c) * (1.0 + c) if c > 0.0 else None)
+    logs = iter(_log_reg_inc_betas([x for x in xs if x is not None], (dim - 1) / 2.0, 0.5))
+    # exp may underflow to 0.0
+    return [1.0 if x is None else math.exp(next(logs)) for x in xs]
 
 
 @dataclass(frozen=True)
@@ -190,16 +233,18 @@ def assess(codec: Codec, v: UnitVector | np.ndarray,
     compares ell = -log10(p) against the caller's finite threshold.
 
     v may also be a block, an (n, dim) array of unit rows: decode,
-    re-encode and the cosines then run on the whole block, the p-value
-    row by row, and the result is one report per row.  One vector is
-    scored as a block of one row.
+    re-encode, the cosines and the p-values' continued fractions then
+    run on the whole block, and the result is one report per row.  One
+    vector is scored as a block of one row.
     """
     check_ell_threshold(ell_threshold)
     rows, one = _to_rows(v)
     passes, reencoded, decoded = idempotence_check(codec, rows)
+    cosines = cosine(rows, reencoded).tolist()
+    p_values = iter(_p_values([c for c, ok in zip(cosines, passes) if ok], rows.shape[1]))
     reports = []
-    for c, ok, message in zip(cosine(rows, reencoded).tolist(), passes, decoded):
-        p = spherical_p_value(c, rows.shape[1]) if ok else 1.0
+    for c, ok, message in zip(cosines, passes, decoded):
+        p = next(p_values) if ok else 1.0
         ell = ell_from_p(p) if ok else 0.0
         verdict = VERDICT_TRUSTED if ok and ell >= ell_threshold else VERDICT_UNTRUSTED
         reports.append(ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=ok,

@@ -28,8 +28,9 @@ def stream(*entropy: int) -> np.random.Generator:
 
 
 def stream_key(*entropy: int) -> np.ndarray:
-    """The two uint64 Philox key words of stream(*entropy)."""
-    return stream(*entropy).bit_generator.state["state"]["key"]
+    """The two uint64 Philox key words of stream(*entropy), derived as
+    stream() derives them, without building its generator."""
+    return np.random.SeedSequence([int(e) for e in entropy]).generate_state(2, np.uint64)
 
 
 def label_entropy(label: str) -> int:

@@ -136,6 +136,10 @@ class TestProfiles:
             profiles_from_dicts([{"name": "a", "target_cosine": 0.9},
                                  {"name": "b", "target_cosine": 1.7}], 256)
 
+    def test_from_dicts_refuses_empty_list(self):
+        with pytest.raises(DomainError, match="profile config"):
+            profiles_from_dicts([], 256)
+
     @pytest.mark.parametrize("name", ["a\x00", "\x00", "a\x00b"])
     def test_name_with_nul_refused(self, name):
         # "a" and "a\x00" have one label_entropy, so they would share a stream
@@ -358,6 +362,21 @@ class TestRunSweep:
             run_sweep([ChannelProfile.from_target("p", 0.99, 256)], codec, key, n,
                       NoDraws())
 
+    def test_refuses_no_profiles_before_any_rotation_or_draw(self, monkeypatch):
+        # an empty table would be written as a header alone
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sampled or drew before refusing")
+
+        monkeypatch.setattr(channel, "sample_rotation", forbidden)
+        monkeypatch.setattr(channel, "rekey", forbidden)
+        codec, key = self._codec_key()
+
+        class NoDraws:
+            integers = staticmethod(forbidden)
+
+        with pytest.raises(DomainError, match="at least one profile"):
+            run_sweep([], codec, key, 5, NoDraws())
+
     def test_rejects_empty_run(self):
         codec, key = self._codec_key()
         prof = ChannelProfile.from_target("p", 0.99, 256)
@@ -553,8 +572,9 @@ class TestSweepBlocks:
         assert_same_sweep(got, want, tmp_path)
 
     def test_chain_steps_run_once_per_block(self, monkeypatch):
-        # every block step goes through the chain's public functions,
-        # each called once per block, not once per cell
+        # every step goes through the chain's public functions: the
+        # products once per draw block, the scoring once per chunk of
+        # blocks queued across profiles, never once per cell
         calls = {}
 
         def counting(name, fn):
@@ -567,12 +587,29 @@ class TestSweepBlocks:
             monkeypatch.setattr(channel, name, counting(name, getattr(channel, name)))
         for name in ("encode", "decode"):
             monkeypatch.setattr(SignCodec, name, counting(name, getattr(SignCodec, name)))
-        run_sweep(self.PROFILES, SignCodec(256), self.KEY, BLOCK + 1, stream(45))
-        blocks = 2 * len(self.PROFILES)
-        # encode: the messages, then the re-encode; decode: twice in the
-        # idempotence check
-        assert calls == {"rotate": blocks, "unrotate": blocks, "assess": blocks,
-                         "cosine": blocks, "encode": 2 * blocks, "decode": 2 * blocks}
+        run_sweep(self.PROFILES, SignCodec(256), self.KEY, 2 * BLOCK + 1, stream(45))
+        # 3 blocks of 64, 64 and 1 rows per profile: the first chunk is
+        # scored at 257 rows, in profile 1's second block, the last at 130
+        blocks, chunks = 3 * len(self.PROFILES), 2
+        assert channel._SCORE_ROWS == 256
+        # encode: each block's messages, then each chunk's re-encode;
+        # decode: twice per chunk in the idempotence check
+        assert calls == {"rotate": blocks, "unrotate": blocks, "assess": chunks,
+                         "cosine": chunks, "encode": blocks + chunks, "decode": 2 * chunks}
+
+    @pytest.mark.parametrize("count, n", [(5, 100), (21, 1), (21, 13)])
+    def test_scoring_chunks_equal_per_cell_chain(self, tmp_path, count, n):
+        # 5 x 100: blocks of 64 and 36 rows, so the first chunk closes in
+        # profile 2, between its two blocks; 21 x 1 and 21 x 13: one
+        # chunk holds 21, then 20 profiles
+        assert channel._SCORE_ROWS == 256
+        profiles = default_profiles(256)[:count]
+        got = run_sweep(profiles, SignCodec(256), self.KEY, n, stream(47, n))
+        want = reference_sweep(profiles, SignCodec(256), self.KEY, n, stream(47, n))
+        assert_same_sweep(got, want, tmp_path)
+        # scored alone, each profile's rows form chunks of their own
+        for profile, row in zip(profiles, got):
+            assert run_sweep([profile], SignCodec(256), self.KEY, n, stream(47, n)) == [row]
 
     def test_profile_alone_equals_profile_among_defaults(self):
         # a block never mixes profiles, so neighbours cannot move a row

@@ -888,6 +888,9 @@ REFUSALS = [
     ("profiles-not-array", {"key.json": KEY_JSON, "p.json": b"{}"},
      ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
      EXIT_USAGE, "must be a JSON array"),
+    ("profiles-empty", {"key.json": KEY_JSON, "p.json": b"[]"},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profile config must list at least one profile"),
     ("profiles-entry-not-object", {"key.json": KEY_JSON, "p.json": b"[1]"},
      ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
      EXIT_USAGE, "profiles[0] is not an object"),

@@ -10,9 +10,11 @@ from hypothesis import strategies as st
 from spheremark import (ELL_CAP, DimensionError, DomainError, Message,
                         SignCodec, assess, ell_from_p, log_reg_inc_beta,
                         reg_inc_beta, sample_uniform, spherical_p_value)
+from spheremark import confidence
 from spheremark.confidence import (_COS_SLACK, _FPMIN, _LENTZ_EPS, _MAX_ITER,
                                    VERDICT_TRUSTED, VERDICT_UNTRUSTED,
-                                   _beta_cf, _check_beta_args, _ln_beta)
+                                   _beta_cf, _check_beta_args, _ln_beta,
+                                   _log_reg_inc_betas, _p_values)
 from spheremark.streams import stream
 
 mp.mp.dps = 50
@@ -111,6 +113,69 @@ def old_spherical_log10_p(c: float, dim: int) -> float:
     return log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5) / math.log(10.0)
 
 
+# Verbatim copies of the scalar evaluation that the array continued
+# fraction replaced (renamed with a ``scalar_`` prefix): one Lentz loop
+# per x, kept as references for the block p-values.
+def scalar_beta_cf(a: float, b: float, x: float) -> float:
+    qab = a + b
+    qap = a + 1.0
+    qam = a - 1.0
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    if abs(d) < _FPMIN:
+        d = _FPMIN
+    d = 1.0 / d
+    h = d
+    for m in range(1, _MAX_ITER + 1):
+        m2 = 2 * m
+        # one Lentz update for the even, then the odd coefficient
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < _FPMIN:
+                d = _FPMIN
+            c = 1.0 + aa / c
+            if abs(c) < _FPMIN:
+                c = _FPMIN
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
+        if abs(delta - 1.0) <= _LENTZ_EPS:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta continued fraction stalled at a={a}, b={b}, x={x}")
+
+
+def scalar_log_reg_inc_beta(x: float, a: float, b: float) -> float:
+    _check_beta_args(x, a, b)
+    if x == 0.0:
+        return -math.inf
+    if x == 1.0:
+        return 0.0
+    ln_front = a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return ln_front + math.log(scalar_beta_cf(a, b, x) / a)
+    tail = math.exp(ln_front) * scalar_beta_cf(b, a, 1.0 - x) / b
+    return math.log1p(-tail)
+
+
+def scalar_spherical_p_value(c: float, dim: int) -> float:
+    if dim < 2:
+        raise DimensionError(f"dimension {dim} < 2")
+    if not math.isfinite(c) or abs(c) > 1.0 + _COS_SLACK:
+        raise DomainError(f"cosine {c} outside [-1, 1]")
+    c = min(1.0, max(-1.0, c))
+    if c <= 0.0:
+        return 1.0
+    x = (1.0 - c) * (1.0 + c)  # 1 - c^2 without cancellation at c ~ 1
+    return math.exp(scalar_log_reg_inc_beta(x, (dim - 1) / 2.0, 0.5))
+
+
+def one_beta_cf(a: float, b: float, x: float) -> float:
+    """_beta_cf on a one-element array, as the scalar functions call it."""
+    return _beta_cf(a, b, [x]).item()
+
+
 def _outcome(fn, *args) -> str:
     try:
         return repr(fn(*args))
@@ -197,15 +262,15 @@ class TestSingleLogSpaceCore:
            st.one_of(st.just(0.5), st.floats(min_value=0.5, max_value=300.0)),
            st.floats(min_value=0.0, max_value=1.0))
     def test_beta_cf_bit_equal(self, a, b, x):
-        assert _outcome(_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
+        assert _outcome(one_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
 
     def test_beta_cf_bit_equal_seeded(self):
         rng = stream(4096)
         for a, b, x in zip(rng.uniform(0.5, 300.0, 3000),
                            rng.uniform(0.5, 300.0, 3000), rng.uniform(size=3000)):
             a, b, x = float(a), float(b), float(x)
-            assert _outcome(_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
-            assert (_outcome(_beta_cf, a, 0.5, x)
+            assert _outcome(one_beta_cf, a, b, x) == _outcome(old_beta_cf, a, b, x)
+            assert (_outcome(one_beta_cf, a, 0.5, x)
                     == _outcome(old_beta_cf, a, 0.5, x))
 
     @pytest.mark.parametrize("dim", [64, 256, 512])
@@ -230,6 +295,103 @@ class TestSingleLogSpaceCore:
                     x = float(x)
                     got, want = reg_inc_beta(x, a, b), old_reg_inc_beta(x, a, b)
                     assert abs(got - want) <= 2e-13 * max(want, TINY), (a, b, x)
+
+
+DIMS = [2, 3, 64, 256, 512]
+
+
+def _branch_edge_cosines(dim: int) -> list[float]:
+    """Cosines whose x = 1 - c^2 falls at and around (a + 1)/(a + b + 2),
+    where the symmetry relation switches branch."""
+    a = (dim - 1) / 2.0
+    c = math.sqrt(1.0 - (a + 1.0) / (a + 2.5))
+    out = [c]
+    for _ in range(4):
+        out = [math.nextafter(out[0], 0.0)] + out + [math.nextafter(out[-1], 1.0)]
+    return out
+
+
+def _special_cosines() -> list[float]:
+    near_one = [1.0 - k * 2.0 ** -53 for k in range(10)]  # within 1e-15 of 1
+    return [-1.0, -0.5, -1e-300, -0.0, 0.0, 5e-324, 1e-300, 1.0, 1.0 + 5e-13] + near_one
+
+
+class TestBlockPValues:
+    """A block's p-values and ells against the scalar loop they replaced."""
+
+    def _assert_block_equal(self, cosines: list[float], dim: int) -> None:
+        got = _p_values(cosines, dim)
+        want = [scalar_spherical_p_value(c, dim) for c in cosines]
+        assert [repr(p) for p in got] == [repr(p) for p in want]
+        assert [repr(ell_from_p(p)) for p in got] == [repr(ell_from_p(p)) for p in want]
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_seeded_grid(self, dim):
+        # one block mixing both branches, the special cosines and the
+        # branch edge, in a seeded order
+        cosines = (_cosine_grid() + [-c for c in _cosine_grid()[::7]]
+                   + _special_cosines() + _branch_edge_cosines(dim))
+        order = stream(4097, dim).permutation(len(cosines))
+        block = [cosines[i] for i in order]
+        a = (dim - 1) / 2.0
+        xs = [(1.0 - c) * (1.0 + c) for c in block if c > 0.0]
+        edge = (a + 1.0) / (a + 2.5)
+        assert any(x < edge for x in xs) and any(edge <= x < 1.0 for x in xs)
+        self._assert_block_equal(block, dim)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(DIMS),
+           st.lists(st.one_of(st.floats(min_value=-1.0, max_value=1.0),
+                              st.floats(min_value=1.0 - 1e-15, max_value=1.0),
+                              st.sampled_from(_special_cosines())),
+                    min_size=1, max_size=40))
+    def test_any_block(self, dim, cosines):
+        self._assert_block_equal(cosines, dim)
+
+    @pytest.mark.parametrize("dim", DIMS)
+    def test_log_core_at_branch_edge(self, dim):
+        # x exactly at (a + 1)/(a + b + 2) takes the symmetry branch
+        a = (dim - 1) / 2.0
+        edge = (a + 1.0) / (a + 2.5)
+        xs = [0.0, 1.0, edge, math.nextafter(edge, 0.0), math.nextafter(edge, 1.0),
+              0.5 * edge, 0.5 + 0.5 * edge]
+        got = _log_reg_inc_betas(xs, a, 0.5)
+        assert [repr(v) for v in got] == [repr(scalar_log_reg_inc_beta(x, a, 0.5))
+                                          for x in xs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=0.5, max_value=300.0),
+           st.one_of(st.just(0.5), st.floats(min_value=0.5, max_value=300.0)),
+           st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=30))
+    def test_log_core_block(self, a, b, xs):
+        want = [_outcome(scalar_log_reg_inc_beta, x, a, b) for x in xs]
+        if any(w.startswith("stalled") for w in want):
+            return  # a stalled element fails the whole block
+        assert [repr(v) for v in _log_reg_inc_betas(xs, a, b)] == want
+
+    def test_block_stalls_on_its_first_unconverged_element(self, monkeypatch):
+        # one iteration converges x = 1e-12 but neither 0.5 nor 0.25
+        monkeypatch.setattr(confidence, "_MAX_ITER", 1)
+        with pytest.raises(ArithmeticError, match=r"a=127.5, b=0.5, x=0.5$"):
+            _beta_cf(127.5, 0.5, [1e-12, 0.5, 0.25])
+
+    def test_empty_block(self):
+        assert _beta_cf(127.5, 0.5, []).shape == (0,)
+        assert _p_values([], 256) == []
+
+    @pytest.mark.parametrize("dim", [64, 256, 512])
+    def test_assess_block_matches_scalar_loop(self, dim):
+        codec = SignCodec(dim)
+        rng = stream(4098, dim)
+        noisy = [codec.encode(Message(bytes([k + 1]) * (dim // 16))).components
+                 + 0.05 * k * rng.standard_normal(dim) for k in range(20)]
+        rows = np.stack([v / np.linalg.norm(v) for v in noisy]
+                        + [sample_uniform(dim, rng).components for _ in range(20)])
+        reports = assess(codec, rows, 100.0)
+        assert len({r.p_value == 0.0 for r in reports}) == 2  # p underflows at c = 1
+        for r in reports:
+            p = scalar_spherical_p_value(r.cosine, dim)
+            assert (repr(r.p_value), repr(r.ell)) == (repr(p), repr(ell_from_p(p)))
 
 
 class TestSphericalPValue:
