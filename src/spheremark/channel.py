@@ -39,13 +39,13 @@ from importlib import resources
 import numpy as np
 
 from ._fileio import atomic_write
-from .codec import Codec, Message
-from .confidence import VERDICT_TRUSTED, ConfidenceReport, assess, check_ell_threshold
+from .codec import Codec, Message, _octets
+from .confidence import ConfidenceReport, assess, check_ell_threshold
 from .errors import DomainError
 from .imagechannel import extract
 from .netpbm import RasterImage
 from .rotation import SecretKey, rotate, sample_rotation, unrotate
-from .sphere import UnitVector, _from_rows, _row_dots, _to_rows, cosine, unit
+from .sphere import UnitVector, _from_rows, _row_dots, cosine, unit
 from .streams import label_entropy, rekey, stream_key
 
 
@@ -171,7 +171,7 @@ def default_profiles(dim: int) -> list[ChannelProfile]:
 class Watermark:
     """The keyed chain every front end shares: sign encodes and rotates a
     message; open extracts, unrotates and assesses an image's vector.
-    Each is the one-row form of sign_many or open_many."""
+    sign is the one-row form of sign_many."""
 
     def __init__(self, key: SecretKey, codec: Codec):
         self.key = key
@@ -179,27 +179,20 @@ class Watermark:
         self.rotation = sample_rotation(key, codec.descriptor.dim)
 
     def sign(self, message: Message) -> UnitVector:
-        return _from_rows(self.sign_many([message])[1], one=True)
+        if message.data.endswith(b"\x00"):
+            raise DomainError("message ends in a NUL byte, which decode would strip")
+        return _from_rows(self.sign_many(_octets(message))[1], one=True)
 
     def open(self, img: RasterImage, ell_threshold: float) -> ConfidenceReport:
-        v_hat, _ = _to_rows(extract(img, self.key, self.codec.descriptor.dim))
-        return _from_rows(self.open_many(v_hat, ell_threshold)[1], one=True)
+        v_hat = unrotate(self.rotation, extract(img, self.key, self.codec.descriptor.dim))
+        return assess(self.codec, v_hat, ell_threshold)
 
-    def sign_many(self, messages: list[Message]) -> tuple[np.ndarray, np.ndarray]:
-        """sign for a block of messages: the (n, d) encoded rows, and the
-        same rows signed by one product with the rotation.  Refuses a
-        message ending in a NUL byte, which decode strips with the padding."""
-        if any(m.data.endswith(b"\x00") for m in messages):
-            raise DomainError("message ends in a NUL byte, which decode would strip")
-        v = self.codec.encode(messages)
+    def sign_many(self, octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """sign for an (n, L) uint8 block of zero-padded messages: the
+        (n, d) encoded rows, and the same rows signed by one product with
+        the rotation."""
+        v = self.codec.encode(octets)
         return v, rotate(self.rotation, v)
-
-    def open_many(self, received: np.ndarray, ell_threshold: float
-                  ) -> tuple[np.ndarray, list[ConfidenceReport]]:
-        """The receive side of open for vectors already recovered, one per
-        row of an (n, d) block: the unrotated rows and their reports."""
-        v_hat = unrotate(self.rotation, received)
-        return v_hat, assess(self.codec, v_hat, ell_threshold)
 
 
 @dataclass(frozen=True)
@@ -250,17 +243,23 @@ def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: in
     return body, noise
 
 
-def _score_chunk(codec: Codec, v: np.ndarray, v_hat: np.ndarray, cells: list,
-                 ell_threshold: float) -> None:
-    """Assess a chunk of queued rows in one pass, and add each cell to
-    its profile's [cosine, ell, match, trusted] totals, in cell order.
-    cells holds (totals, payload) per row of v and v_hat."""
-    reports = assess(codec, v_hat, ell_threshold)
-    for (total, payload), c, report in zip(cells, cosine(v, v_hat).tolist(), reports):
-        total[0] += c
-        total[1] += report.ell
-        total[2] += report.message.data == payload
-        total[3] += report.verdict == VERDICT_TRUSTED
+def _score_chunk(codec: Codec, v: np.ndarray, v_hat: np.ndarray, payloads: np.ndarray,
+                 segments: list, ell_threshold: float) -> None:
+    """Assess the queued rows in one pass, and add each cell to its
+    profile's [cosine, ell, match, trusted] totals, in cell order.
+    payloads holds each row's message, zero-padded to the codec's
+    capacity, and segments the (totals, start, stop) of each queued
+    block, the last stop ending the queue."""
+    q = segments[-1][2]
+    scored = assess(codec, v_hat[:q], ell_threshold)
+    match = (scored.decoded == payloads[:q]).all(axis=1)
+    cosines, ells = cosine(v[:q], v_hat[:q]).tolist(), scored.ell.tolist()
+    for total, start, stop in segments:
+        for c, ell in zip(cosines[start:stop], ells[start:stop]):
+            total[0] += c
+            total[1] += ell
+        total[2] += int(match[start:stop].sum())
+        total[3] += int(scored.trusted[start:stop].sum())
 
 
 def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
@@ -313,30 +312,31 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     # one generator, re-pointed at each field's counter block in turn
     block_rng = np.random.Generator(np.random.Philox(key=0))
     totals = [[0.0, 0.0, 0, 0] for _ in profiles]
-    # the queue: encoded and unrotated rows, and (totals, payload) per row
+    # the queue: encoded and unrotated rows, the padded messages, and the
+    # (totals, start, stop) of each block in it
     sent = np.empty((_SCORE_ROWS + _BLOCK_ROWS - 1, dim))
     unrotated = np.empty_like(sent)
-    cells = []
+    payloads = np.zeros((len(sent), codec.descriptor.capacity_bytes), dtype=np.uint8)
+    queued, segments = 0, []
     for profile, label, total in zip(profiles, labels, totals):
         profile_key = stream_key(root, label)
         for start in range(0, n_messages, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, n_messages - start)
             body, noise = _draw_block(block_rng, profile_key, start // _BLOCK_ROWS, n,
                                       message_len, dim, profile.sigma)
-            payloads = [row.tobytes() for row in body]
-            v, received = sender.sign_many([Message(p) for p in payloads])
+            v, received = sender.sign_many(body)
             if noise is not None:
                 received = unit(received + noise)
-            q = len(cells)
-            sent[q:q + n] = v
-            unrotated[q:q + n] = unrotate(receive, received)
-            cells += [(total, p) for p in payloads]
-            if len(cells) >= _SCORE_ROWS:
-                _score_chunk(codec, sent[:len(cells)], unrotated[:len(cells)], cells,
-                             ell_threshold)
-                cells = []
-    if cells:
-        _score_chunk(codec, sent[:len(cells)], unrotated[:len(cells)], cells, ell_threshold)
+            sent[queued:queued + n] = v
+            unrotated[queued:queued + n] = unrotate(receive, received)
+            payloads[queued:queued + n, :message_len] = body  # the rest stays zero
+            segments.append((total, queued, queued + n))
+            queued += n
+            if queued >= _SCORE_ROWS:
+                _score_chunk(codec, sent, unrotated, payloads, segments, ell_threshold)
+                queued, segments = 0, []
+    if segments:
+        _score_chunk(codec, sent, unrotated, payloads, segments, ell_threshold)
     return [SweepRow(profile=profile.name, n=n_messages,
                      mean_cosine=cos_sum / n_messages, exact_match=match_count / n_messages,
                      mean_ell=ell_sum / n_messages, trusted_rate=trusted_count / n_messages)

@@ -26,7 +26,7 @@ from ._fileio import atomic_write
 from .channel import (Watermark, default_profiles, load_profiles, run_sweep,
                       write_sweep_csv)
 from .channel import calibrate as channel_calibrate
-from .codec import Message, get_codec
+from .codec import Message, check_codec_name, get_codec
 from .confidence import VERDICT_TRUSTED, check_ell_threshold
 from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
@@ -38,6 +38,7 @@ from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
                       novelty_score, roc_with_operating_points, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
 from .rotation import SecretKey, load_key, sample_rotation, save_key
+from .sphere import DEFAULT_DIM
 from .streams import label_entropy, stream
 
 EXIT_OK = 0
@@ -349,8 +350,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="non-negative root seed for all randomness (default: OS entropy)")
-    common.add_argument("--dim", type=int, default=256,
-                        help="payload dimension (default 256)")
+    common.add_argument("--dim", type=int, default=DEFAULT_DIM,
+                        help=f"payload dimension (default {DEFAULT_DIM})")
     common.add_argument("--codec", default="sign",
                         help="codec name (default sign)")
     common.add_argument("--out-dir", default=".",
@@ -409,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roc)
 
     p = sub.add_parser("bench", parents=[common], help="time rotation sampling")
-    p.add_argument("--dims", default="256")
+    p.add_argument("--dims", default=str(DEFAULT_DIM))
     p.add_argument("--batches", default="1")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--out", default=None)
@@ -450,6 +451,7 @@ def main(argv=None) -> int:
     try:
         # refused before any key, image or carrier work
         check_ell_threshold(getattr(args, "ell_threshold", 0.0))
+        check_codec_name(args.codec)
         if args.seed < 0:
             raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -8,9 +8,10 @@ becomes component (2*b_i - 1)/sqrt(d).  It is deterministic and
 exactly idempotent, which makes it the ground-truth backend for
 calibrating everything downstream.
 
-Padding convention: messages shorter than capacity are zero-padded,
-and decode strips trailing zero bytes.  Messages therefore must not
-end in a NUL byte themselves; Watermark.sign_many rejects those.
+Padding convention: a block of messages is an (n, L) uint8 array, each
+row zero-padded on the right, and decode returns such rows of
+capacity_bytes.  A message therefore must not end in a NUL byte itself;
+Watermark.sign refuses one.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityExceededError, DimensionError, DomainError
-from .sphere import UnitVector, _from_rows, _to_rows
+from .sphere import DEFAULT_DIM, UnitVector, _from_rows, _to_rows
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,16 @@ class Message:
             return self.data.decode("utf-8")
         except UnicodeDecodeError:
             return None
+
+
+def _octets(message: Message) -> np.ndarray:
+    """A message as a block of one byte row."""
+    return np.frombuffer(message.data, dtype=np.uint8)[None, :]
+
+
+def _message(row: np.ndarray) -> Message:
+    """A zero-padded byte row as a message, its padding stripped."""
+    return Message(row.tobytes().rstrip(b"\x00"))
 
 
 @dataclass(frozen=True)
@@ -68,14 +79,16 @@ class Codec(abc.ABC):
     descriptor: CodecDescriptor
 
     @abc.abstractmethod
-    def encode(self, messages: list[Message]) -> np.ndarray:
-        """Map messages within capacity onto the unit rows of an (n, dim)
-        array: row k encodes messages[k]."""
+    def encode(self, octets: np.ndarray) -> np.ndarray:
+        """Map an (n, L) uint8 array of zero-padded messages, L at most
+        capacity_bytes, onto the unit rows of an (n, dim) array: row k
+        encodes octets[k].  Raises CapacityExceededError beyond that."""
 
     @abc.abstractmethod
-    def decode(self, rows: np.ndarray) -> list[Message]:
-        """Total inverse map, one message per row of an (n, dim) array of
-        unit vectors; never errors on valid unit rows."""
+    def decode(self, rows: np.ndarray) -> np.ndarray:
+        """Total inverse map: the (n, capacity_bytes) uint8 zero-padded
+        messages of an (n, dim) array of unit rows; never errors on valid
+        unit rows."""
 
 
 class SignCodec(Codec):
@@ -87,83 +100,49 @@ class SignCodec(Codec):
     Watermark (ROADMAP item 1 step 1).
     """
 
-    def __init__(self, dim: int = 256):
+    def __init__(self, dim: int = DEFAULT_DIM):
         self.descriptor = CodecDescriptor(name="sign", dim=dim, capacity_bits=dim)
         self._scale = 1.0 / math.sqrt(dim)
 
-    def encode(self, messages: list[Message] | Message) -> np.ndarray | UnitVector:
-        one = isinstance(messages, Message)
-        messages = [messages] if one else messages
+    def encode(self, octets: np.ndarray | Message) -> np.ndarray | UnitVector:
+        one = isinstance(octets, Message)
+        if one:
+            octets = _octets(octets)
         cap_bytes = self.descriptor.capacity_bytes
-        padded = bytearray()
-        for m in messages:
-            if len(m.data) > cap_bytes:
-                raise CapacityExceededError(
-                    f"message of {len(m.data)} bytes exceeds capacity of "
-                    f"{self.descriptor.capacity_bits} bits ({cap_bytes} bytes)",
-                    capacity_bits=self.descriptor.capacity_bits)
-            padded += m.data.ljust(cap_bytes, b"\x00")
-        octets = np.frombuffer(bytes(padded), dtype=np.uint8).reshape(len(messages), cap_bytes)
-        bits = np.unpackbits(octets, axis=1)
-        spare = self.descriptor.dim - bits.shape[1]  # dim not divisible by 8
-        if spare:
-            bits = np.pad(bits, ((0, 0), (0, spare)))
-        rows = bits.astype(np.float64)
+        if octets.shape[1] > cap_bytes:
+            raise CapacityExceededError(
+                f"message of {octets.shape[1]} bytes exceeds capacity of "
+                f"{self.descriptor.capacity_bits} bits ({cap_bytes} bytes)",
+                capacity_bits=self.descriptor.capacity_bits)
+        # bits past the message bytes stay 0, the zero padding; unpackbits'
+        # count= would pad too, but leaves garbage when the rows are empty
+        rows = np.zeros((len(octets), self.descriptor.dim))
+        rows[:, :8 * octets.shape[1]] = np.unpackbits(octets, axis=1)
         rows *= 2.0  # in place: (2b - 1)/sqrt(d) without three block-sized temporaries
         rows -= 1.0
         rows *= self._scale
         return _from_rows(rows, one)
 
-    def decode(self, rows: np.ndarray | UnitVector) -> list[Message] | Message:
+    def decode(self, rows: np.ndarray | UnitVector) -> np.ndarray | Message:
         rows, one = _to_rows(rows)
         if rows.ndim != 2 or rows.shape[1] != self.descriptor.dim:
             raise DimensionError(
                 f"vector rows {rows.shape} != codec dim {self.descriptor.dim}")
         usable = 8 * self.descriptor.capacity_bytes
-        packed = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
-        messages = [Message(octets.tobytes().rstrip(b"\x00")) for octets in packed]
-        return _from_rows(messages, one)
+        octets = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
+        return _message(octets[0]) if one else octets
 
 
 _CODECS = {"sign": SignCodec}
 
 
+def check_codec_name(name: str) -> None:
+    """Refuse a name that no codec is registered under."""
+    if name not in _CODECS:
+        raise DomainError(f"unknown codec {name!r}; registered: {sorted(_CODECS)}")
+
+
 def get_codec(name: str, dim: int) -> Codec:
     """Look up a registered codec by name."""
-    try:
-        factory = _CODECS[name]
-    except KeyError:
-        raise DomainError(
-            f"unknown codec {name!r}; registered: {sorted(_CODECS)}") from None
-    return factory(dim)
-
-
-def idempotence_check(codec: Codec, v: UnitVector | np.ndarray) -> tuple:
-    """Does decode(encode(decode(v))) reproduce decode(v) byte-exactly?
-
-    Returns (passes, encode(decoded), decoded).  Always true for the
-    reference codec; lossy codecs may fail, and the confidence layer
-    treats failure as an immediate rejection.  For a block, an (n, dim)
-    array of unit rows, each of the three is per row: a list, an
-    (n, dim) array and a list.  The codec sees a block either way.
-    """
-    rows, one = _to_rows(v)
-    decoded = codec.decode(rows)
-    try:
-        reencoded = codec.encode(decoded)
-        fits = [True] * len(decoded)
-    except CapacityExceededError:
-        # a decode that grew past capacity can never re-encode; that row
-        # fails instead of erroring, and hands back its input row
-        reencoded = rows.copy()
-        fits = []
-        for k, message in enumerate(decoded):
-            try:
-                reencoded[k] = codec.encode([message])[0]
-            except CapacityExceededError:
-                fits.append(False)
-            else:
-                fits.append(True)
-    again = codec.decode(reencoded)
-    passes = [ok and a.data == d.data for ok, a, d in zip(fits, again, decoded)]
-    return _from_rows(passes, one), _from_rows(reencoded, one), _from_rows(decoded, one)
+    check_codec_name(name)
+    return _CODECS[name](dim)

@@ -34,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Codec, Message, idempotence_check
+from .codec import Codec, Message, _message
 from .errors import DimensionError, DomainError
-from .sphere import UnitVector, _from_rows, _to_rows, cosine
+from .sphere import UnitVector, _to_rows, cosine
 
 # Reported ell when p underflows to exactly 0 (below ~1e-323).  The
 # cap exceeds every representable -log10(p), so capped scores still
@@ -207,6 +207,19 @@ class ConfidenceReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class BlockReport:
+    """Outcome of scoring n recovered rows: entry k of each (n,) array,
+    and row k of decoded, score row k as a ConfidenceReport would."""
+
+    cosine: np.ndarray
+    p_value: np.ndarray
+    ell: np.ndarray
+    idempotent: np.ndarray  # bool
+    trusted: np.ndarray  # bool: the verdict is VERDICT_TRUSTED
+    decoded: np.ndarray  # (n, capacity_bytes) uint8, zero-padded
+
+
 def ell_from_p(p_value: float) -> float:
     """-log10(p), with underflowed p reported as the documented cap."""
     if not 0.0 <= p_value <= 1.0:
@@ -224,29 +237,36 @@ def check_ell_threshold(ell_threshold: float) -> None:
 
 
 def assess(codec: Codec, v: UnitVector | np.ndarray,
-           ell_threshold: float) -> ConfidenceReport | list[ConfidenceReport]:
+           ell_threshold: float) -> ConfidenceReport | BlockReport:
     """Score a recovered vector: self-consistency, then tail probability.
 
-    The vector is decoded and re-encoded; failure of byte-exact
-    idempotence is an immediate rejection.  Otherwise the cosine to
-    the re-encoded vector is converted to a p-value and the verdict
-    compares ell = -log10(p) against the caller's finite threshold.
+    The vector is decoded, re-encoded and decoded again; a second decode
+    that differs from the first in any byte is an immediate rejection.
+    Otherwise the cosine to the re-encoded vector is converted to a
+    p-value and the verdict compares ell = -log10(p) against the
+    caller's finite threshold.
 
     v may also be a block, an (n, dim) array of unit rows: decode,
     re-encode, the cosines and the p-values' continued fractions then
-    run on the whole block, and the result is one report per row.  One
+    run on the whole block, and the result is a BlockReport.  One
     vector is scored as a block of one row.
     """
     check_ell_threshold(ell_threshold)
     rows, one = _to_rows(v)
-    passes, reencoded, decoded = idempotence_check(codec, rows)
-    cosines = cosine(rows, reencoded).tolist()
-    p_values = iter(_p_values([c for c, ok in zip(cosines, passes) if ok], rows.shape[1]))
-    reports = []
-    for c, ok, message in zip(cosines, passes, decoded):
-        p = next(p_values) if ok else 1.0
-        ell = ell_from_p(p) if ok else 0.0
-        verdict = VERDICT_TRUSTED if ok and ell >= ell_threshold else VERDICT_UNTRUSTED
-        reports.append(ConfidenceReport(cosine=c, p_value=p, ell=ell, idempotent=ok,
-                                        verdict=verdict, message=message))
-    return _from_rows(reports, one)
+    decoded = codec.decode(rows)
+    reencoded = codec.encode(decoded)
+    idempotent = (codec.decode(reencoded) == decoded).all(axis=1)
+    cosines = cosine(rows, reencoded)
+    p_values = np.ones(len(rows))
+    p_values[idempotent] = _p_values(cosines[idempotent].tolist(), rows.shape[1])
+    ells = np.zeros(len(rows))
+    ells[idempotent] = [ell_from_p(p) for p in p_values[idempotent].tolist()]
+    trusted = idempotent & (ells >= ell_threshold)
+    if not one:
+        return BlockReport(cosine=cosines, p_value=p_values, ell=ells,
+                           idempotent=idempotent, trusted=trusted, decoded=decoded)
+    return ConfidenceReport(
+        cosine=float(cosines[0]), p_value=float(p_values[0]), ell=float(ells[0]),
+        idempotent=bool(idempotent[0]),
+        verdict=VERDICT_TRUSTED if trusted[0] else VERDICT_UNTRUSTED,
+        message=_message(decoded[0]))

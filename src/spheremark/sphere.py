@@ -61,14 +61,12 @@ def _to_rows(v) -> tuple[np.ndarray, bool]:
     return np.asarray(v), False
 
 
-def _from_rows(result, one: bool):
+def _from_rows(result: np.ndarray, one: bool):
     """A per-row result for one vector: row 0 of a block as a UnitVector,
-    else item 0 as a plain value.  For a block, the result unchanged."""
+    else entry 0 as a plain value.  For a block, the result unchanged."""
     if not one:
         return result
-    if isinstance(result, np.ndarray):
-        return UnitVector(result[0]) if result.ndim == 2 else result.item(0)
-    return result[0]
+    return UnitVector(result[0]) if result.ndim == 2 else result.item(0)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

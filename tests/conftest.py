@@ -1,10 +1,12 @@
-"""Shared helpers: deterministic synthetic raster images."""
+"""Shared helpers: deterministic synthetic raster images, byte-row
+blocks, and codecs whose decode breaks idempotence."""
 import math
 
 import numpy as np
 import pytest
 
-from spheremark import RasterImage
+from spheremark import RasterImage, SignCodec
+from spheremark.confidence import VERDICT_TRUSTED
 from spheremark.streams import stream
 
 _IMG_DOMAIN = 0x53594E54
@@ -41,6 +43,48 @@ def raw_qr_rotation(seed: int, dim: int) -> np.ndarray:
     if float(np.linalg.det(q)) < 0.0:
         q[:, 0] = -q[:, 0]
     return q
+
+
+def octets(messages, width=None) -> np.ndarray:
+    """Byte strings as a block of messages: one uint8 row each, zero-padded
+    on the right to width (default: the longest)."""
+    if width is None:
+        width = max(map(len, messages), default=0)
+    rows = np.zeros((len(messages), width), dtype=np.uint8)
+    for row, m in zip(rows, messages):
+        row[:len(m)] = np.frombuffer(m, dtype=np.uint8)
+    return rows
+
+
+class DriftingCodec(SignCodec):
+    """Overrides the block decode only: each decode adds one to the last
+    byte, so no decode is idempotent."""
+
+    def decode(self, rows):
+        decoded = super().decode(rows)
+        decoded[:, -1] += 1
+        return decoded
+
+
+class FlippingCodec(SignCodec):
+    """Overrides the block decode only: each decode flips the low bit of
+    the first byte, so no decode is idempotent."""
+
+    def decode(self, rows):
+        decoded = super().decode(rows)
+        decoded[:, 0] ^= 1
+        return decoded
+
+
+def assert_row_is_report(block, k, report) -> None:
+    """Row k of assess's BlockReport scores as the one-vector report
+    does, field for field, and the report holds plain Python values."""
+    assert (block.cosine[k], block.p_value[k], block.ell[k], block.idempotent[k],
+            block.trusted[k]) == (report.cosine, report.p_value, report.ell,
+                                  report.idempotent, report.verdict == VERDICT_TRUSTED)
+    assert block.decoded[k].tobytes().rstrip(b"\x00") == report.message.data
+    assert [type(getattr(report, f)) for f in ("cosine", "p_value", "ell", "idempotent")] \
+        == [float, float, float, bool]
 
 
 @pytest.fixture

@@ -7,17 +7,17 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from spheremark import (ChannelProfile, Codec, CodecDescriptor, DimensionError,
-                        DomainError, Message, SecretKey, SignCodec, SweepRow,
-                        UnitVector, Watermark, assess, calibrate, cosine,
-                        default_profiles, embed, extract, idempotence_check,
-                        load_profiles, perturb, rotate, run_sweep,
+from spheremark import (ChannelProfile, Codec, CodecDescriptor,
+                        ConfidenceReport, DimensionError, DomainError, Message,
+                        SecretKey, SignCodec, SweepRow, UnitVector, Watermark,
+                        assess, calibrate, cosine, default_profiles, embed,
+                        extract, load_profiles, perturb, rotate, run_sweep,
                         sample_rotation, sample_uniform, unrotate,
                         write_sweep_csv)
 from spheremark import channel
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
 from spheremark.streams import label_entropy, stream, stream_key
-from conftest import make_image
+from conftest import DriftingCodec, assert_row_is_report, make_image, octets
 
 CHI2_CRIT_15_99 = 30.57791416689249
 
@@ -210,28 +210,35 @@ class TestWatermark:
         # decode strips the zero padding, so b"ab\x00" would open as b"ab"
         wm = Watermark(self.KEY, SignCodec(256))
         with pytest.raises(DomainError, match="NUL"):
-            wm.sign_many([Message(m) for m in messages])
-        with pytest.raises(DomainError, match="NUL"):
             wm.sign(Message(messages[-1]))
+        # in a block of byte rows, trailing zeros are a row's padding
+        signed = wm.sign_many(octets(messages))[1]
+        for row, m in zip(signed, messages):
+            want = wm.sign(Message(m.rstrip(b"\x00"))).components
+            assert np.allclose(row, want, rtol=0, atol=1e-15)
 
-    def test_sign_many_and_open_many(self):
+    def test_sign_many_and_block_assess(self):
         codec = SignCodec(256)
         wm = Watermark(self.KEY, codec)
-        messages = [Message(b"first"), Message(b"second"), Message(b"\xff" * 32)]
-        v, signed = wm.sign_many(messages)
-        assert np.array_equal(v, codec.encode(messages))
+        messages = [b"first", b"second", b"\xff" * 32]
+        v, signed = wm.sign_many(octets(messages))
+        assert np.array_equal(v, codec.encode(octets(messages)))
         for row, m in zip(signed, messages):
-            assert np.allclose(row, wm.sign(m).components, rtol=0, atol=1e-15)
-        v_hat, reports = wm.open_many(signed, 100.0)
+            assert np.allclose(row, wm.sign(Message(m)).components, rtol=0, atol=1e-15)
+        v_hat = unrotate(wm.rotation, signed)
+        block = assess(codec, v_hat, 100.0)
         for k, m in enumerate(messages):
-            assert np.allclose(v_hat[k], codec.encode(m).components, rtol=0, atol=1e-14)
-            assert reports[k] == assess(codec, unrotate(wm.rotation, wm.sign(m)), 100.0)
-        # sign and open are the one-row forms of sign_many and open_many
+            assert np.allclose(v_hat[k], codec.encode(Message(m)).components, rtol=0, atol=1e-14)
+            assert_row_is_report(block, k, assess(codec, unrotate(wm.rotation,
+                                                                  wm.sign(Message(m))), 100.0))
+        # sign is the one-row form of sign_many, and open scores one row
         for m in messages:
-            assert np.array_equal(wm.sign(m).components, wm.sign_many([m])[1][0])
-        sealed = embed(make_image(3, 64, 64), wm.sign(messages[0]), self.KEY)
+            assert np.array_equal(wm.sign(Message(m)).components,
+                                  wm.sign_many(octets([m]))[1][0])
+        sealed = embed(make_image(3, 64, 64), wm.sign(Message(messages[0])), self.KEY)
         row = extract(sealed, self.KEY, 256).components[None, :]
-        assert wm.open(sealed, 100.0) == wm.open_many(row, 100.0)[1][0]
+        assert_row_is_report(assess(codec, unrotate(wm.rotation, row), 100.0), 0,
+                             wm.open(sealed, 100.0))
 
 
 class TestRunSweep:
@@ -409,14 +416,6 @@ class TestRunSweep:
 BLOCK = channel._BLOCK_ROWS
 
 
-class DriftingCodec(SignCodec):
-    """Overrides decode only: a decode gains a byte, so no decode is
-    idempotent and every sweep cell must come out untrusted."""
-
-    def decode(self, rows):
-        return [Message(m.data + b"!") for m in super().decode(rows)]
-
-
 class ScalarSignCodec(Codec):
     """Sign modulation from a codec that is not a SignCodec and takes
     blocks only; counts the calls it receives."""
@@ -426,10 +425,10 @@ class ScalarSignCodec(Codec):
         self._inner = SignCodec(dim)
         self.calls = 0
 
-    def encode(self, messages):
-        assert isinstance(messages, list), "encode takes a block"
+    def encode(self, octets):
+        assert isinstance(octets, np.ndarray) and octets.ndim == 2, "encode takes a block"
         self.calls += 1
-        return self._inner.encode(messages)
+        return self._inner.encode(octets)
 
     def decode(self, rows):
         assert isinstance(rows, np.ndarray) and rows.ndim == 2, "decode takes a block"
@@ -463,7 +462,7 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
             body = body_rng.integers(0, 256, size=(j + 1, message_len), dtype=np.uint8)[j]
             body[-1] = last_rng.integers(1, 256, size=j + 1)[j]
             payload = body.tobytes()
-            v = UnitVector(codec.encode([Message(payload)])[0])
+            v = UnitVector(codec.encode(body[None, :])[0])
             noise_rng.standard_normal((j, dim))  # rows 0 ... j - 1
             received = perturb(rotate(m_send, v), profile.sigma, noise_rng)
             v_hat = unrotate(m_recv, received)
@@ -551,14 +550,12 @@ class TestSweepBlocks:
                          sample_uniform(256, rng).components,
                          sample_uniform(256, rng).components])
         one = UnitVector(rows[1])
-        for v in (rows, one):
-            assert assess(scalar, v, 100.0) == assess(sign, v, 100.0)
-        got, want = idempotence_check(scalar, rows), idempotence_check(sign, rows)
-        assert got[0] == want[0] and got[2] == want[2]
-        assert got[1].tobytes() == want[1].tobytes()
-        got, want = idempotence_check(scalar, one), idempotence_check(sign, one)
-        assert got[0] == want[0] and got[2] == want[2]
-        assert got[1].to_bytes() == want[1].to_bytes()
+        assert assess(scalar, one, 100.0) == assess(sign, one, 100.0)
+        got, want = assess(scalar, rows, 100.0), assess(sign, rows, 100.0)
+        for field in ("cosine", "p_value", "ell", "idempotent", "trusted", "decoded"):
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+        assert got.idempotent.all()
+        assert_row_is_report(got, 1, assess(sign, one, 100.0))
 
     def test_decode_only_subclass_is_honoured(self, tmp_path):
         # a subclass's block decode is what the sweep calls, so the
@@ -593,9 +590,32 @@ class TestSweepBlocks:
         blocks, chunks = 3 * len(self.PROFILES), 2
         assert channel._SCORE_ROWS == 256
         # encode: each block's messages, then each chunk's re-encode;
-        # decode: twice per chunk in the idempotence check
+        # decode: twice per chunk in assess's idempotence check
         assert calls == {"rotate": blocks, "unrotate": blocks, "assess": chunks,
                          "cosine": chunks, "encode": blocks + chunks, "decode": 2 * chunks}
+
+    @pytest.mark.parametrize("wrong", [False, True], ids=["right", "wrong"])
+    def test_builds_no_per_row_objects(self, monkeypatch, wrong):
+        # a block stays byte rows and arrays from the draw to the totals:
+        # messages and reports belong to the one-item forms only
+        built = {Message: 0, ConfidenceReport: 0}
+
+        def counting(cls):
+            init = cls.__init__
+
+            def wrapper(self, *args, **kwargs):
+                built[cls] += 1
+                init(self, *args, **kwargs)
+            return wrapper
+
+        for cls in built:
+            monkeypatch.setattr(cls, "__init__", counting(cls))
+        assert Message(b"counted") and built[Message] == 1  # the patch counts
+        built[Message] = 0
+        rows = run_sweep(self.PROFILES, SignCodec(256), self.KEY, BLOCK + 1, stream(48),
+                         unrotate_key=self.WRONG if wrong else None)
+        assert [r.n for r in rows] == [BLOCK + 1] * 3
+        assert built == {Message: 0, ConfidenceReport: 0}
 
     @pytest.mark.parametrize("count, n", [(5, 100), (21, 1), (21, 13)])
     def test_scoring_chunks_equal_per_cell_chain(self, tmp_path, count, n):

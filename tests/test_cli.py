@@ -977,6 +977,12 @@ REFUSALS = [
      ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
       "--out", "@out.csv", "--seed", "-1"], EXIT_USAGE,
      "--seed must be a non-negative integer"),
+    # every subcommand takes --codec, also those that build no codec
+    ("calibrate-unknown-codec", {}, ["calibrate", "--target-cosine", "0.9", "--codec", "nope"],
+     EXIT_USAGE, "unknown codec 'nope'; registered: ['sign']"),
+    ("attack-unknown-codec", {"host.ppm": HOST},
+     ["attack", "--in", "@host.ppm", "--transform", "identity", "--out", "@out.ppm",
+      "--codec", "nope"], EXIT_USAGE, "unknown codec 'nope'; registered: ['sign']"),
 ]
 
 

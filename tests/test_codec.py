@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spheremark import (CapacityExceededError, Codec, CodecDescriptor,
-                        DimensionError, DomainError, Message, SignCodec,
-                        UnitVector, get_codec, idempotence_check, perturb,
-                        sample_uniform, unit)
+from spheremark import (CapacityExceededError, Codec, DimensionError,
+                        DomainError, Message, SignCodec, UnitVector, assess,
+                        get_codec, perturb, sample_uniform, unit)
 from spheremark.streams import stream
+from conftest import DriftingCodec, FlippingCodec, assert_row_is_report, octets
 
 PHI_MINUS_2_5 = 0.0062096653257761351  # Gaussian tail at -2.5
 
@@ -119,64 +119,39 @@ class TestIdempotence:
         c = SignCodec(256)
         rng = stream(14)
         for _ in range(200):
-            passes, reenc, decoded = idempotence_check(c, sample_uniform(256, rng))
-            assert passes
-            assert c.decode(reenc).data == decoded.data
+            rep = assess(c, sample_uniform(256, rng), 100.0)
+            assert rep.idempotent
+            assert c.decode(c.encode(rep.message)) == rep.message
 
-    def test_appending_codec_fails(self):
-        class DriftingCodec(SignCodec):
-            def decode(self, rows):
-                return [Message(m.data + b"!") for m in super().decode(rows)]
-
+    def test_drifting_codec_fails(self):
         c = DriftingCodec(256)
-        passes, _, _ = idempotence_check(c, sample_uniform(256, stream(15)))
-        assert not passes
-
-    def test_growth_past_capacity_fails_instead_of_raising(self):
-        # decode of a random vector usually fills all 32 bytes, so the
-        # appending mock makes re-encode overflow; that must surface as
-        # a failed check, not an exception
-        class DriftingCodec(SignCodec):
-            def decode(self, rows):
-                return [Message(m.data + b"!") for m in super().decode(rows)]
-
-        c = DriftingCodec(256)
-        v = SignCodec(256).encode(Message(bytes(range(1, 33))))
-        passes, reenc, decoded = idempotence_check(c, v)
-        assert not passes
-        assert len(decoded.data) == 33
-        assert np.array_equal(reenc.components, v.components)
+        rep = assess(c, sample_uniform(256, stream(15)), 100.0)
+        assert not rep.idempotent
 
     def test_mutating_codec_fails(self):
-        class FlippingCodec(SignCodec):
-            def decode(self, rows):
-                return [Message(bytes([m.data[0] ^ 0x01]) + m.data[1:]) if m.data else m
-                        for m in super().decode(rows)]
-
         c = FlippingCodec(256)
         v = SignCodec(256).encode(Message(b"steady payload"))
-        passes, _, _ = idempotence_check(c, v)
-        assert not passes
+        rep = assess(c, v, 100.0)
+        assert not rep.idempotent
 
-
-class GrowingCodec(Codec):
-    # a codec that is not a SignCodec; decode appends a byte, and a full
-    # payload then cannot re-encode
-    def __init__(self, dim):
-        self.descriptor = CodecDescriptor(name="growing", dim=dim, capacity_bits=dim)
-        self._inner = SignCodec(dim)
-
-    def encode(self, messages):
-        return self._inner.encode(messages)
-
-    def decode(self, rows):
-        return [Message(m.data + b"!") for m in self._inner.decode(rows)]
+    @pytest.mark.parametrize("codec", [SignCodec(256), FlippingCodec(256), DriftingCodec(256)],
+                             ids=["sign", "flipping", "drifting"])
+    def test_block_idempotence_is_per_row(self, codec):
+        # a decode-overriding subclass fails on a block as on one vector
+        rng = stream(32)
+        vs = [sample_uniform(256, rng) for _ in range(3)]
+        vs += [SignCodec(256).encode(Message(b"short")),
+               SignCodec(256).encode(Message(bytes(range(1, 33))))]
+        block = assess(codec, np.stack([v.components for v in vs]), 100.0)
+        for k, v in enumerate(vs):
+            assert_row_is_report(block, k, assess(codec, v, 100.0))
+        assert block.idempotent.tolist() == [type(codec) is SignCodec] * 5
 
 
 class TestContract:
     @pytest.mark.parametrize("missing", ["encode", "decode"])
     def test_codec_lacking_a_method_cannot_be_instantiated(self, missing):
-        methods = {"encode": lambda self, messages: None,
+        methods = {"encode": lambda self, octets: None,
                    "decode": lambda self, rows: None}
         del methods[missing]
         partial = type("Partial", (Codec,), methods)
@@ -193,10 +168,11 @@ class TestContract:
             m = Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
             v = c.encode(m)
             assert isinstance(v, UnitVector)
-            assert v.components.tobytes() == c.encode([m])[0].tobytes()
+            assert v.components.tobytes() == c.encode(octets([m.data]))[0].tobytes()
         for _ in range(5):
             v = sample_uniform(dim, rng)
-            assert c.decode(v) == c.decode(v.components[None, :])[0]
+            assert c.decode(v).data.ljust(cap, b"\x00") == \
+                c.decode(v.components[None, :])[0].tobytes()
 
 
 class TestRows:
@@ -205,24 +181,33 @@ class TestRows:
         c = SignCodec(dim)
         cap = c.descriptor.capacity_bytes
         rng = stream(30, dim)
-        messages = [Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
+        messages = [rng.integers(1, 256, size=k, dtype=np.uint8).tobytes()
                     for k in (0, cap // 2, cap, cap)]
-        rows = c.encode(messages)
+        rows = c.encode(octets(messages, cap))
         assert rows.shape == (4, dim)
         for row, m in zip(rows, messages):
-            assert np.array_equal(row, c.encode(m).components)
+            assert np.array_equal(row, c.encode(Message(m)).components)
+        # a narrower block encodes as its rows padded out to capacity
+        short = [m[:cap // 2] for m in messages]
+        assert np.array_equal(c.encode(octets(short)), c.encode(octets(short, cap)))
 
     @pytest.mark.parametrize("dim", [4, 20, 256])
     def test_block_decode_rows_are_one_item_decodes(self, dim):
         c = SignCodec(dim)
+        cap = c.descriptor.capacity_bytes
         rng = stream(31, dim)
         rows = np.stack([sample_uniform(dim, rng).components for _ in range(9)])
         rows[0, 0] = 0.0  # exact zero decodes as a 0 bit
-        assert c.decode(rows) == [c.decode(UnitVector(r)) for r in unit(rows)]
+        decoded = c.decode(rows)
+        assert decoded.dtype == np.uint8 and decoded.shape == (9, cap)
+        for row, r in zip(decoded, unit(rows)):
+            assert row.tobytes() == c.decode(UnitVector(r)).data.ljust(cap, b"\x00")
 
-    def test_block_encode_over_capacity(self):
-        with pytest.raises(CapacityExceededError):
-            SignCodec(256).encode([Message(b"ok"), Message(b"x" * 33)])
+    @pytest.mark.parametrize("dim, width", [(256, 33), (20, 3), (4, 1)])
+    def test_block_encode_over_capacity(self, dim, width):
+        with pytest.raises(CapacityExceededError) as exc:
+            SignCodec(dim).encode(np.ones((2, width), dtype=np.uint8))
+        assert exc.value.capacity_bits == dim
 
     def test_block_decode_dim_mismatch(self):
         with pytest.raises(DimensionError):
@@ -230,32 +215,9 @@ class TestRows:
 
     def test_encode_and_decode_take_blocks(self):
         c = SignCodec(64)
-        messages = [Message(b"one"), Message(b"two")]
-        rows = c.encode(messages)
+        rows = c.encode(octets([b"one", b"two"]))
         assert isinstance(rows, np.ndarray) and rows.shape == (2, 64)
-        assert c.decode(rows) == messages
-
-    @pytest.mark.parametrize("codec", [SignCodec(256), GrowingCodec(256)],
-                             ids=["sign", "growing"])
-    def test_idempotence_check_block(self, codec):
-        # the growing codec's full payloads overflow on re-encode, so the
-        # block falls back row by row; its short one re-encodes and then
-        # fails the comparison
-        rng = stream(32)
-        vs = [sample_uniform(256, rng) for _ in range(3)]
-        vs += [SignCodec(256).encode(Message(b"short")),
-               SignCodec(256).encode(Message(bytes(range(1, 33))))]
-        rows = np.stack([v.components for v in vs])
-        passes, reencoded, decoded = idempotence_check(codec, rows)
-        for k, v in enumerate(vs):
-            want_pass, want_vec, want_msg = idempotence_check(codec, v)
-            assert passes[k] == want_pass
-            assert np.array_equal(reencoded[k], want_vec.components)
-            assert decoded[k] == want_msg
-        assert passes == [isinstance(codec, SignCodec)] * 5
-        if isinstance(codec, GrowingCodec):
-            # a row that cannot re-encode hands back its input
-            assert np.array_equal(reencoded[4], rows[4])
+        assert np.array_equal(c.decode(rows), octets([b"one", b"two"], 8))
 
 
 class TestNoiseFlipRate:

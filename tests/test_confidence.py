@@ -16,6 +16,7 @@ from spheremark.confidence import (_COS_SLACK, _FPMIN, _LENTZ_EPS, _MAX_ITER,
                                    _beta_cf, _check_beta_args, _ln_beta,
                                    _log_reg_inc_betas, _p_values)
 from spheremark.streams import stream
+from conftest import DriftingCodec, assert_row_is_report, octets
 
 mp.mp.dps = 50
 
@@ -387,11 +388,12 @@ class TestBlockPValues:
                  + 0.05 * k * rng.standard_normal(dim) for k in range(20)]
         rows = np.stack([v / np.linalg.norm(v) for v in noisy]
                         + [sample_uniform(dim, rng).components for _ in range(20)])
-        reports = assess(codec, rows, 100.0)
-        assert len({r.p_value == 0.0 for r in reports}) == 2  # p underflows at c = 1
-        for r in reports:
-            p = scalar_spherical_p_value(r.cosine, dim)
-            assert (repr(r.p_value), repr(r.ell)) == (repr(p), repr(ell_from_p(p)))
+        block = assess(codec, rows, 100.0)
+        assert len(set((block.p_value == 0.0).tolist())) == 2  # p underflows at c = 1
+        for c, p_value, ell in zip(block.cosine.tolist(), block.p_value.tolist(),
+                                   block.ell.tolist()):
+            p = scalar_spherical_p_value(c, dim)
+            assert (repr(p_value), repr(ell)) == (repr(p), repr(ell_from_p(p)))
 
 
 class TestSphericalPValue:
@@ -518,17 +520,14 @@ class TestAssess:
         assert assess(codec, v, ell_threshold=700.1).verdict == VERDICT_UNTRUSTED
 
     def test_idempotence_failure_short_circuits(self):
-        class DriftingCodec(SignCodec):
-            def decode(self, rows):
-                return [Message(m.data + b"!") for m in super().decode(rows)]
-
         v = sample_uniform(256, stream(16))
         rep = assess(DriftingCodec(256), v, ell_threshold=10.0)
         assert not rep.idempotent
         assert rep.p_value == 1.0
         assert rep.ell == 0.0
         assert rep.verdict == VERDICT_UNTRUSTED
-        assert rep.message == DriftingCodec(256).decode(v.components[None, :])[0]
+        want = DriftingCodec(256).decode(v.components[None, :])[0]
+        assert rep.message.data == want.tobytes().rstrip(b"\x00")
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_refuses_non_finite_threshold(self, bad):
@@ -550,27 +549,29 @@ class TestAssess:
         rng = stream(21)
         vs = [codec.encode(Message(b"row one")), sample_uniform(256, rng),
               codec.encode(Message(b"\xff" * 32)), sample_uniform(256, rng)]
-        reports = assess(codec, np.stack([v.components for v in vs]), threshold)
-        assert reports == [assess(codec, v, threshold) for v in vs]
+        block = assess(codec, np.stack([v.components for v in vs]), threshold)
+        for k, v in enumerate(vs):
+            assert_row_is_report(block, k, assess(codec, v, threshold))
+        assert [a.shape for a in (block.cosine, block.p_value, block.ell, block.idempotent,
+                                  block.trusted, block.decoded)] == [(4,)] * 5 + [(4, 32)]
+        assert (block.idempotent.dtype, block.trusted.dtype, block.decoded.dtype) == \
+            (np.bool_, np.bool_, np.uint8)
 
     def test_block_honours_decode_only_subclass(self):
-        class DriftingCodec(SignCodec):
-            def decode(self, rows):
-                return [Message(m.data + b"!") for m in super().decode(rows)]
-
         codec = DriftingCodec(256)
         rng = stream(22)
         vs = [sample_uniform(256, rng) for _ in range(3)] + [codec.encode(Message(b"x"))]
-        reports = assess(codec, np.stack([v.components for v in vs]), 1.0)
-        assert reports == [assess(codec, v, 1.0) for v in vs]
-        assert [r.idempotent for r in reports] == [False] * 4
-        assert reports[3].message == Message(b"x!")
+        block = assess(codec, np.stack([v.components for v in vs]), 1.0)
+        for k, v in enumerate(vs):
+            assert_row_is_report(block, k, assess(codec, v, 1.0))
+        assert block.idempotent.tolist() == [False] * 4
+        assert block.decoded[3].tobytes() == b"x" + bytes(30) + b"\x01"
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_block_refuses_non_finite_threshold(self, bad):
         codec = SignCodec(256)
         with pytest.raises(DomainError, match="finite"):
-            assess(codec, codec.encode([Message(b"x")]), bad)
+            assess(codec, codec.encode(octets([b"x"])), bad)
 
     def test_report_serialization(self):
         codec = SignCodec(256)
