@@ -13,7 +13,7 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
                      ImageFormatError, ImageSizeError, KeyFileError,
                      UnknownTransformError)
-from .codec import Codec, CodecDescriptor, Message, SignCodec, get_codec
+from .codec import Codec, Message, SignCodec, get_codec
 from .confidence import (ELL_CAP, BlockReport, ConfidenceReport, assess, ell_from_p,
                          log_reg_inc_beta, reg_inc_beta, spherical_p_value)
 from .imagechannel import CarrierSet, attack, embed, extract, transform_names

@@ -109,12 +109,11 @@ class ChannelProfile:
     name: str
     target_cosine: float
     sigma: float
-    dim: int
 
     @classmethod
     def from_target(cls, name: str, target_cosine: float, dim: int) -> "ChannelProfile":
         return cls(name=name, target_cosine=target_cosine,
-                   sigma=calibrate(target_cosine, dim), dim=dim)
+                   sigma=calibrate(target_cosine, dim))
 
 
 # Default profile set: calibration targets measured at the 42 dB
@@ -146,7 +145,7 @@ def profiles_from_dicts(entries: list, dim: int) -> list[ChannelProfile]:
             raise DomainError(f"{where}.target_cosine must be a number")
         try:
             out.append(ChannelProfile.from_target(name, float(target), dim))
-        except DomainError as exc:
+        except (DomainError, OverflowError) as exc:  # OverflowError: an int past float range
             raise DomainError(f"{where}.target_cosine: {exc}") from exc
     return out
 
@@ -155,10 +154,10 @@ def load_profiles(path: str, dim: int) -> list[ChannelProfile]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             entries = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"profile config {path}: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read profile config: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+        raise DomainError(f"profile config {path}: {exc}") from exc
     return profiles_from_dicts(entries, dim)
 
 
@@ -176,7 +175,7 @@ class Watermark:
     def __init__(self, key: SecretKey, codec: Codec):
         self.key = key
         self.codec = codec
-        self.rotation = sample_rotation(key, codec.descriptor.dim)
+        self.rotation = sample_rotation(key, codec.dim)
 
     def sign(self, message: Message) -> UnitVector:
         if message.data.endswith(b"\x00"):
@@ -184,7 +183,7 @@ class Watermark:
         return _from_rows(self.sign_many(_octets(message))[1], one=True)
 
     def open(self, img: RasterImage, ell_threshold: float) -> ConfidenceReport:
-        v_hat = unrotate(self.rotation, extract(img, self.key, self.codec.descriptor.dim))
+        v_hat = unrotate(self.rotation, extract(img, self.key, self.codec.dim))
         return assess(self.codec, v_hat, ell_threshold)
 
     def sign_many(self, octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -289,9 +288,9 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
         raise DomainError("run_sweep needs at least one profile")
     if not 1 <= n_messages < 2**32:
         raise DomainError(f"n_messages {n_messages} outside [1, 2**32)")
-    if not 1 <= message_len <= codec.descriptor.capacity_bytes:
+    if not 1 <= message_len <= codec.capacity_bytes:
         raise DomainError(
-            f"message_len {message_len} outside [1, {codec.descriptor.capacity_bytes}]")
+            f"message_len {message_len} outside [1, {codec.capacity_bytes}]")
     # the stream label, not the name, decides a profile's draws:
     # "a" and "a\x00" have one label_entropy
     try:
@@ -304,7 +303,7 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     for profile in profiles:
         _check_sigma(profile.sigma)
     sender = Watermark(key, codec)
-    dim = codec.descriptor.dim
+    dim = codec.dim
     receive = sender.rotation if unrotate_key is None else sample_rotation(unrotate_key, dim)
     # one root draw; each profile's key derives from (root, profile name)
     # so the table does not depend on profile order
@@ -316,7 +315,7 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     # (totals, start, stop) of each block in it
     sent = np.empty((_SCORE_ROWS + _BLOCK_ROWS - 1, dim))
     unrotated = np.empty_like(sent)
-    payloads = np.zeros((len(sent), codec.descriptor.capacity_bytes), dtype=np.uint8)
+    payloads = np.zeros((len(sent), codec.capacity_bytes), dtype=np.uint8)
     queued, segments = 0, []
     for profile, label, total in zip(profiles, labels, totals):
         profile_key = stream_key(root, label)

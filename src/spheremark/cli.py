@@ -26,7 +26,7 @@ from ._fileio import atomic_write
 from .channel import (Watermark, default_profiles, load_profiles, run_sweep,
                       write_sweep_csv)
 from .channel import calibrate as channel_calibrate
-from .codec import Message, check_codec_name, get_codec
+from .codec import Message, SignCodec
 from .confidence import VERDICT_TRUSTED, check_ell_threshold
 from .errors import (CapacityExceededError, DegenerateLabelsError,
                      DimensionError, DimensionMismatchError, DomainError,
@@ -118,9 +118,8 @@ def cmd_keygen(args) -> int:
 
 def cmd_seal(args) -> int:
     key = load_key(args.key)
-    codec = get_codec(args.codec, args.dim)
     message = _parse_message(args)
-    carrier_vec = Watermark(key, codec).sign(message)
+    carrier_vec = Watermark(key, SignCodec()).sign(message)
     img = read_image(args.infile)
     marked = embed(img, carrier_vec, key, args.psnr)
     out = _resolve_out(args, args.out)
@@ -130,8 +129,8 @@ def cmd_seal(args) -> int:
         "out": out,
         "achieved_psnr_db": _json_float(achieved),
         "vector_sha256": hashlib.sha256(carrier_vec.to_bytes()).hexdigest(),
-        "dim": args.dim,
-        "codec": args.codec,
+        "dim": DEFAULT_DIM,
+        "codec": "sign",
         "message_bytes": len(message.data),
     })
     _note(f"sealed {args.infile} -> {out} at {achieved:.2f} dB")
@@ -140,9 +139,8 @@ def cmd_seal(args) -> int:
 
 def cmd_open(args) -> int:
     key = load_key(args.key)
-    codec = get_codec(args.codec, args.dim)
     img = read_image(args.infile)
-    report = Watermark(key, codec).open(img, args.ell_threshold)
+    report = Watermark(key, SignCodec()).open(img, args.ell_threshold)
     _emit({"message_text": report.message.text,
            "message_hex": report.message.data.hex(), **report.to_json_dict()})
     _note(f"verdict: {report.verdict} (ell={report.ell:.2f}, "
@@ -164,11 +162,10 @@ def cmd_attack(args) -> int:
 
 def cmd_sweep(args) -> int:
     key = load_key(args.key)
-    codec = get_codec(args.codec, args.dim)
-    profiles = (load_profiles(args.profiles, args.dim) if args.profiles
-                else default_profiles(args.dim))
+    profiles = (load_profiles(args.profiles, DEFAULT_DIM) if args.profiles
+                else default_profiles(DEFAULT_DIM))
     unrotate_key = load_key(args.unrotate_key) if args.unrotate_key else None
-    rows = run_sweep(profiles, codec, key, args.n, _stage_rng(args, "sweep"),
+    rows = run_sweep(profiles, SignCodec(), key, args.n, _stage_rng(args, "sweep"),
                      message_len=args.message_len,
                      ell_threshold=args.ell_threshold,
                      unrotate_key=unrotate_key)
@@ -307,9 +304,8 @@ def cmd_metrics(args) -> int:
 def cmd_corpus(args) -> int:
     transform = _parse_transform(args.transform) if args.transform else None
     key = load_key(args.key)
-    codec = get_codec(args.codec, args.dim)
     message = _parse_message(args)
-    watermark = Watermark(key, codec)
+    watermark = Watermark(key, SignCodec())
     carrier_vec = watermark.sign(message)
     try:
         names = sorted(n for n in os.listdir(args.dir)
@@ -350,10 +346,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=None,
                         help="non-negative root seed for all randomness (default: OS entropy)")
-    common.add_argument("--dim", type=int, default=DEFAULT_DIM,
-                        help=f"payload dimension (default {DEFAULT_DIM})")
-    common.add_argument("--codec", default="sign",
-                        help="codec name (default sign)")
     common.add_argument("--out-dir", default=".",
                         help="directory for relative output paths")
     keyed = argparse.ArgumentParser(add_help=False)
@@ -419,6 +411,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibrate", parents=[common],
                        help="noise sigma for a target cosine")
     p.add_argument("--target-cosine", type=float, required=True)
+    p.add_argument("--dim", type=int, default=DEFAULT_DIM,
+                   help=f"payload dimension (default {DEFAULT_DIM})")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("metrics", parents=[common], help="text metrics over files")
@@ -451,7 +445,6 @@ def main(argv=None) -> int:
     try:
         # refused before any key, image or carrier work
         check_ell_threshold(getattr(args, "ell_threshold", 0.0))
-        check_codec_name(args.codec)
         if args.seed < 0:
             raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)

@@ -1,12 +1,13 @@
 """Message bytes <-> sphere vector codecs.
 
-The codec seam is a small abstract class so that any encoder/decoder
-pair mapping byte messages onto unit vectors can plug into the
-channel, the confidence scorer and the CLI.  The shipped reference
-codec is pure sign modulation: bit i (most significant bit first)
-becomes component (2*b_i - 1)/sqrt(d).  It is deterministic and
-exactly idempotent, which makes it the ground-truth backend for
-calibrating everything downstream.
+The one codec is pure sign modulation: bit i (most significant bit
+first) becomes component (2*b_i - 1)/sqrt(d), so a d-dimensional vector
+carries d // 8 message bytes.  It is deterministic and exactly
+idempotent, which makes it the ground-truth backend for calibrating
+everything downstream.  The command line always uses it at
+d = DEFAULT_DIM.  The Codec base class stays as the seam through which
+the channel and the confidence scorer take a codec, so that tests can
+pass fakes that break its contract.
 
 Padding convention: a block of messages is an (n, L) uint8 array, each
 row zero-padded on the right, and decode returns such rows of
@@ -54,29 +55,14 @@ def _message(row: np.ndarray) -> Message:
     return Message(row.tobytes().rstrip(b"\x00"))
 
 
-@dataclass(frozen=True)
-class CodecDescriptor:
-    name: str
-    dim: int
-    capacity_bits: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise DimensionError(f"codec dimension {self.dim} < 2")
-        if not 0 < self.capacity_bits <= self.dim:
-            raise DimensionError(
-                f"capacity {self.capacity_bits} bits outside (0, dim={self.dim}]")
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.capacity_bits // 8
-
-
 class Codec(abc.ABC):
     """Interface any message<->vector codec must satisfy: both methods
-    take a block, so a codec is written once, for n items."""
+    take a block, so a codec is written once, for n items.  dim is the
+    length of the unit rows, and capacity_bytes the width of a decoded
+    message row."""
 
-    descriptor: CodecDescriptor
+    dim: int
+    capacity_bytes: int
 
     @abc.abstractmethod
     def encode(self, octets: np.ndarray) -> np.ndarray:
@@ -92,7 +78,8 @@ class Codec(abc.ABC):
 
 
 class SignCodec(Codec):
-    """Reference codec: one bit per component, sign modulated.
+    """Reference codec: one bit per component, sign modulated, so
+    capacity_bytes is dim // 8.  dim below 2 raises DimensionError.
 
     encode and decode also take one Message or one UnitVector and then
     return one item, only because perfbench/worker.py calls them that
@@ -101,22 +88,24 @@ class SignCodec(Codec):
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):
-        self.descriptor = CodecDescriptor(name="sign", dim=dim, capacity_bits=dim)
+        if dim < 2:
+            raise DimensionError(f"codec dimension {dim} < 2")
+        self.dim = dim
+        self.capacity_bytes = dim // 8
         self._scale = 1.0 / math.sqrt(dim)
 
     def encode(self, octets: np.ndarray | Message) -> np.ndarray | UnitVector:
         one = isinstance(octets, Message)
         if one:
             octets = _octets(octets)
-        cap_bytes = self.descriptor.capacity_bytes
-        if octets.shape[1] > cap_bytes:
+        if octets.shape[1] > self.capacity_bytes:
             raise CapacityExceededError(
                 f"message of {octets.shape[1]} bytes exceeds capacity of "
-                f"{self.descriptor.capacity_bits} bits ({cap_bytes} bytes)",
-                capacity_bits=self.descriptor.capacity_bits)
+                f"{self.dim} bits ({self.capacity_bytes} bytes)",
+                capacity_bits=self.dim)
         # bits past the message bytes stay 0, the zero padding; unpackbits'
         # count= would pad too, but leaves garbage when the rows are empty
-        rows = np.zeros((len(octets), self.descriptor.dim))
+        rows = np.zeros((len(octets), self.dim))
         rows[:, :8 * octets.shape[1]] = np.unpackbits(octets, axis=1)
         rows *= 2.0  # in place: (2b - 1)/sqrt(d) without three block-sized temporaries
         rows -= 1.0
@@ -125,24 +114,16 @@ class SignCodec(Codec):
 
     def decode(self, rows: np.ndarray | UnitVector) -> np.ndarray | Message:
         rows, one = _to_rows(rows)
-        if rows.ndim != 2 or rows.shape[1] != self.descriptor.dim:
+        if rows.ndim != 2 or rows.shape[1] != self.dim:
             raise DimensionError(
-                f"vector rows {rows.shape} != codec dim {self.descriptor.dim}")
-        usable = 8 * self.descriptor.capacity_bytes
+                f"vector rows {rows.shape} != codec dim {self.dim}")
+        usable = 8 * self.capacity_bytes
         octets = np.packbits(rows[:, :usable] > 0.0, axis=1)  # exact zero decodes as 0
         return _message(octets[0]) if one else octets
 
 
-_CODECS = {"sign": SignCodec}
-
-
-def check_codec_name(name: str) -> None:
-    """Refuse a name that no codec is registered under."""
-    if name not in _CODECS:
-        raise DomainError(f"unknown codec {name!r}; registered: {sorted(_CODECS)}")
-
-
 def get_codec(name: str, dim: int) -> Codec:
-    """Look up a registered codec by name."""
-    check_codec_name(name)
-    return _CODECS[name](dim)
+    """The codec called name, at dimension dim; "sign" is the only one."""
+    if name != "sign":
+        raise DomainError(f"unknown codec {name!r}; the only codec is 'sign'")
+    return SignCodec(dim)

@@ -72,7 +72,7 @@ def load_key(path: str) -> SecretKey:
             payload = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise KeyFileError(f"cannot read key file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
         raise KeyFileError(f"key file {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict) or "seed" not in payload:
         raise KeyFileError(f"key file {path} lacks a seed field")

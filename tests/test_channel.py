@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from spheremark import (ChannelProfile, Codec, CodecDescriptor,
-                        ConfidenceReport, DimensionError, DomainError, Message,
-                        SecretKey, SignCodec, SweepRow, UnitVector, Watermark,
+from spheremark import (ChannelProfile, Codec, ConfidenceReport,
+                        DimensionError, DomainError, Message, SecretKey,
+                        SignCodec, SweepRow, UnitVector, Watermark,
                         assess, calibrate, cosine, default_profiles, embed,
                         extract, load_profiles, perturb, rotate, run_sweep,
                         sample_rotation, sample_uniform, unrotate,
@@ -127,7 +127,6 @@ class TestProfiles:
     def test_from_target(self):
         p = ChannelProfile.from_target("jpeg_80", 0.965, 256)
         assert p.sigma == pytest.approx(math.sqrt(1 / 0.965**2 - 1), abs=1e-12)
-        assert p.dim == 256
 
     def test_from_dicts_error_paths(self):
         with pytest.raises(DomainError, match=r"profiles\[0\]"):
@@ -153,7 +152,6 @@ class TestProfiles:
         profs = load_profiles(path, 128)
         assert len(profs) == 1
         assert profs[0].name == "soft"
-        assert profs[0].dim == 128
 
     @pytest.mark.parametrize("content, fragment", [
         (b"\xff\n", "cannot read profile config"),  # not UTF-8
@@ -345,7 +343,7 @@ class TestRunSweep:
         monkeypatch.setattr(channel, "rekey", forbidden)
         codec, key = self._codec_key()
         profiles = [ChannelProfile.from_target("fine", 0.99, 256),
-                    ChannelProfile("bad", 0.9, sigma, 256)]
+                    ChannelProfile("bad", 0.9, sigma)]
         with pytest.raises(DomainError, match="finite"):
             run_sweep(profiles, codec, key, 2, stream(9), ell_threshold=threshold,
                       unrotate_key=SecretKey(seed=6))
@@ -421,8 +419,8 @@ class ScalarSignCodec(Codec):
     blocks only; counts the calls it receives."""
 
     def __init__(self, dim):
-        self.descriptor = CodecDescriptor(name="scalar-sign", dim=dim, capacity_bits=dim)
         self._inner = SignCodec(dim)
+        self.dim, self.capacity_bytes = dim, self._inner.capacity_bytes
         self.calls = 0
 
     def encode(self, octets):
@@ -443,7 +441,7 @@ def reference_sweep(profiles, codec, key, n_messages, rng, *, message_len=16,
     (message bytes, last byte, noise) comes from a fresh Philox under the
     key of SeedSequence([root, label]), started at counter
     (0, 3k + f, 0, 0), which draws rows 0 ... j and keeps row j."""
-    dim = codec.descriptor.dim
+    dim = codec.dim
     m_send = sample_rotation(key, dim)
     m_recv = m_send if unrotate_key is None else sample_rotation(unrotate_key, dim)
     root = int(rng.integers(0, 2**63))

@@ -804,24 +804,12 @@ class TestExitCodes:
 
 
 class TestDimensionLimit:
-    @pytest.mark.parametrize("command", ["seal", "open", "corpus", "sweep", "bench"])
-    def test_refused_before_allocating(self, tmp_path, capsys, keyfile,
-                                       host_image, command):
+    def test_bench_refused_before_allocating(self, tmp_path, capsys):
         out = tmp_path / "out"
-        argv = {
-            "seal": ["seal", "--in", host_image, "--out", str(out), "--key", keyfile,
-                     "--message", "m", "--dim", "60000"],
-            "open": ["open", "--in", host_image, "--key", keyfile, "--dim", "60000"],
-            "corpus": ["corpus", "--dir", os.path.dirname(host_image), "--key", keyfile,
-                       "--message", "m", "--out", str(out), "--dim", "60000"],
-            "sweep": ["sweep", "--key", keyfile, "--n", "1", "--out", str(out),
-                      "--dim", "60000"],
-            "bench": ["bench", "--dims", "60000", "--repeats", "1",
-                      "--out", str(out)],
-        }[command]
         tracemalloc.start()
         try:
-            rc, payload, err = run_cli(capsys, *argv, "--seed", "1")
+            rc, payload, err = run_cli(capsys, "bench", "--dims", "60000", "--repeats", "1",
+                                       "--out", str(out), "--seed", "1")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -830,6 +818,43 @@ class TestDimensionLimit:
         assert err.startswith("error: ") and "Traceback" not in err
         assert "4096" in err
         assert peak < 64 * 2**20
+        assert not out.exists()
+
+
+class TestNoPayloadSchemeFlags:
+    # the payload is always d = 256 under the sign codec, so a flag that
+    # would pick another scheme is refused, not silently obeyed
+    @pytest.mark.parametrize("flag", [["--dim", "128"], ["--codec", "sign"]])
+    @pytest.mark.parametrize("command", ["seal", "open", "corpus", "sweep", "attack",
+                                         "keygen", "roc", "metrics"])
+    def test_refused_by_the_parser(self, tmp_path, capsys, monkeypatch, keyfile,
+                                   host_image, command, flag):
+        out = tmp_path / "out"
+        scores = tmp_path / "scores.csv"
+        scores.write_text("0.9,1\n0.1,0\n")
+        argv = {
+            "seal": ["seal", "--in", host_image, "--out", str(out), "--key", keyfile,
+                     "--message", "m"],
+            "open": ["open", "--in", host_image, "--key", keyfile],
+            "corpus": ["corpus", "--dir", os.path.dirname(host_image), "--key", keyfile,
+                       "--message", "m", "--out", str(out)],
+            "sweep": ["sweep", "--key", keyfile, "--n", "1", "--out", str(out)],
+            "attack": ["attack", "--in", host_image, "--transform", "identity",
+                       "--out", str(out)],
+            "keygen": ["keygen", "7", "--out", str(out)],
+            "roc": ["roc", "--scores", str(scores), "--out", str(out)],
+            "metrics": ["metrics", "--mode", "em", "--candidates", str(scores),
+                        "--references", str(scores)],
+        }[command]
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("an image was read before the refusal")
+
+        monkeypatch.setattr(cli, "read_image", no_read)
+        rc, payload, err = run_cli(capsys, *argv, *flag)
+        assert rc == EXIT_USAGE
+        assert payload is None
+        assert f"unrecognized arguments: {' '.join(flag)}" in err
         assert not out.exists()
 
 
@@ -977,12 +1002,26 @@ REFUSALS = [
      ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
       "--out", "@out.csv", "--seed", "-1"], EXIT_USAGE,
      "--seed must be a non-negative integer"),
-    # every subcommand takes --codec, also those that build no codec
-    ("calibrate-unknown-codec", {}, ["calibrate", "--target-cosine", "0.9", "--codec", "nope"],
-     EXIT_USAGE, "unknown codec 'nope'; registered: ['sign']"),
-    ("attack-unknown-codec", {"host.ppm": HOST},
-     ["attack", "--in", "@host.ppm", "--transform", "identity", "--out", "@out.ppm",
-      "--codec", "nope"], EXIT_USAGE, "unknown codec 'nope'; registered: ['sign']"),
+    # past the interpreter's 4300-digit limit json.load raises ValueError,
+    # and past its nesting depth RecursionError
+    ("key-seed-too-many-digits", {"k.json": b'{"seed": 1' + b"0" * 5000 + b"}"},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "is not valid JSON"),
+    ("key-nested-too-deep", {"k.json": b'{"seed": ' + b"[" * 100000 + b"]" * 100000 + b"}"},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "is not valid JSON"),
+    ("profiles-too-many-digits",
+     {"key.json": KEY_JSON,
+      "p.json": b'[{"name": "a", "target_cosine": 1' + b"0" * 5000 + b"}]"},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profile config"),
+    ("profiles-nested-too-deep",
+     {"key.json": KEY_JSON, "p.json": b"[" * 100000 + b"]" * 100000},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profile config"),
+    ("profiles-target-past-float-range",
+     {"key.json": KEY_JSON,
+      "p.json": b'[{"name": "a", "target_cosine": 1' + b"0" * 400 + b"}]"},
+     ["sweep", "--key", "@key.json", "--profiles", "@p.json", "--out", "@out.csv"],
+     EXIT_USAGE, "profiles[0].target_cosine"),
 ]
 
 

@@ -94,15 +94,13 @@ class TestDecode:
 
 class TestDescriptor:
     def test_fields(self):
-        d = SignCodec(256).descriptor
-        assert d.name == "sign"
+        d = SignCodec(256)
         assert d.dim == 256
-        assert d.capacity_bits == 256
         assert d.capacity_bytes == 32
 
     def test_odd_dim_capacity(self):
         # capacity in whole bytes rounds down
-        assert SignCodec(20).descriptor.capacity_bytes == 2
+        assert SignCodec(20).capacity_bytes == 2
 
     def test_min_dim(self):
         with pytest.raises(Exception):
@@ -163,7 +161,7 @@ class TestContract:
     def test_sign_one_item_forms_are_row_zero_of_blocks(self, dim):
         c = SignCodec(dim)
         rng = stream(33, dim)
-        cap = c.descriptor.capacity_bytes
+        cap = c.capacity_bytes
         for k in (0, cap // 2, cap):
             m = Message(rng.integers(1, 256, size=k, dtype=np.uint8).tobytes())
             v = c.encode(m)
@@ -179,7 +177,7 @@ class TestRows:
     @pytest.mark.parametrize("dim", [4, 20, 256])
     def test_block_encode_rows_are_one_item_encodes(self, dim):
         c = SignCodec(dim)
-        cap = c.descriptor.capacity_bytes
+        cap = c.capacity_bytes
         rng = stream(30, dim)
         messages = [rng.integers(1, 256, size=k, dtype=np.uint8).tobytes()
                     for k in (0, cap // 2, cap, cap)]
@@ -194,7 +192,7 @@ class TestRows:
     @pytest.mark.parametrize("dim", [4, 20, 256])
     def test_block_decode_rows_are_one_item_decodes(self, dim):
         c = SignCodec(dim)
-        cap = c.descriptor.capacity_bytes
+        cap = c.capacity_bytes
         rng = stream(31, dim)
         rows = np.stack([sample_uniform(dim, rng).components for _ in range(9)])
         rows[0, 0] = 0.0  # exact zero decodes as a 0 bit
