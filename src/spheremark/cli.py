@@ -5,9 +5,10 @@ stderr.  Exit codes: 0 success (and trusted verdicts), 2 usage or
 configuration problems (including capacity), 3 image I/O, 4 key
 errors, 10 for an untrusted verdict from ``open``.
 
-All randomness funnels through one root seed (--seed, or OS entropy
-when absent) with a labeled substream per command stage, so a fixed
-seed reproduces outputs byte for byte.
+All randomness of attack, sweep and corpus funnels through one root
+seed (--seed, or OS entropy when absent) with a labeled substream per
+command stage, so a fixed seed reproduces outputs byte for byte.  seal
+takes --seed too, for a per-seal nonce to come; the others refuse it.
 """
 from __future__ import annotations
 
@@ -76,12 +77,6 @@ def _stage_rng(args, stage: str):
     return stream(args.seed, label_entropy(stage))
 
 
-def _resolve_out(args, path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    return os.path.join(args.out_dir, path)
-
-
 def _parse_message(args) -> Message:
     if (args.message is None) == (args.message_hex is None):
         raise DomainError("provide exactly one of --message or --message-hex")
@@ -109,10 +104,9 @@ def _parse_transform(spec: str) -> tuple[str, float | None]:
 def cmd_keygen(args) -> int:
     seed = args.key_seed if args.key_seed is not None else secrets.randbits(64)
     key = SecretKey(seed=seed, label=args.label)
-    out = _resolve_out(args, args.out)
-    save_key(key, out)
-    _emit({"out": out, "seed": seed, "label": args.label})
-    _note(f"wrote key file {out}")
+    save_key(key, args.out)
+    _emit({"out": args.out, "seed": seed, "label": args.label})
+    _note(f"wrote key file {args.out}")
     return EXIT_OK
 
 
@@ -122,18 +116,17 @@ def cmd_seal(args) -> int:
     carrier_vec = Watermark(key, SignCodec()).sign(message)
     img = read_image(args.infile)
     marked = embed(img, carrier_vec, key, args.psnr)
-    out = _resolve_out(args, args.out)
-    write_image(marked, out)
+    write_image(marked, args.out)
     achieved = psnr(img, marked)
     _emit({
-        "out": out,
+        "out": args.out,
         "achieved_psnr_db": _json_float(achieved),
         "vector_sha256": hashlib.sha256(carrier_vec.to_bytes()).hexdigest(),
         "dim": DEFAULT_DIM,
         "codec": "sign",
         "message_bytes": len(message.data),
     })
-    _note(f"sealed {args.infile} -> {out} at {achieved:.2f} dB")
+    _note(f"sealed {args.infile} -> {args.out} at {achieved:.2f} dB")
     return EXIT_OK
 
 
@@ -152,11 +145,10 @@ def cmd_attack(args) -> int:
     name, value = _parse_transform(args.transform)
     img = read_image(args.infile)
     out_img = apply_attack(img, name, value, rng=_stage_rng(args, "attack"))
-    out = _resolve_out(args, args.out)
-    write_image(out_img, out)
-    _emit({"out": out, "transform": args.transform,
+    write_image(out_img, args.out)
+    _emit({"out": args.out, "transform": args.transform,
            "psnr_db": _json_float(psnr(img, out_img))})
-    _note(f"applied {args.transform} -> {out}")
+    _note(f"applied {args.transform} -> {args.out}")
     return EXIT_OK
 
 
@@ -169,10 +161,9 @@ def cmd_sweep(args) -> int:
                      message_len=args.message_len,
                      ell_threshold=args.ell_threshold,
                      unrotate_key=unrotate_key)
-    out = _resolve_out(args, args.out)
-    write_sweep_csv(rows, out)
-    _emit({"out": out, "profiles": len(rows), "n": args.n})
-    _note(f"swept {len(rows)} profiles x {args.n} messages -> {out}")
+    write_sweep_csv(rows, args.out)
+    _emit({"out": args.out, "profiles": len(rows), "n": args.n})
+    _note(f"swept {len(rows)} profiles x {args.n} messages -> {args.out}")
     return EXIT_OK
 
 
@@ -200,12 +191,11 @@ def _read_scores(path: str) -> list[ScoredSample]:
 def cmd_roc(args) -> int:
     samples = _read_scores(args.scores)
     result, points = roc_with_operating_points(samples, args.target_fpr or [0.01])
-    out = _resolve_out(args, args.out)
-    write_roc_csv(result, out)
+    write_roc_csv(result, args.out)
     n_pos = sum(s.label for s in samples)
     _emit({"auc": result.auc, "n_pos": n_pos, "n_neg": len(samples) - n_pos,
-           "operating_points": [op.to_json_dict() for op in points], "out": out})
-    _note(f"auc={result.auc:.4f} over {len(samples)} samples -> {out}")
+           "operating_points": [op.to_json_dict() for op in points], "out": args.out})
+    _note(f"auc={result.auc:.4f} over {len(samples)} samples -> {args.out}")
     return EXIT_OK
 
 
@@ -244,8 +234,7 @@ def cmd_bench(args) -> int:
              "median_ms": _median_rotation_ms(dim, batch, args.repeats)}
             for dim in dims for batch in batches]
     if args.out:
-        out = _resolve_out(args, args.out)
-        with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
+        with atomic_write(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("dim,batch,median_ms\n")
             for r in rows:
                 fh.write(f"{r['dim']},{r['batch']},{r['median_ms']:.4f}\n")
@@ -321,8 +310,7 @@ def cmd_corpus(args) -> int:
             raise ImageFormatError(
                 f"file name {ascii(name)} under {args.dir} is not valid UTF-8") from None
     rng = _stage_rng(args, "corpus")
-    out = _resolve_out(args, args.out)
-    with atomic_write(out, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")
         table = csv.writer(fh, lineterminator="\n")  # quotes odd file names
         for name in names:
@@ -337,17 +325,15 @@ def cmd_corpus(args) -> int:
             db_txt = "inf" if math.isinf(db) else f"{db:.4f}"
             table.writerow((name, db_txt, f"{report.cosine:.6f}", f"{report.ell:.4f}",
                             report.verdict, int(match)))
-    _emit({"out": out, "images": len(names)})
-    _note(f"processed {len(names)} images -> {out}")
+    _emit({"out": args.out, "images": len(names)})
+    _note(f"processed {len(names)} images -> {args.out}")
     return EXIT_OK
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None,
                         help="non-negative root seed for all randomness (default: OS entropy)")
-    common.add_argument("--out-dir", default=".",
-                        help="directory for relative output paths")
     keyed = argparse.ArgumentParser(add_help=False)
     keyed.add_argument("--key", required=True)
     payload = argparse.ArgumentParser(add_help=False)
@@ -363,30 +349,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Keyed watermark channel on the unit hypersphere.")
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("keygen", parents=[common, written], help="create a key file")
+    p = sub.add_parser("keygen", parents=[written], help="create a key file")
     p.add_argument("key_seed", nargs="?", type=int, default=None,
                    help="64-bit seed (default: OS entropy)")
     p.add_argument("--label", default=None)
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("seal", parents=[common, keyed, payload, written],
+    p = sub.add_parser("seal", parents=[seeded, keyed, payload, written],
                        help="embed a message into an image")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_seal)
 
-    p = sub.add_parser("open", parents=[common, keyed, judged],
+    p = sub.add_parser("open", parents=[keyed, judged],
                        help="extract and judge a message")
     p.add_argument("--in", dest="infile", required=True)
     p.set_defaults(func=cmd_open)
 
-    p = sub.add_parser("attack", parents=[common, written], help="apply a pixel transform")
+    p = sub.add_parser("attack", parents=[seeded, written], help="apply a pixel transform")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--transform", required=True,
                    help="name or name:value, e.g. jpeg_like:50 "
                         f"(names: {', '.join(transform_names())})")
     p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("sweep", parents=[common, keyed, judged, written],
+    p = sub.add_parser("sweep", parents=[seeded, keyed, judged, written],
                        help="simulate channel profiles")
     p.add_argument("--n", type=int, default=200)
     p.add_argument("--profiles", default=None, help="profile JSON (default built in)")
@@ -395,34 +381,33 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="different key for the receive side (wrong-key runs)")
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("roc", parents=[common], help="ROC curve and operating points")
+    p = sub.add_parser("roc", help="ROC curve and operating points")
     p.add_argument("--scores", required=True, help="CSV of score,label rows")
     p.add_argument("--out", required=True, help="ROC curve CSV output")
     p.add_argument("--target-fpr", type=float, action="append", default=None)
     p.set_defaults(func=cmd_roc)
 
-    p = sub.add_parser("bench", parents=[common], help="time rotation sampling")
+    p = sub.add_parser("bench", help="time rotation sampling")
     p.add_argument("--dims", default=str(DEFAULT_DIM))
     p.add_argument("--batches", default="1")
     p.add_argument("--repeats", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
-    p = sub.add_parser("calibrate", parents=[common],
-                       help="noise sigma for a target cosine")
+    p = sub.add_parser("calibrate", help="noise sigma for a target cosine")
     p.add_argument("--target-cosine", type=float, required=True)
     p.add_argument("--dim", type=int, default=DEFAULT_DIM,
                    help=f"payload dimension (default {DEFAULT_DIM})")
     p.set_defaults(func=cmd_calibrate)
 
-    p = sub.add_parser("metrics", parents=[common], help="text metrics over files")
+    p = sub.add_parser("metrics", help="text metrics over files")
     p.add_argument("--mode", required=True, choices=["bleu4", "em", "novelty"])
     p.add_argument("--candidates", default=None)
     p.add_argument("--references", default=None)
     p.add_argument("--train", default=None)
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("corpus", parents=[common, keyed, payload, judged, written],
+    p = sub.add_parser("corpus", parents=[seeded, keyed, payload, judged, written],
                        help="seal/attack/open every image in a directory")
     p.add_argument("--dir", required=True)
     p.add_argument("--transform", default=None)
@@ -440,12 +425,12 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help(sys.stderr)
         return EXIT_USAGE
-    if getattr(args, "seed", None) is None:
+    if "seed" in args and args.seed is None:
         args.seed = secrets.randbits(63)
     try:
         # refused before any key, image or carrier work
         check_ell_threshold(getattr(args, "ell_threshold", 0.0))
-        if args.seed < 0:
+        if getattr(args, "seed", 0) < 0:
             raise DomainError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except tuple(cls for classes, _ in EXIT_CODES for cls in classes) as exc:

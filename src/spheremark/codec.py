@@ -101,8 +101,7 @@ class SignCodec(Codec):
         if octets.shape[1] > self.capacity_bytes:
             raise CapacityExceededError(
                 f"message of {octets.shape[1]} bytes exceeds capacity of "
-                f"{self.dim} bits ({self.capacity_bytes} bytes)",
-                capacity_bits=self.dim)
+                f"{self.dim} bits ({self.capacity_bytes} bytes)")
         # bits past the message bytes stay 0, the zero padding; unpackbits'
         # count= would pad too, but leaves garbage when the rows are empty
         rows = np.zeros((len(octets), self.dim))

@@ -16,10 +16,6 @@ class DomainError(ValueError):
 class CapacityExceededError(ValueError):
     """Message does not fit the codec capacity."""
 
-    def __init__(self, message: str, capacity_bits: int):
-        super().__init__(message)
-        self.capacity_bits = capacity_bits
-
 
 class UnknownTransformError(ValueError):
     """Transform name not present in the attack registry."""

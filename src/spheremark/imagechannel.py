@@ -103,7 +103,6 @@ class CarrierSet:
     float64 stack of the carriers.
     """
 
-    key: SecretKey
     dim: int
     height: int
     width: int
@@ -155,8 +154,7 @@ class CarrierSet:
         lo = -np.sqrt(k / ((n_px - k) * n_px))
         for held in (words, hi, lo):
             held.flags.writeable = False
-        return cls(key=key, dim=dim, height=height, width=width,
-                   words=words, hi=hi, lo=lo)
+        return cls(dim=dim, height=height, width=width, words=words, hi=hi, lo=lo)
 
     def superpose(self, v: np.ndarray) -> np.ndarray:
         """sum_i v[i] * carrier i, flattened to H*W samples.

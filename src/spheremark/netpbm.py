@@ -105,16 +105,17 @@ def read_image(path: str) -> RasterImage:
     if not 0 < maxval <= MAXVAL:
         raise ImageFormatError(f"{path}: maxval {maxval} unsupported, want 1..255")
     need = width * height * channels
-    data = buf[data_start:]
-    if len(data) != need:
-        raise ImageFormatError(f"{path}: expected {need} pixel bytes, got {len(data)}")
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width, channels)
+    if len(buf) - data_start != need:
+        raise ImageFormatError(
+            f"{path}: expected {need} pixel bytes, got {len(buf) - data_start}")
+    # a read-only view of the file's bytes, not a copy
+    arr = np.frombuffer(buf, dtype=np.uint8, offset=data_start).reshape(height, width, channels)
     if maxval < MAXVAL:
         if int(arr.max()) > maxval:
             raise ImageFormatError(f"{path}: sample {int(arr.max())} above maxval {maxval}")
         # round half up to the nearest 0..255 level
-        arr = (arr.astype(np.uint16) * MAXVAL + maxval // 2) // maxval
-    return RasterImage(arr.astype(np.uint8))
+        arr = ((arr.astype(np.uint16) * MAXVAL + maxval // 2) // maxval).astype(np.uint8)
+    return RasterImage(arr)
 
 
 def write_image(img: RasterImage, path: str) -> None:

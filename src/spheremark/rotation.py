@@ -39,10 +39,6 @@ MAX_SEED = 2**64 - 1
 # matrices (+655 MiB, 9 s at d = 4096), so d ~ 12k would exhaust 8 GiB.
 MAX_DIM = 4096
 
-# Validation tolerances for sampled matrices (d <= 512).
-ORTHO_TOL = 1e-10
-DET_TOL = 1e-8
-
 
 @dataclass(frozen=True)
 class SecretKey:
@@ -103,16 +99,6 @@ class RotationMatrix:
     @property
     def dim(self) -> int:
         return int(self.entries.shape[0])
-
-    def validate(self) -> None:
-        """Check orthonormality and unit determinant; raise on failure."""
-        q = self.entries
-        resid = float(np.max(np.abs(q.T @ q - np.eye(self.dim))))
-        if resid > ORTHO_TOL:
-            raise ValueError(f"orthogonality residual {resid:.3e} exceeds {ORTHO_TOL}")
-        det = float(np.linalg.det(q))
-        if abs(det - 1.0) > DET_TOL:
-            raise ValueError(f"determinant {det:.17g} deviates from +1 beyond {DET_TOL}")
 
 
 def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:

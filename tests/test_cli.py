@@ -765,7 +765,7 @@ def _calibrate_raises(monkeypatch, exc):
 class TestExitCodes:
     # every class in cli.EXIT_CODES, with the code the README documents
     @pytest.mark.parametrize("exc, code", [
-        (CapacityExceededError("too long", capacity_bits=8), 2),
+        (CapacityExceededError("too long"), 2),
         (DomainError("bad value"), 2),
         (DimensionError("bad dim"), 2),
         (DimensionMismatchError("dims differ"), 2),
@@ -809,7 +809,7 @@ class TestDimensionLimit:
         tracemalloc.start()
         try:
             rc, payload, err = run_cli(capsys, "bench", "--dims", "60000", "--repeats", "1",
-                                       "--out", str(out), "--seed", "1")
+                                       "--out", str(out))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -821,6 +821,41 @@ class TestDimensionLimit:
         assert not out.exists()
 
 
+def _assert_flag_refused(capsys, monkeypatch, tmp_path, keyfile, host_image,
+                         command, flag):
+    """A valid argv for command, plus flag, exits 2 at the parser with
+    nothing read or written."""
+    out = tmp_path / "out"
+    scores = tmp_path / "scores.csv"
+    scores.write_text("0.9,1\n0.1,0\n")
+    argv = {
+        "seal": ["seal", "--in", host_image, "--out", str(out), "--key", keyfile,
+                 "--message", "m"],
+        "open": ["open", "--in", host_image, "--key", keyfile],
+        "corpus": ["corpus", "--dir", os.path.dirname(host_image), "--key", keyfile,
+                   "--message", "m", "--out", str(out)],
+        "sweep": ["sweep", "--key", keyfile, "--n", "1", "--out", str(out)],
+        "attack": ["attack", "--in", host_image, "--transform", "identity",
+                   "--out", str(out)],
+        "keygen": ["keygen", "7", "--out", str(out)],
+        "roc": ["roc", "--scores", str(scores), "--out", str(out)],
+        "metrics": ["metrics", "--mode", "em", "--candidates", str(scores),
+                    "--references", str(scores)],
+        "bench": ["bench", "--dims", "4", "--repeats", "1", "--out", str(out)],
+        "calibrate": ["calibrate", "--target-cosine", "0.5"],
+    }[command]
+
+    def no_read(*args, **kwargs):
+        raise AssertionError("an image was read before the refusal")
+
+    monkeypatch.setattr(cli, "read_image", no_read)
+    rc, payload, err = run_cli(capsys, *argv, *flag)
+    assert rc == EXIT_USAGE
+    assert payload is None
+    assert f"unrecognized arguments: {' '.join(flag)}" in err
+    assert not out.exists()
+
+
 class TestNoPayloadSchemeFlags:
     # the payload is always d = 256 under the sign codec, so a flag that
     # would pick another scheme is refused, not silently obeyed
@@ -829,33 +864,41 @@ class TestNoPayloadSchemeFlags:
                                          "keygen", "roc", "metrics"])
     def test_refused_by_the_parser(self, tmp_path, capsys, monkeypatch, keyfile,
                                    host_image, command, flag):
-        out = tmp_path / "out"
-        scores = tmp_path / "scores.csv"
-        scores.write_text("0.9,1\n0.1,0\n")
-        argv = {
-            "seal": ["seal", "--in", host_image, "--out", str(out), "--key", keyfile,
-                     "--message", "m"],
-            "open": ["open", "--in", host_image, "--key", keyfile],
-            "corpus": ["corpus", "--dir", os.path.dirname(host_image), "--key", keyfile,
-                       "--message", "m", "--out", str(out)],
-            "sweep": ["sweep", "--key", keyfile, "--n", "1", "--out", str(out)],
-            "attack": ["attack", "--in", host_image, "--transform", "identity",
-                       "--out", str(out)],
-            "keygen": ["keygen", "7", "--out", str(out)],
-            "roc": ["roc", "--scores", str(scores), "--out", str(out)],
-            "metrics": ["metrics", "--mode", "em", "--candidates", str(scores),
-                        "--references", str(scores)],
-        }[command]
+        _assert_flag_refused(capsys, monkeypatch, tmp_path, keyfile, host_image,
+                             command, flag)
 
-        def no_read(*args, **kwargs):
-            raise AssertionError("an image was read before the refusal")
 
-        monkeypatch.setattr(cli, "read_image", no_read)
-        rc, payload, err = run_cli(capsys, *argv, *flag)
-        assert rc == EXIT_USAGE
-        assert payload is None
-        assert f"unrecognized arguments: {' '.join(flag)}" in err
-        assert not out.exists()
+COMMANDS = ["keygen", "seal", "open", "attack", "sweep", "roc", "bench", "calibrate",
+            "metrics", "corpus"]
+SEEDED = ["seal", "attack", "sweep", "corpus"]
+
+
+class TestOnlyOptionsACommandReads:
+    # --seed only where a root seed is drawn from (seal keeps it for its
+    # per-seal nonce), and --out alone places output files, so keygen
+    # --seed 5 is refused rather than writing an OS-entropy key
+    @pytest.mark.parametrize("command, flag", [
+        *[(c, ["--seed", "1"]) for c in COMMANDS if c not in SEEDED],
+        *[(c, ["--out-dir", "x"]) for c in COMMANDS]],
+        ids=lambda v: v if isinstance(v, str) else "_".join(v))
+    def test_refused_by_the_parser(self, tmp_path, capsys, monkeypatch, keyfile,
+                                   host_image, command, flag):
+        _assert_flag_refused(capsys, monkeypatch, tmp_path, keyfile, host_image,
+                             command, flag)
+
+    @pytest.mark.parametrize("command", ["keygen", "sweep"])
+    def test_relative_out_is_taken_from_the_cwd(self, tmp_path, capsys, monkeypatch,
+                                                keyfile, command):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        rel = os.path.join("sub", "out.file")
+        argv = {"keygen": ["keygen", "7"],
+                "sweep": ["sweep", "--key", keyfile, "--n", "2", "--seed", "1"]}[command]
+        rc, payload, err = run_cli(capsys, *argv, "--out", rel)
+        assert rc == EXIT_OK
+        assert payload["out"] == rel
+        assert err.rstrip().endswith(f" {rel}")
+        assert (tmp_path / "sub" / "out.file").is_file()
 
 
 class TestNonFiniteThreshold:

@@ -486,6 +486,11 @@ class TestEll:
         assert ell_from_p(1e-10) == pytest.approx(10.0, rel=1e-12)
         assert ell_from_p(0.1) == pytest.approx(1.0, rel=1e-12)
 
+    @pytest.mark.parametrize("p", [1.5, -0.5])
+    def test_refuses_p_outside_unit_interval(self, p):
+        with pytest.raises(DomainError, match="outside"):
+            ell_from_p(p)
+
 
 class TestAssess:
     def test_clean_vector_trusted(self):

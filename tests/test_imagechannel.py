@@ -9,11 +9,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from spheremark import (CarrierSet, DomainError, ImageSizeError, Message,
-                        RasterImage, SecretKey, SignCodec, UnknownTransformError,
-                        attack, cosine, embed, extract, psnr, rotate,
-                        sample_rotation, transform_names, unrotate,
-                        write_image)
+from spheremark import (CarrierSet, DimensionError, DomainError, ImageSizeError,
+                        Message, RasterImage, SecretKey, SignCodec,
+                        UnknownTransformError, attack, cosine, embed, extract,
+                        psnr, rotate, sample_rotation, transform_names,
+                        unrotate, write_image)
 from spheremark import imagechannel
 from spheremark.imagechannel import (_CARRIER_DOMAIN, _Q_LUMA,
                                      _scaled_quant_table, luma)
@@ -235,7 +235,7 @@ class TestCarrierCache:
         seed, dim, height, width = changed
         got = imagechannel._cached_carriers(*changed)
         assert got is not first
-        assert (got.key.seed, got.dim, got.height, got.width) == tuple(changed)
+        assert (got.dim, got.height, got.width) == (dim, height, width)
         want = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
         assert _same_carriers(got, want)
 
@@ -258,7 +258,6 @@ class TestCarrierCache:
         finally:
             tracemalloc.stop()
         assert imagechannel._held_carriers == {self.KEYS[3]: got}
-        assert got.key.seed == self.KEYS[3][0]
         # the new stack plus block temporaries, never two stacks
         assert peak < 1.5 * self.STACK
 
@@ -312,6 +311,13 @@ class TestEmbed:
         for bad in (29.9, 60.1):
             with pytest.raises(DomainError):
                 embed(img, v, KEY, target_psnr_db=bad)
+
+    def test_rejects_dim_below_two(self, no_held_carriers):
+        img = make_image(0, height=32, width=32)
+        extract(img, KEY, 8)  # a held set, which the refused miss drops
+        with pytest.raises(DimensionError, match="carrier count 1 < 2"):
+            extract(img, KEY, 1)
+        assert imagechannel._held_carriers == {}
 
     def test_rejects_small_image(self, monkeypatch):
         img = make_image(4, height=16, width=64)

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,11 @@ class TestRasterImage:
         with pytest.raises(ImageFormatError):
             RasterImage(np.zeros((4, 4, 2), dtype=np.uint8))
 
+    @pytest.mark.parametrize("shape", [(0, 4, 1), (4, 0, 3), (0, 0)])
+    def test_rejects_empty_side(self, shape):
+        with pytest.raises(ImageFormatError, match="at least 1x1"):
+            RasterImage(np.zeros(shape, dtype=np.uint8))
+
     def test_pixels_read_only(self):
         img = _gray()
         with pytest.raises(ValueError):
@@ -62,6 +68,20 @@ class TestReadWrite:
         write_image(img, path)
         back = read_image(path)
         assert np.array_equal(img.pixels, back.pixels)
+
+    def test_read_holds_one_copy_of_the_pixels(self, tmp_path):
+        # the pixels are a view of the file's bytes, not a copy of them
+        path = tmp_path / "big.ppm"
+        write_image(RasterImage(np.zeros((1024, 1024, 3), dtype=np.uint8)), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            img = read_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert img.pixels.shape == (1024, 1024, 3)
+        assert peak < 1.5 * size
 
     def test_written_header_is_canonical(self, tmp_path):
         path = tmp_path / "g.pgm"

@@ -99,7 +99,6 @@ class TestConstruction:
         for d in (2, 3, 8, 64):
             for s in range(20):
                 m = sample_rotation(SecretKey(seed=s), d)
-                m.validate()
                 eye_err = float(np.max(np.abs(m.entries.T @ m.entries - np.eye(d))))
                 assert eye_err <= 1e-10
                 assert abs(float(np.linalg.det(m.entries)) - 1.0) <= 1e-8
@@ -203,16 +202,6 @@ class TestHeldRotations:
 
 
 class TestRotationMatrixType:
-    def test_validate_flags_non_orthogonal(self):
-        m = RotationMatrix(np.array([[1.0, 0.1], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            m.validate()
-
-    def test_validate_flags_reflection(self):
-        m = RotationMatrix(np.array([[1.0, 0.0], [0.0, -1.0]]))
-        with pytest.raises(ValueError):
-            m.validate()
-
     def test_rejects_non_square(self):
         with pytest.raises(DimensionError):
             RotationMatrix(np.zeros((2, 3)))
