@@ -1,7 +1,9 @@
-"""Output files that appear whole or not at all."""
+"""Output files that appear whole or not at all, and JSON input files
+whose faults are reported as one error class."""
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 
 
@@ -34,3 +36,15 @@ def atomic_write(path, mode: str = "w", **open_kwargs):
     except BaseException:
         os.unlink(tmp)
         raise
+
+
+def read_json(path, error: type[Exception], what: str):
+    """Parse the UTF-8 JSON file at ``path``; a file that cannot be read
+    or parsed raises ``error``, its message naming ``what`` and ``path``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error(f"cannot read {what} {path}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc

@@ -38,7 +38,7 @@ from importlib import resources
 
 import numpy as np
 
-from ._fileio import atomic_write
+from ._fileio import atomic_write, read_json
 from .codec import Codec, Message, _octets
 from .confidence import ConfidenceReport, assess, check_ell_threshold
 from .errors import DomainError
@@ -71,14 +71,18 @@ def _check_sigma(sigma: float) -> None:
         raise DomainError(f"noise scale {sigma} must be finite and >= 0")
 
 
-def _noise(rng: np.random.Generator, dim: int, sigma: float) -> np.ndarray:
-    """A uniform direction scaled to length sigma; a zero-norm Gaussian
-    draw is redrawn from the same stream."""
-    while True:
-        g = rng.standard_normal(dim)
-        g_norm = float(np.linalg.norm(g))
-        if g_norm > 0.0:
-            return (sigma / g_norm) * g
+def _noise(rng: np.random.Generator, n: int, dim: int, sigma: float) -> np.ndarray:
+    """An (n, dim) block of rows in uniform directions, each of length
+    sigma.  A zero-norm Gaussian row (chance ~0) is redrawn, one row at
+    a time, from the same stream after the block's rows."""
+    rows = rng.standard_normal((n, dim))
+    norms = np.sqrt(_row_dots(rows, rows))
+    for j in np.flatnonzero(norms == 0.0):
+        while norms[j] == 0.0:
+            rows[j] = rng.standard_normal(dim)
+            norms[j] = math.sqrt(np.dot(rows[j], rows[j]))
+    rows *= (sigma / norms)[:, None]
+    return rows
 
 
 def perturb(v: UnitVector, sigma: float, rng: np.random.Generator) -> UnitVector:
@@ -97,7 +101,7 @@ def perturb(v: UnitVector, sigma: float, rng: np.random.Generator) -> UnitVector
     if sigma == 0.0:
         return v
     while True:
-        noisy = v.components + _noise(rng, v.dim, sigma)
+        noisy = v.components + _noise(rng, 1, v.dim, sigma)[0]
         if float(np.linalg.norm(noisy)) > 0.0:
             return unit(noisy)
 
@@ -151,14 +155,7 @@ def profiles_from_dicts(entries: list, dim: int) -> list[ChannelProfile]:
 
 
 def load_profiles(path: str, dim: int) -> list[ChannelProfile]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            entries = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read profile config: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-        raise DomainError(f"profile config {path}: {exc}") from exc
-    return profiles_from_dicts(entries, dim)
+    return profiles_from_dicts(read_json(path, DomainError, "profile config"), dim)
 
 
 def default_profiles(dim: int) -> list[ChannelProfile]:
@@ -233,13 +230,7 @@ def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: in
     if sigma == 0.0:
         return body, None
     rekey(rng, profile_key, 3 * k + 2)
-    noise = rng.standard_normal((n, dim))
-    norms = np.sqrt(_row_dots(noise, noise))
-    noise *= np.divide(sigma, norms, out=np.zeros(n), where=norms > 0.0)[:, None]
-    # a zero-norm row (chance ~0) is redrawn after the block's rows
-    for j in np.flatnonzero(norms == 0.0):
-        noise[j] = _noise(rng, dim, sigma)
-    return body, noise
+    return body, _noise(rng, n, dim, sigma)
 
 
 def _score_chunk(codec: Codec, v: np.ndarray, v_hat: np.ndarray, payloads: np.ndarray,

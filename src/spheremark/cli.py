@@ -233,19 +233,14 @@ def cmd_bench(args) -> int:
     rows = [{"dim": dim, "batch": batch,
              "median_ms": _median_rotation_ms(dim, batch, args.repeats)}
             for dim in dims for batch in batches]
-    if args.out:
-        with atomic_write(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("dim,batch,median_ms\n")
-            for r in rows:
-                fh.write(f"{r['dim']},{r['batch']},{r['median_ms']:.4f}\n")
     _emit({"results": rows})
     _note(f"benchmarked {len(rows)} (dim, batch) points")
     return EXIT_OK
 
 
 def cmd_calibrate(args) -> int:
-    sigma = channel_calibrate(args.target_cosine, args.dim)
-    _emit({"target_cosine": args.target_cosine, "sigma": sigma, "dim": args.dim})
+    sigma = channel_calibrate(args.target_cosine, DEFAULT_DIM)
+    _emit({"target_cosine": args.target_cosine, "sigma": sigma, "dim": DEFAULT_DIM})
     _note(f"sigma={sigma:.6g} for target cosine {args.target_cosine}")
     return EXIT_OK
 
@@ -391,13 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", default=str(DEFAULT_DIM))
     p.add_argument("--batches", default="1")
     p.add_argument("--repeats", type=int, default=10)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("calibrate", help="noise sigma for a target cosine")
     p.add_argument("--target-cosine", type=float, required=True)
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM,
-                   help=f"payload dimension (default {DEFAULT_DIM})")
     p.set_defaults(func=cmd_calibrate)
 
     p = sub.add_parser("metrics", help="text metrics over files")

@@ -113,8 +113,9 @@ def read_image(path: str) -> RasterImage:
     if maxval < MAXVAL:
         if int(arr.max()) > maxval:
             raise ImageFormatError(f"{path}: sample {int(arr.max())} above maxval {maxval}")
-        # round half up to the nearest 0..255 level
-        arr = ((arr.astype(np.uint16) * MAXVAL + maxval // 2) // maxval).astype(np.uint8)
+        # round half up to the nearest 0..255 level, one table entry per sample value
+        levels = np.arange(maxval + 1, dtype=np.uint16)
+        arr = ((levels * MAXVAL + maxval // 2) // maxval).astype(np.uint8)[arr]
     return RasterImage(arr)
 
 

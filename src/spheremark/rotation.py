@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fileio import atomic_write
+from ._fileio import atomic_write, read_json
 from .errors import DimensionError, DimensionMismatchError, KeyFileError
 from .sphere import UnitVector, _from_rows, _to_rows, unit
 from .streams import stream
@@ -63,13 +63,7 @@ def save_key(key: SecretKey, path: str) -> None:
 
 def load_key(path: str) -> SecretKey:
     """Read a key file; a missing or malformed seed field is refused."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise KeyFileError(f"cannot read key file {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:  # bad JSON, too many digits, too deep
-        raise KeyFileError(f"key file {path} is not valid JSON: {exc}") from exc
+    payload = read_json(path, KeyFileError, "key file")
     if not isinstance(payload, dict) or "seed" not in payload:
         raise KeyFileError(f"key file {path} lacks a seed field")
     label = payload.get("label")
@@ -110,14 +104,10 @@ def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:
     """
     if not 1 <= dim <= MAX_DIM:
         raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
-    return _held_rotation(key.seed, dim)
+    return _draw_rotation(key.seed, dim)
 
 
 @functools.lru_cache(maxsize=2)
-def _held_rotation(seed: int, dim: int) -> RotationMatrix:
-    return _draw_rotation(seed, dim)
-
-
 def _draw_rotation(seed: int, dim: int) -> RotationMatrix:
     rng = stream(seed, dim)
     while True:

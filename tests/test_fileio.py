@@ -1,4 +1,5 @@
-"""Outputs are replaced atomically: a failed write leaves the old file."""
+"""Outputs are replaced atomically: a failed write leaves the old file.
+JSON inputs that cannot be read or parsed raise the caller's error."""
 import contextlib
 import os
 import stat
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from spheremark import RasterImage, SecretKey, channel, metrics, netpbm, rotation
-from spheremark._fileio import atomic_write
+from spheremark._fileio import atomic_write, read_json
 
 OLD = b"old contents\n"
 
@@ -154,3 +155,20 @@ class TestWritersAreAtomic:
             write(str(path))
         assert path.read_bytes() == OLD
         assert os.listdir(tmp_path) == ["out"]
+
+
+class TestReadJson:
+    @pytest.mark.parametrize("content, message", [
+        (None, "cannot read key file {path}: "),  # no such file
+        (b"\xff\n", "cannot read key file {path}: "),  # not UTF-8
+        (b"[{", "key file {path} is not valid JSON: "),
+        (b"[" * 100_000, "key file {path} is not valid JSON: "),  # too deep
+    ], ids=["missing", "not-utf8", "not-json", "too-deep"])
+    def test_faults_raise_the_given_error(self, tmp_path, content, message):
+        path = tmp_path / "in.json"
+        if content is not None:
+            path.write_bytes(content)
+        with pytest.raises(LookupError) as info:
+            read_json(path, LookupError, "key file")
+        assert str(info.value).startswith(message.format(path=path))
+        assert info.value.__cause__ is not None

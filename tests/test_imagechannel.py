@@ -220,8 +220,6 @@ def no_held_carriers(monkeypatch):
 
 class TestCarrierCache:
     KEY = (1, 64, 128, 128)
-    KEYS = [(seed, 64, 128, 128) for seed in range(1, 5)]
-    STACK = 8 * 64 * 128 * 128  # 8 MiB
 
     def test_hit_returns_held_set(self, no_held_carriers):
         first = imagechannel._cached_carriers(*self.KEY)
@@ -239,27 +237,23 @@ class TestCarrierCache:
         want = CarrierSet.generate(SecretKey(seed=seed), dim, height, width)
         assert _same_carriers(got, want)
 
-    @pytest.mark.parametrize("limit, generated", [
-        (2**31, 3),        # the default byte limit
-        (2 * STACK, 2),    # a byte limit with room for two stacks
-    ])
-    def test_miss_evicts_before_generating(self, monkeypatch, no_held_carriers,
-                                           limit, generated):
-        # however many sets came before and whatever room the limit
-        # leaves, a miss drops the held set before generating the next
-        monkeypatch.setattr(imagechannel, "MAX_CARRIER_BYTES", limit)
+    def test_miss_evicts_before_generating(self, no_held_carriers):
+        # however many sets came before, a miss drops the held set before
+        # generating the next.  At 512 x 512 a set's words take 2 MiB,
+        # more than generating them holds besides, so two sets held at
+        # once would show in the peak.
+        keys = [(seed, 64, 512, 512) for seed in range(1, 5)]
         tracemalloc.start()
         try:
-            for k in self.KEYS[:generated]:
+            for k in keys[:3]:
                 imagechannel._cached_carriers(*k)
             tracemalloc.reset_peak()
-            got = imagechannel._cached_carriers(*self.KEYS[3])
+            got = imagechannel._cached_carriers(*keys[3])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert imagechannel._held_carriers == {self.KEYS[3]: got}
-        # the new stack plus block temporaries, never two stacks
-        assert peak < 1.5 * self.STACK
+        assert imagechannel._held_carriers == {keys[3]: got}
+        assert peak < 2 * got.words.nbytes, peak / got.words.nbytes
 
     def test_threads_alternating_planes_get_their_carriers(self, no_held_carriers):
         planes = [(KEY.seed, 8, 32 + i, 40) for i in range(4)]

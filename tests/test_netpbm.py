@@ -112,6 +112,29 @@ class TestReadWrite:
         # (p * 255 + 3) // 6: 42.5 rounds up to 43, 127.5 to 128
         assert img.pixels.ravel().tolist() == [0, 43, 85, 128, 170, 213]
 
+    def test_reader_rescales_every_low_maxval_level(self, tmp_path):
+        path = tmp_path / "c.pgm"
+        for maxval in range(1, 255):
+            path.write_bytes(b"P5\n%d 1\n%d\n" % (maxval + 1, maxval) + bytes(range(maxval + 1)))
+            want = [(p * 255 + maxval // 2) // maxval for p in range(maxval + 1)]
+            assert read_image(path).pixels.ravel().tolist() == want, maxval
+
+    def test_low_maxval_rescale_holds_one_more_copy(self, tmp_path):
+        # the rescale is a lookup into a per-level table: beyond the
+        # file's bytes only the uint8 result is held, not uint16 temporaries
+        path = tmp_path / "big.ppm"
+        samples = stream(2).integers(0, 16, size=(1024, 1024, 3), dtype=np.uint8)
+        path.write_bytes(b"P6\n1024 1024\n15\n" + samples.tobytes())
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            img = read_image(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(img.pixels, (samples * 17).astype(np.uint8))
+        assert peak - size < 1.5 * samples.nbytes, peak - size
+
     def test_reader_rejects_sample_above_maxval(self, tmp_path):
         path = tmp_path / "c.pgm"
         path.write_bytes(b"P5\n2 1\n15\n\x00\x10")

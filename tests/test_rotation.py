@@ -146,7 +146,7 @@ class TestHeldRotations:
     @pytest.fixture
     def qr_calls(self, monkeypatch):
         # every draw factors one Gaussian matrix; count the factorizations
-        rotation._held_rotation.cache_clear()
+        rotation._draw_rotation.cache_clear()
         calls = []
         real_qr = np.linalg.qr
 
@@ -156,13 +156,13 @@ class TestHeldRotations:
 
         monkeypatch.setattr(rotation.np.linalg, "qr", counting_qr)
         yield calls
-        rotation._held_rotation.cache_clear()
+        rotation._draw_rotation.cache_clear()
 
     def test_held_equals_fresh_draw(self, qr_calls):
         for seed, dim in [(0, 2), (42, 16), (2**64 - 1, 256)]:
             held = sample_rotation(SecretKey(seed=seed), dim)
             assert sample_rotation(SecretKey(seed=seed), dim) is held
-            fresh = rotation._draw_rotation(seed, dim)
+            fresh = rotation._draw_rotation.__wrapped__(seed, dim)
             assert held is not fresh
             assert held.entries.tobytes() == fresh.entries.tobytes()
 

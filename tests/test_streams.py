@@ -90,7 +90,7 @@ class TestRekey:
                               fresh.integers(0, 256, size=(3, 16), dtype=np.uint8))
         assert np.array_equal(rng.integers(1, 256, size=3), fresh.integers(1, 256, size=3))
         assert np.array_equal(rng.standard_normal((3, 256)), fresh.standard_normal((3, 256)))
-        assert np.array_equal(_noise(rng, 256, 0.18), _noise(fresh, 256, 0.18))
+        assert np.array_equal(_noise(rng, 1, 256, 0.18), _noise(fresh, 1, 256, 0.18))
 
     @pytest.mark.parametrize("i", BLOCKS)
     def test_block_owns_two_to_the_64_steps(self, i):
