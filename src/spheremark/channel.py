@@ -234,22 +234,18 @@ def _draw_block(rng: np.random.Generator, profile_key: np.ndarray, k: int, n: in
 
 
 def _score_chunk(codec: Codec, v: np.ndarray, v_hat: np.ndarray, payloads: np.ndarray,
-                 segments: list, ell_threshold: float) -> None:
-    """Assess the queued rows in one pass, and add each cell to its
-    profile's [cosine, ell, match, trusted] totals, in cell order.
-    payloads holds each row's message, zero-padded to the codec's
-    capacity, and segments the (totals, start, stop) of each queued
-    block, the last stop ending the queue."""
-    q = segments[-1][2]
+                 owner: np.ndarray, q: int, totals: np.ndarray, ell_threshold: float) -> None:
+    """Assess the first q queued rows in one pass, and add each row to
+    its profile's column of the (4, profiles) [cosine, ell, match,
+    trusted] totals, in row order.  payloads holds each row's message,
+    zero-padded to the codec's capacity, and owner its profile's index."""
     scored = assess(codec, v_hat[:q], ell_threshold)
     match = (scored.decoded == payloads[:q]).all(axis=1)
-    cosines, ells = cosine(v[:q], v_hat[:q]).tolist(), scored.ell.tolist()
-    for total, start, stop in segments:
-        for c, ell in zip(cosines[start:stop], ells[start:stop]):
-            total[0] += c
-            total[1] += ell
-        total[2] += int(match[start:stop].sum())
-        total[3] += int(scored.trusted[start:stop].sum())
+    # add.at adds one element at a time, so a sum keeps the bits of a
+    # cell-by-cell chain
+    for total, column in zip(totals, (cosine(v[:q], v_hat[:q]), scored.ell,
+                                      match, scored.trusted)):
+        np.add.at(total, owner[:q], column)
 
 
 def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
@@ -301,14 +297,15 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
     root = int(rng.integers(0, 2**63))
     # one generator, re-pointed at each field's counter block in turn
     block_rng = np.random.Generator(np.random.Philox(key=0))
-    totals = [[0.0, 0.0, 0, 0] for _ in profiles]
+    totals = np.zeros((4, len(profiles)))  # cosine and ell sums, match and trusted counts
     # the queue: encoded and unrotated rows, the padded messages, and the
-    # (totals, start, stop) of each block in it
+    # index of each row's profile
     sent = np.empty((_SCORE_ROWS + _BLOCK_ROWS - 1, dim))
     unrotated = np.empty_like(sent)
     payloads = np.zeros((len(sent), codec.capacity_bytes), dtype=np.uint8)
-    queued, segments = 0, []
-    for profile, label, total in zip(profiles, labels, totals):
+    owner = np.empty(len(sent), dtype=np.intp)
+    queued = 0
+    for i, (profile, label) in enumerate(zip(profiles, labels)):
         profile_key = stream_key(root, label)
         for start in range(0, n_messages, _BLOCK_ROWS):
             n = min(_BLOCK_ROWS, n_messages - start)
@@ -320,18 +317,20 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
             sent[queued:queued + n] = v
             unrotated[queued:queued + n] = unrotate(receive, received)
             payloads[queued:queued + n, :message_len] = body  # the rest stays zero
-            segments.append((total, queued, queued + n))
+            owner[queued:queued + n] = i
             queued += n
             if queued >= _SCORE_ROWS:
-                _score_chunk(codec, sent, unrotated, payloads, segments, ell_threshold)
-                queued, segments = 0, []
-    if segments:
-        _score_chunk(codec, sent, unrotated, payloads, segments, ell_threshold)
+                _score_chunk(codec, sent, unrotated, payloads, owner, queued, totals,
+                             ell_threshold)
+                queued = 0
+    if queued:
+        _score_chunk(codec, sent, unrotated, payloads, owner, queued, totals, ell_threshold)
+    # the counts stay below 2**32, so their float64 sums are exact
     return [SweepRow(profile=profile.name, n=n_messages,
                      mean_cosine=cos_sum / n_messages, exact_match=match_count / n_messages,
                      mean_ell=ell_sum / n_messages, trusted_rate=trusted_count / n_messages)
             for profile, (cos_sum, ell_sum, match_count, trusted_count)
-            in zip(profiles, totals)]
+            in zip(profiles, totals.T.tolist())]
 
 
 def write_sweep_csv(rows: list[SweepRow], path: str) -> None:

@@ -204,6 +204,8 @@ def _int_list(flag: str, text: str) -> list[int]:
         values = [int(v) for v in text.split(",") if v]
     except ValueError as exc:
         raise DomainError(f"{flag} wants comma-separated integers, got {text!r}") from exc
+    if not values:
+        raise DomainError(f"{flag} lists no integer, got {text!r}")
     if any(v < 1 for v in values):
         raise DomainError(f"{flag} values must be >= 1, got {text!r}")
     return values
@@ -255,6 +257,8 @@ def _read_lines(path: str) -> list[str]:
 
 def cmd_metrics(args) -> int:
     if args.mode in ("bleu4", "em"):
+        if args.train is not None:
+            raise DomainError(f"mode {args.mode} does not read --train")
         if not args.candidates or not args.references:
             raise DomainError(f"mode {args.mode} needs --candidates and --references")
         cand = _read_lines(args.candidates)
@@ -272,6 +276,8 @@ def cmd_metrics(args) -> int:
             _emit({"mode": "em", "exact_match": exact_match(list(zip(cand, ref))),
                    "n": len(cand)})
     elif args.mode == "novelty":
+        if args.references is not None:
+            raise DomainError("mode novelty does not read --references")
         if not args.candidates or not args.train:
             raise DomainError("mode novelty needs --candidates and --train")
         index = NgramIndex.from_lines(_read_lines(args.train))

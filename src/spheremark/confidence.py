@@ -30,7 +30,7 @@ the block it was scored in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -198,13 +198,9 @@ class ConfidenceReport:
     message: Message  # the decode of the scored vector; not serialized
 
     def to_json_dict(self) -> dict:
-        return {
-            "cosine": self.cosine,
-            "p_value": self.p_value,
-            "ell": self.ell,
-            "idempotent": self.idempotent,
-            "verdict": self.verdict,
-        }
+        out = asdict(self)
+        del out["message"]
+        return out
 
 
 @dataclass(frozen=True, eq=False)

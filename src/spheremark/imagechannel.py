@@ -77,18 +77,14 @@ def _luma(px: np.ndarray) -> np.ndarray:
     return px @ LUMA_WEIGHTS
 
 
-def _box_blur3(plane: np.ndarray) -> np.ndarray:
-    """3x3 box blur with symmetric edge reflection."""
+def _highpass(plane: np.ndarray) -> np.ndarray:
+    """The plane less its 3x3 box blur, edges reflected symmetrically."""
     padded = np.pad(plane, 1, mode="symmetric")
     acc = np.zeros_like(plane)
     for dy in range(3):
         for dx in range(3):
             acc += padded[dy:dy + plane.shape[0], dx:dx + plane.shape[1]]
-    return acc / 9.0
-
-
-def _highpass(plane: np.ndarray) -> np.ndarray:
-    return plane - _box_blur3(plane)
+    return plane - acc / 9.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
@@ -141,12 +141,7 @@ class OperatingPoint:
                 f"achieved fpr {self.achieved_fpr} exceeds target {self.target_fpr}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "target_fpr": self.target_fpr,
-            "threshold": self.threshold,
-            "achieved_tpr": self.achieved_tpr,
-            "achieved_fpr": self.achieved_fpr,
-        }
+        return asdict(self)
 
 
 def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequence[float]
@@ -202,28 +197,27 @@ def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> Oper
 
 @dataclass(frozen=True)
 class NgramIndex:
-    """Set of n-grams seen in a training corpus."""
+    """Set of NGRAM_ORDER-grams seen in a training corpus."""
 
-    n: int
     grams: frozenset
 
     @classmethod
-    def from_lines(cls, lines: Sequence[str], n: int = NGRAM_ORDER) -> "NgramIndex":
+    def from_lines(cls, lines: Sequence[str]) -> "NgramIndex":
         grams = set()
         for line in lines:
-            grams.update(_ngrams(line.split(), n))
-        return cls(n=n, grams=frozenset(grams))
+            grams.update(_ngrams(line.split(), NGRAM_ORDER))
+        return cls(grams=frozenset(grams))
 
 
 def novelty_score(tokens: Sequence[str], index: NgramIndex) -> float | None:
     """Fraction of the sentence's n-gram occurrences not in the index.
 
-    Sentences shorter than n tokens have no n-grams and return None
-    (not applicable) rather than a misleading 0 or 1.
+    Sentences shorter than NGRAM_ORDER tokens have no n-grams and return
+    None (not applicable) rather than a misleading 0 or 1.
     """
-    if len(tokens) < index.n:
+    if len(tokens) < NGRAM_ORDER:
         return None
-    grams = _ngrams(tokens, index.n)
+    grams = _ngrams(tokens, NGRAM_ORDER)
     novel = sum(g not in index.grams for g in grams)
     return novel / len(grams)
 

@@ -52,6 +52,8 @@ class SecretKey:
             raise KeyFileError("key seed must be an integer")
         if not 0 <= self.seed <= MAX_SEED:
             raise KeyFileError(f"key seed {self.seed} outside [0, 2^64)")
+        if self.label is not None and not isinstance(self.label, str):
+            raise KeyFileError("key label must be text or None")
 
 
 def save_key(key: SecretKey, path: str) -> None:
@@ -109,16 +111,7 @@ def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:
 
 @functools.lru_cache(maxsize=2)
 def _draw_rotation(seed: int, dim: int) -> RotationMatrix:
-    rng = stream(seed, dim)
-    while True:
-        gauss = rng.standard_normal((dim, dim))
-        try:
-            q, r = np.linalg.qr(gauss)
-        except np.linalg.LinAlgError:
-            # Factorization failure: draw a fresh matrix from the
-            # continued stream rather than erroring out.
-            continue
-        break
+    q, r = np.linalg.qr(stream(seed, dim).standard_normal((dim, dim)))
     signs = np.sign(np.diag(r))
     signs[signs == 0.0] = 1.0
     q = q * signs  # rescales column j by signs[j]

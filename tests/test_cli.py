@@ -983,6 +983,17 @@ REFUSALS = [
     ("train-not-utf8", {"c.txt": b"a b\n", "t.txt": NOT_UTF8},
      ["metrics", "--mode", "novelty", "--candidates", "@c.txt", "--train", "@t.txt"],
      EXIT_USAGE, "cannot read"),
+    # the file an option names would be read only after the refusal
+    ("novelty-with-references", {"c.txt": NOT_UTF8, "r.txt": NOT_UTF8},
+     ["metrics", "--mode", "novelty", "--candidates", "@c.txt", "--references", "@r.txt"],
+     EXIT_USAGE, "mode novelty does not read --references"),
+    ("bleu4-with-train", {"c.txt": NOT_UTF8, "r.txt": NOT_UTF8, "t.txt": NOT_UTF8},
+     ["metrics", "--mode", "bleu4", "--candidates", "@c.txt", "--references", "@r.txt",
+      "--train", "@t.txt"], EXIT_USAGE, "mode bleu4 does not read --train"),
+    ("bench-dims-empty", {}, ["bench", "--dims", ",", "--repeats", "1"],
+     EXIT_USAGE, "--dims lists no integer"),
+    ("bench-batches-empty", {}, ["bench", "--batches", "", "--repeats", "1"],
+     EXIT_USAGE, "--batches lists no integer"),
     ("corpus-transform-unknown", {"key.json": KEY_JSON, "images/a.ppm": b"P6\n"},
      ["corpus", "--dir", "@images", "--key", "@key.json", "--message", "m",
       "--transform", "nope", "--out", "@out.csv"], EXIT_USAGE, "unknown transform 'nope'"),

@@ -538,7 +538,6 @@ class TestNovelty:
     def test_index_counts_each_position(self):
         idx = NgramIndex.from_lines(["a b c d e f"])
         assert len(idx.grams) == 3
-        assert idx.n == 4
 
 
 class TestRocOutputs:

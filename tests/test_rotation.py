@@ -51,6 +51,19 @@ class TestSecretKey:
         save_key(key, path)
         assert load_key(path) == key
 
+    @pytest.mark.parametrize("label", [5, True, b"bytes", ["x"]])
+    def test_rejects_non_text_label(self, label):
+        # load_key refuses such a label, so a key holding one could not
+        # be read back from the file save_key writes
+        with pytest.raises(KeyFileError, match="label"):
+            SecretKey(seed=1, label=label)
+
+    @pytest.mark.parametrize("label", ["", None])
+    def test_text_or_no_label_roundtrips(self, tmp_path, label):
+        path = tmp_path / "k.json"
+        save_key(SecretKey(seed=7, label=label), path)
+        assert load_key(path) == SecretKey(seed=7, label=label)
+
     def test_load_rejects_missing_seed(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text(json.dumps({"label": "x"}))
