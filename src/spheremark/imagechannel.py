@@ -16,6 +16,15 @@ Generation makes no float sample, and embed and extract work on the
 bits through per-word lookup tables; nothing builds the d*H*W float64
 stack.
 
+Every pass over an image (luma, high-pass, embed's add and every
+attack) runs over bands of whole rows, at most _BAND_PIXELS pixels at
+a time: it reads the read-only uint8 pixels and writes rounded,
+clipped bytes straight into one uint8 output, so no pass makes a
+float64 copy of the whole image.  What is held whole are float64
+planes of H*W, one value per pixel: embed's delta, extract's luma and
+high-pass, contrast's luma and jpeg_like's luma and DCT planes.  The
+bytes do not depend on the band split.
+
 Attacks are classical pixel-domain transforms, including a
 quantization-only JPEG proxy (blockwise DCT against the standard
 luminance table; no entropy coding).  Geometric attacks are applied
@@ -29,6 +38,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,11 +54,14 @@ PSNR_RANGE = (30.0, 60.0)
 
 # Largest 8 * d * H * W that generate() accepts: 256 carriers over
 # 1024x1024 is exactly at the limit.  No float carrier sample is made
-# anywhere: a held set is about d * H * W / 8 bytes, and generation
-# draws one 32-bit Philox half per sample and packs its top bit.  So
-# the limit bounds the d * H * W bit work of generation, embed and
-# extract, and with it the full-size host, luma and delta arrays of
-# the plane.  Raising it waits for a stated bound on those arrays.
+# anywhere: a held set is about d * H * W / 8 bytes (32 MiB at the
+# limit), and generation draws one 32-bit Philox half per sample and
+# packs its top bit.  So the limit bounds the held bits and the
+# d * H * W bit work of generation, embed and extract.  The plane's own
+# arrays have their own bound: embed holds the float64 delta plane and
+# the uint8 output, extract the float64 luma and high-pass planes and
+# correlate's intp copy of one word row (8 * H * W bytes each), and
+# every other temporary is at most one band of _BAND_PIXELS pixels.
 MAX_CARRIER_BYTES = 2**31
 
 # Most raw Philox words a generation worker draws at once (256 KiB).
@@ -64,10 +77,51 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 # Domain tag separating carrier streams from rotation streams.
 _CARRIER_DOMAIN = 0x43415252  # "CARR"
 
+# Most pixels that one band of an image pass computes at once.  Every
+# per-pixel float64 temporary of luma, _highpass, superpose, embed and
+# attack is at most one band long; each band gives the bytes that a
+# whole-plane pass would.
+_BAND_PIXELS = 2**15
+
+
+def _bands(height: int, width: int):
+    """(r0, r1) for each band of whole rows, at least one row per band."""
+    rows = max(1, _BAND_PIXELS // width)
+    for r0 in range(0, height, rows):
+        yield r0, min(r0 + rows, height)
+
+
+def _floats(px: np.ndarray, r0: int, r1: int) -> np.ndarray:
+    """A float64 copy of px's rows r0 .. r1 - 1."""
+    return px[r0:r1].astype(np.float64)
+
+
+def _render(shape: tuple, band) -> RasterImage:
+    """The uint8 image of this shape whose rows r0 .. r1 - 1 are the
+    float pixels band(r0, r1), rounded half to even and clipped in
+    place, one band of rows at a time."""
+    out = np.empty(shape, dtype=np.uint8)
+    for r0, r1 in _bands(*shape[:2]):
+        values = band(r0, r1)
+        np.rint(values, out=values)
+        np.clip(values, 0, MAXVAL, out=values)
+        out[r0:r1] = values
+    return RasterImage(out)
+
+
+def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
+    """Fold integer indices into [0, n) by symmetric reflection."""
+    period = 2 * n
+    m = np.mod(idx, period)
+    return np.where(m < n, m, period - 1 - m)
+
 
 def luma(img: RasterImage) -> np.ndarray:
-    """Float64 luma plane in [0, 255]."""
-    return _luma(img.pixels.astype(np.float64))
+    """Float64 luma plane in [0, 255], converted a band of rows at a time."""
+    out = np.empty((img.height, img.width))
+    for r0, r1 in _bands(img.height, img.width):
+        out[r0:r1] = _luma(_floats(img.pixels, r0, r1))
+    return out
 
 
 def _luma(px: np.ndarray) -> np.ndarray:
@@ -78,13 +132,22 @@ def _luma(px: np.ndarray) -> np.ndarray:
 
 
 def _highpass(plane: np.ndarray) -> np.ndarray:
-    """The plane less its 3x3 box blur, edges reflected symmetrically."""
-    padded = np.pad(plane, 1, mode="symmetric")
-    acc = np.zeros_like(plane)
-    for dy in range(3):
-        for dx in range(3):
-            acc += padded[dy:dy + plane.shape[0], dx:dx + plane.shape[1]]
-    return plane - acc / 9.0
+    """The plane less its 3x3 box blur, edges reflected symmetrically,
+    a band of rows at a time: each band sums the nine shifted views of
+    its rows and their reflected one-row halo."""
+    h, w = plane.shape
+    cols = _reflect_index(np.arange(-1, w + 1), w)
+    out = np.empty_like(plane)
+    for r0, r1 in _bands(h, w):
+        rows = _reflect_index(np.arange(r0 - 1, r1 + 1), h)
+        padded = plane[rows[:, np.newaxis], cols]
+        acc = np.zeros((r1 - r0, w))
+        for dy in range(3):
+            for dx in range(3):
+                acc += padded[dy:dy + r1 - r0, dx:dx + w]
+        acc /= 9.0
+        np.subtract(plane[r0:r1], acc, out=out[r0:r1])
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,19 +221,25 @@ class CarrierSet:
         That is v.lo plus, at each pixel, the sum of v[i] * (hi[i] -
         lo[i]) over the carriers whose bit is set there.  The sum over
         one word's 16 carriers is a lookup in a 65536-entry table,
-        built as the outer sum of two 256-entry byte tables.
+        built as the outer sum of two 256-entry byte tables.  One
+        table and one band of looked-up values serve every word.
         """
         weights = np.zeros(16 * len(self.words))
         weights[:self.dim] = v * (self.hi - self.lo)
         # [g, 0] is the table of word g's low byte, [g, 1] of its high byte
         tables = weights.reshape(-1, 2, 8) @ _BYTE_BITS.T
         tables[0, 1] += float(v @ self.lo)
-        out = np.zeros(self.words.shape[1])
-        part = np.empty_like(out)
+        n_px = self.words.shape[1]
+        out = np.zeros(n_px)
+        table = np.empty((256, 256))
+        part = np.empty(min(_BAND_PIXELS, n_px))
         for word, (low, high) in zip(self.words, tables):
-            # every uint16 indexes the table; "clip" only skips buffering
-            np.take((high[:, np.newaxis] + low).ravel(), word, out=part, mode="clip")
-            out += part
+            np.add(high[:, np.newaxis], low, out=table)
+            for at in range(0, n_px, _BAND_PIXELS):
+                got = part[:min(_BAND_PIXELS, n_px - at)]
+                # every uint16 indexes the table; "clip" only skips buffering
+                np.take(table.ravel(), word[at:at + len(got)], out=got, mode="clip")
+                out[at:at + len(got)] += got
         return out
 
     def correlate(self, hp: np.ndarray) -> np.ndarray:
@@ -266,9 +335,9 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     # MSE target m gives sum(delta^2) = m * n_px; the per-channel add
     # below keeps the all-samples MSE equal to the luma-plane MSE.
     amplitude = MAXVAL * 10.0 ** (-target_psnr_db / 20.0) * math.sqrt(n_px)
-    delta = (amplitude / norm) * delta
-    plane = delta.reshape(img.height, img.width)
-    return _quantize(img.pixels + plane[:, :, np.newaxis])
+    delta *= amplitude / norm
+    plane = delta.reshape(img.height, img.width, 1)
+    return _render(img.pixels.shape, lambda r0, r1: img.pixels[r0:r1] + plane[r0:r1])
 
 
 def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
@@ -285,54 +354,37 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 
 
 # ---------------------------------------------------------------- attacks
-# Every transform maps float64 pixels (height, width, channels) to
-# float64 pixels.  attack() converts the image once and hands that copy
-# to the transform, which may overwrite it; _quantize rounds (half to
-# even), clips and wraps once, for attacks and embed alike.  No
-# transform holds more than about two float64 copies of the image: the
-# pointwise ones work in place (gaussian_noise draws its noise a band of
-# rows at a time), jpeg_like quantizes its padded luma plane in place,
-# and crop and rotate fill one new array a band of rows at a time.
+# Every transform takes the image, the noise stream and its parameter
+# and returns band(r0, r1): the float64 pixels (rows, width, channels)
+# of output rows r0 .. r1 - 1, in an array that the caller may
+# overwrite.  attack() calls it once per band, in row order, and
+# _render rounds (half to even), clips and stores each band into one
+# uint8 output, for attacks and embed alike.  No transform copies the
+# whole image to float: pointwise ones convert a band of the uint8
+# pixels at a time, crop and rotate gather a band's bilinear corners
+# from the uint8 pixels, and contrast and jpeg_like first compute their
+# whole-plane luma statistic or luma shift.
 
-# Largest 16 * H * W * C (two float64 copies of the image) that
-# attack() accepts.
+# Largest (C + 24) * H * W that attack() accepts: the bytes of an H x W
+# x C image's uint8 output plus three float64 planes of H x W, the most
+# that any transform holds at once (jpeg_like's luma shift and the
+# padded planes of its DCT round trip).  Every other buffer is at most
+# one band of _BAND_PIXELS pixels.
 MAX_ATTACK_BYTES = 2**31
 
-# Most output pixels that one band of _resample computes at once.
-_BAND_PIXELS = 2**15
 
+def _resample(px: np.ndarray, coords):
+    """band(r0, r1) of bilinear samples of every channel of px, with
+    reflect padding, at output rows r0 .. r1 - 1.
 
-def _quantize(values: np.ndarray) -> RasterImage:
-    """Round, clip and wrap float pixels; rounds and clips ``values`` in
-    place, so callers pass an array they own (a transform's output is
-    attack()'s own float copy, a view of it or a new array)."""
-    np.rint(values, out=values)
-    np.clip(values, 0, MAXVAL, out=values)
-    return RasterImage(values.astype(np.uint8))
-
-
-def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
-    """Fold integer indices into [0, n) by symmetric reflection."""
-    period = 2 * n
-    m = np.mod(idx, period)
-    return np.where(m < n, m, period - 1 - m)
-
-
-def _resample(px: np.ndarray, coords) -> np.ndarray:
-    """Bilinear samples of every channel, with reflect padding, into a
-    new array of px's shape.
-
-    ``coords(r0, r1)`` gives the source (y, x) coordinates of output
-    rows r0 .. r1 - 1, as two arrays that broadcast to (r1 - r0, width).
-    Rows go in bands of at most _BAND_PIXELS pixels; each band's
-    weights and reflected corner indices are computed once and serve
-    every channel.
+    ``coords(r0, r1)`` gives the source (y, x) coordinates of those
+    rows, as two arrays that broadcast to (r1 - r0, width).  Each
+    band's weights and reflected corner indices are computed once and
+    serve every channel.
     """
     h, w = px.shape[:2]
-    out = np.empty_like(px)
-    rows = max(1, _BAND_PIXELS // w)
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
+
+    def band(r0, r1):
         yy, xx = coords(r0, r1)
         wy, y0, y1 = _axis_corners(yy, h)
         wx, x0, x1 = _axis_corners(xx, w)
@@ -340,8 +392,10 @@ def _resample(px: np.ndarray, coords) -> np.ndarray:
         bot = px[y1, x0] * (1.0 - wx) + px[y1, x1] * wx
         top *= 1.0 - wy
         bot *= wy
-        np.add(top, bot, out=out[r0:r1])
-    return out
+        top += bot
+        return top
+
+    return band
 
 
 def _axis_corners(t: np.ndarray, n: int) -> tuple:
@@ -361,42 +415,49 @@ def _scale_about(px: np.ndarray, centre, factor: float) -> np.ndarray:
     return px
 
 
-def _contrast(px: np.ndarray, rng, factor: float) -> np.ndarray:
-    return _scale_about(px, float(np.mean(_luma(px))), factor)
+def _contrast(img: RasterImage, rng, factor: float):
+    centre = float(np.mean(luma(img)))
+    return lambda r0, r1: _scale_about(_floats(img.pixels, r0, r1), centre, factor)
 
 
-def _saturation(px: np.ndarray, rng, factor: float) -> np.ndarray:
+def _saturation(img: RasterImage, rng, factor: float):
     # luma interpolation: factor 0 is grayscale, 1 is identity
-    if px.shape[2] == 1:
+    if img.channels == 1:
+        return partial(_floats, img.pixels)
+
+    def band(r0, r1):
+        px = _floats(img.pixels, r0, r1)
+        return _scale_about(px, _luma(px)[:, :, np.newaxis], factor)
+
+    return band
+
+
+def _gaussian_noise(img: RasterImage, rng, sigma: float):
+    # bands of whole rows, drawn in row order, take one stream in
+    # row-major order, as one full-plane draw would
+    def band(r0, r1):
+        px = _floats(img.pixels, r0, r1)
+        px += sigma * rng.standard_normal(px.shape)
         return px
-    return _scale_about(px, _luma(px)[:, :, np.newaxis], factor)
+
+    return band
 
 
-def _gaussian_noise(px: np.ndarray, rng, sigma: float) -> np.ndarray:
-    # bands of whole rows draw one stream in row-major order, as one
-    # full-plane draw would
-    rows = max(1, _BAND_PIXELS // px.shape[1])
-    for r0 in range(0, px.shape[0], rows):
-        band = px[r0:r0 + rows]
-        band += sigma * rng.standard_normal(band.shape)
-    return px
-
-
-def _crop(px: np.ndarray, rng, ratio: float) -> np.ndarray:
+def _crop(img: RasterImage, rng, ratio: float):
     """Central crop to a side ratio, rescaled back to original size."""
-    h, w = px.shape[:2]
+    h, w = img.height, img.width
     ch = max(1, round(ratio * h))
     cw = max(1, round(ratio * w))
     y0 = (h - ch) // 2
     x0 = (w - cw) // 2
     ys = y0 + (np.arange(h) + 0.5) * (ch / h) - 0.5
     xs = x0 + (np.arange(w) + 0.5) * (cw / w) - 0.5
-    return _resample(px, lambda r0, r1: (ys[r0:r1, np.newaxis], xs))
+    return _resample(img.pixels, lambda r0, r1: (ys[r0:r1, np.newaxis], xs))
 
 
-def _rotate(px: np.ndarray, rng, degrees: float) -> np.ndarray:
+def _rotate(img: RasterImage, rng, degrees: float):
     """Rotate about the center, bilinear, reflect padding, same size."""
-    h, w = px.shape[:2]
+    h, w = img.height, img.width
     theta = math.radians(degrees)
     cy = (h - 1) / 2.0
     cx = (w - 1) / 2.0
@@ -408,7 +469,7 @@ def _rotate(px: np.ndarray, rng, degrees: float) -> np.ndarray:
         dy = np.arange(r0, r1, dtype=np.float64)[:, np.newaxis] - cy
         return cy + cos_t * dy + sin_t * dx, cx - sin_t * dy + cos_t * dx
 
-    return _resample(px, coords)
+    return _resample(img.pixels, coords)
 
 
 # Standard luminance quantization table (8x8, row major).
@@ -466,27 +527,30 @@ def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
     return out[:h, :w]
 
 
-def _jpeg_like(px: np.ndarray, rng, quality: float) -> np.ndarray:
+def _jpeg_like(img: RasterImage, rng, quality: float):
     """Luma-only JPEG proxy; on color images the luma delta is added
     to every channel, leaving chroma untouched."""
-    y = _luma(px)
+    y = luma(img)
     y2 = _jpeg_plane(y, int(quality))
-    if px.shape[2] == 1:
-        return y2[:, :, np.newaxis]
+    if img.channels == 1:
+        return lambda r0, r1: y2[r0:r1, :, np.newaxis]
     y2 -= y
-    px += y2[:, :, np.newaxis]
-    return px
+    del y
+    return lambda r0, r1: _floats(img.pixels, r0, r1) + y2[r0:r1, :, np.newaxis]
 
 
 _NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
 
-# name -> (transform(px, rng, value), its parameter's name or None, and
-# the parameter's domain as (test, wording) or None for any finite value)
+# name -> (transform(img, rng, value) -> band, its parameter's name or
+# None, and the parameter's domain as (test, wording) or None for any
+# finite value)
 _TRANSFORMS = {
-    "identity": (lambda px, rng, _: px, None, None),
-    "hflip": (lambda px, rng, _: px[:, ::-1], None, None),
-    "brightness": (lambda px, rng, f: np.multiply(px, f, out=px), "factor", _NON_NEGATIVE),
-    "brightness_add": (lambda px, rng, v: np.add(px, v, out=px), "offset", None),
+    "identity": (lambda img, rng, _: partial(_floats, img.pixels), None, None),
+    "hflip": (lambda img, rng, _: partial(_floats, img.pixels[:, ::-1]), None, None),
+    "brightness": (lambda img, rng, f: lambda r0, r1: _floats(img.pixels, r0, r1) * f,
+                   "factor", _NON_NEGATIVE),
+    "brightness_add": (lambda img, rng, v: lambda r0, r1: _floats(img.pixels, r0, r1) + v,
+                       "offset", None),
     "contrast": (_contrast, "factor", _NON_NEGATIVE),
     "saturation": (_saturation, "factor", _NON_NEGATIVE),
     "gaussian_noise": (_gaussian_noise, "sigma", _NON_NEGATIVE),
@@ -529,16 +593,18 @@ def attack(img: RasterImage, name: str, value: float | None = None,
     """Apply a named pixel-domain transform.
 
     ``value`` is the transform's single parameter (None for identity
-    and hflip), checked by check_transform before the image is copied.
+    and hflip), checked by check_transform, and the image is checked
+    against MAX_ATTACK_BYTES, before any pixel is converted.
     ``rng`` feeds gaussian_noise; when omitted, a fixed stream makes
     repeated calls deterministic.
     """
     value = check_transform(name, value)
-    need = 16 * img.pixels.size
+    need = (img.channels + 24) * img.height * img.width
     if need > MAX_ATTACK_BYTES:
         raise ImageSizeError(
             f"image {img.width}x{img.height}x{img.channels} needs {need} bytes "
-            f"for two float64 copies, above the limit of {MAX_ATTACK_BYTES}")
+            f"for its output and three float64 planes, above the limit of "
+            f"{MAX_ATTACK_BYTES}")
     if rng is None:
         rng = stream(0)
-    return _quantize(_TRANSFORMS[name][0](img.pixels.astype(np.float64), rng, value))
+    return _render(img.pixels.shape, _TRANSFORMS[name][0](img, rng, value))

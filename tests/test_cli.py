@@ -3,7 +3,10 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -248,15 +251,16 @@ class TestAttack:
 
     def test_image_above_attack_limit_is_image_error(self, tmp_path, capsys,
                                                      host_image, monkeypatch):
-        # two float64 copies of the 256x256 colour host are 3 MiB
-        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", 16 * 256 * 256 * 3 - 1)
+        # the 256x256 colour host's uint8 output and three float64 planes
+        # are 1.7 MiB
+        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", (3 + 24) * 256 * 256 - 1)
         out = tmp_path / "x.ppm"
         rc, payload, err = run_cli(capsys, "attack", "--in", host_image,
                                    "--out", str(out), "--transform", "rotate:5")
         assert rc == EXIT_IMAGE_IO
         assert payload is None
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "limit of 3145727" in err
+        assert "limit of 1769471" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
@@ -721,6 +725,22 @@ class TestPinnedOutputs:
         got = _sha256(out.read_bytes())
         assert got == self.CORPUS[transform], got
 
+    # seal, attack and open walk each image in bands of _BAND_PIXELS
+    # pixels: 97 is less than a row of these images, 300 one or more rows
+    @pytest.mark.parametrize("band", [97, 300])
+    @pytest.mark.parametrize("case", sorted(OPEN))
+    def test_open_stdout_for_any_band(self, monkeypatch, tmp_path, capsys, keyfile,
+                                      other_key, host_image, band, case):
+        monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
+        self.test_open_stdout(tmp_path, capsys, keyfile, other_key, host_image, case)
+
+    @pytest.mark.parametrize("band", [97, 300])
+    @pytest.mark.parametrize("transform", list(CORPUS))
+    def test_corpus_csv_for_any_band(self, monkeypatch, tmp_path, capsys, keyfile,
+                                     band, transform):
+        monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
+        self.test_corpus_csv(tmp_path, capsys, keyfile, transform)
+
     @pytest.mark.parametrize("case", sorted(SWEEP))
     def test_sweep_csv(self, tmp_path, capsys, keyfile, other_key, case):
         out = tmp_path / "sweep.csv"
@@ -731,6 +751,20 @@ class TestPinnedOutputs:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         got = _sha256(out.read_bytes())
         assert got == self.SWEEP[case], got
+
+
+class TestModuleEntry:
+    # both forms run the command line: open without --key is a usage error
+    @pytest.mark.parametrize("module", ["spheremark", "spheremark.cli"])
+    def test_missing_required_argument_exits_usage(self, tmp_path, module):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", module, "open", "--in",
+                               str(tmp_path / "missing.ppm")],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert done.returncode == EXIT_USAGE, done.stderr
+        assert "--key" in done.stderr
 
 
 def _calibrate_raises(monkeypatch, exc):
