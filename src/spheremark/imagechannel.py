@@ -16,14 +16,14 @@ Generation makes no float sample, and embed and extract work on the
 bits through per-word lookup tables; nothing builds the d*H*W float64
 stack.
 
-Every pass over an image (luma, high-pass, embed's add and every
+Every pass over an image (high-pass, embed's add and norm, and every
 attack) runs over bands of whole rows, at most _BAND_PIXELS pixels at
 a time: it reads the read-only uint8 pixels and writes rounded,
 clipped bytes straight into one uint8 output, so no pass makes a
 float64 copy of the whole image.  What is held whole are float64
-planes of H*W, one value per pixel: embed's delta, extract's luma and
-high-pass, contrast's luma and jpeg_like's luma and DCT planes.  The
-bytes do not depend on the band split.
+planes of H*W, one value per pixel: embed's delta, extract's
+high-pass and contrast's luma.  The bytes do not depend on the band
+split.
 
 Attacks are classical pixel-domain transforms, including a
 quantization-only JPEG proxy (blockwise DCT against the standard
@@ -59,9 +59,9 @@ PSNR_RANGE = (30.0, 60.0)
 # packs its top bit.  So the limit bounds the held bits and the
 # d * H * W bit work of generation, embed and extract.  The plane's own
 # arrays have their own bound: embed holds the float64 delta plane and
-# the uint8 output, extract the float64 luma and high-pass planes and
-# correlate's intp copy of one word row (8 * H * W bytes each), and
-# every other temporary is at most one band of _BAND_PIXELS pixels.
+# the uint8 output, extract the float64 high-pass plane (8 * H * W
+# bytes each), and every other temporary is at most one band of
+# _BAND_PIXELS pixels or one 65536-entry word table.
 MAX_CARRIER_BYTES = 2**31
 
 # Most raw Philox words a generation worker draws at once (256 KiB).
@@ -78,8 +78,9 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 _CARRIER_DOMAIN = 0x43415252  # "CARR"
 
 # Most pixels that one band of an image pass computes at once.  Every
-# per-pixel float64 temporary of luma, _highpass, superpose, embed and
-# attack is at most one band long; each band gives the bytes that a
+# per-pixel temporary of luma, _highpass, superpose, embed, attack and
+# psnr is at most one band long (jpeg_like's at most one band plus the
+# 8-row block rows that cover it); each band gives the bytes that a
 # whole-plane pass would.
 _BAND_PIXELS = 2**15
 
@@ -106,6 +107,7 @@ def _render(shape: tuple, band) -> RasterImage:
         np.rint(values, out=values)
         np.clip(values, 0, MAXVAL, out=values)
         out[r0:r1] = values
+        del values  # not held while the next band is computed
     return RasterImage(out)
 
 
@@ -113,7 +115,8 @@ def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     """Fold integer indices into [0, n) by symmetric reflection."""
     period = 2 * n
     m = np.mod(idx, period)
-    return np.where(m < n, m, period - 1 - m)
+    np.subtract(period - 1, m, out=m, where=m >= n)
+    return m
 
 
 def luma(img: RasterImage) -> np.ndarray:
@@ -131,23 +134,40 @@ def _luma(px: np.ndarray) -> np.ndarray:
     return px @ LUMA_WEIGHTS
 
 
-def _highpass(plane: np.ndarray) -> np.ndarray:
-    """The plane less its 3x3 box blur, edges reflected symmetrically,
-    a band of rows at a time: each band sums the nine shifted views of
-    its rows and their reflected one-row halo."""
-    h, w = plane.shape
+def _highpass(img: RasterImage) -> np.ndarray:
+    """The luma plane less its 3x3 box blur, edges reflected
+    symmetrically, a band of rows at a time: each band takes the luma
+    of its rows and their reflected one-row halo straight from the
+    uint8 pixels and sums its nine shifted views, so no whole luma
+    plane is made."""
+    h, w = img.height, img.width
     cols = _reflect_index(np.arange(-1, w + 1), w)
-    out = np.empty_like(plane)
+    out = np.empty((h, w))
     for r0, r1 in _bands(h, w):
         rows = _reflect_index(np.arange(r0 - 1, r1 + 1), h)
-        padded = plane[rows[:, np.newaxis], cols]
+        padded = np.take(_luma(img.pixels[rows].astype(np.float64)), cols, axis=1)
         acc = np.zeros((r1 - r0, w))
         for dy in range(3):
             for dx in range(3):
                 acc += padded[dy:dy + r1 - r0, dx:dx + w]
         acc /= 9.0
-        np.subtract(plane[r0:r1], acc, out=out[r0:r1])
+        np.subtract(padded[1:-1, 1:-1], acc, out=out[r0:r1])
     return out
+
+
+def _norm(plane: np.ndarray) -> float:
+    """The Euclidean norm of a float64 (H, W) plane without BLAS, so its
+    bits do not depend on the BLAS threads: each row's squares are
+    summed pairwise, a band of rows at a time through one reused
+    buffer, and the row sums are added exactly."""
+    h, w = plane.shape
+    sums = np.empty(h)
+    _, rows = next(_bands(h, w))  # no band is longer than the first
+    buf = np.empty((rows, w))
+    for r0, r1 in _bands(h, w):
+        part = np.square(plane[r0:r1], out=buf[:r1 - r0])
+        part.sum(axis=1, out=sums[r0:r1])
+    return math.sqrt(math.fsum(sums))
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,16 +266,21 @@ class CarrierSet:
         """The d inner products of a plane (H*W samples) with the carriers.
 
         Carrier i gives lo[i] * sum(hp) + (hi[i] - lo[i]) * s_i, where
-        s_i sums hp over the pixels whose bit i is set.  Per word, one
-        bincount sums hp by word value; its row and column sums fold
-        through the byte bits to the word's 16 carriers.
+        s_i sums hp over the pixels whose bit i is set.  Per word, hp is
+        summed by word value into one reused 65536-entry table, in
+        pixel order from +0.0 as np.bincount sums, but with no intp copy
+        of the word row; the table's row and column sums fold through
+        the byte bits to the word's 16 carriers.
         """
         hp = hp.ravel()
         sums = np.empty((len(self.words), 2, 8))  # [g, 0]: low byte, [g, 1]: high
+        by_value = np.empty(65536)
+        table = by_value.reshape(256, 256)  # [high byte, low byte]
         for g, word in enumerate(self.words):
-            by_value = np.bincount(word, weights=hp, minlength=65536).reshape(256, 256)
-            sums[g, 0] = by_value.sum(axis=0) @ _BYTE_BITS
-            sums[g, 1] = by_value.sum(axis=1) @ _BYTE_BITS
+            by_value.fill(0.0)
+            np.add.at(by_value, word, hp)
+            sums[g, 0] = table.sum(axis=0) @ _BYTE_BITS
+            sums[g, 1] = table.sum(axis=1) @ _BYTE_BITS
         return self.lo * hp.sum() + (self.hi - self.lo) * sums.reshape(-1)[:self.dim]
 
 
@@ -328,7 +353,8 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
         raise DomainError(f"target PSNR {target_psnr_db} outside {PSNR_RANGE}")
     carriers = _cached_carriers(key.seed, v.dim, img.height, img.width)
     delta = carriers.superpose(v.components)
-    norm = float(np.linalg.norm(delta))
+    plane = delta.reshape(img.height, img.width)
+    norm = _norm(plane)
     if norm == 0.0:
         raise ArithmeticError("degenerate carrier superposition")
     n_px = img.height * img.width
@@ -336,15 +362,14 @@ def embed(img: RasterImage, v: UnitVector, key: SecretKey,
     # below keeps the all-samples MSE equal to the luma-plane MSE.
     amplitude = MAXVAL * 10.0 ** (-target_psnr_db / 20.0) * math.sqrt(n_px)
     delta *= amplitude / norm
-    plane = delta.reshape(img.height, img.width, 1)
-    return _render(img.pixels.shape, lambda r0, r1: img.pixels[r0:r1] + plane[r0:r1])
+    return _render(img.pixels.shape,
+                   lambda r0, r1: img.pixels[r0:r1] + plane[r0:r1, :, np.newaxis])
 
 
 def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
     """Correlate high-passed luma against the keyed carriers."""
     carriers = _cached_carriers(key.seed, dim, img.height, img.width)
-    hp = _highpass(luma(img))
-    raw = carriers.correlate(hp)
+    raw = carriers.correlate(_highpass(img))
     if not raw.any():
         # constant image: no signal at all; return a fixed direction,
         # which downstream scoring rejects
@@ -362,14 +387,15 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 # uint8 output, for attacks and embed alike.  No transform copies the
 # whole image to float: pointwise ones convert a band of the uint8
 # pixels at a time, crop and rotate gather a band's bilinear corners
-# from the uint8 pixels, and contrast and jpeg_like first compute their
-# whole-plane luma statistic or luma shift.
+# from the uint8 pixels one channel at a time, jpeg_like takes the DCT
+# round trip of the block rows that cover each band, and contrast
+# first computes its whole-plane luma mean.
 
-# Largest (C + 24) * H * W that attack() accepts: the bytes of an H x W
-# x C image's uint8 output plus three float64 planes of H x W, the most
-# that any transform holds at once (jpeg_like's luma shift and the
-# padded planes of its DCT round trip).  Every other buffer is at most
-# one band of _BAND_PIXELS pixels.
+# Largest (C + 8) * H * W that attack() accepts: the bytes of an H x W
+# x C image's uint8 output plus one float64 plane of H x W, the most
+# that any transform holds at once (contrast's luma plane).  Every
+# other buffer is at most one band of _BAND_PIXELS pixels, or for
+# jpeg_like one band plus the 8-row block rows that cover it.
 MAX_ATTACK_BYTES = 2**31
 
 
@@ -379,32 +405,46 @@ def _resample(px: np.ndarray, coords):
 
     ``coords(r0, r1)`` gives the source (y, x) coordinates of those
     rows, as two arrays that broadcast to (r1 - r0, width).  Each
-    band's weights and reflected corner indices are computed once and
-    serve every channel.
+    band's weights and the uint8 pixels at its four reflected corners
+    are taken once and serve every channel, which is weighted on its
+    own, so no float temporary has a channel axis.
     """
-    h, w = px.shape[:2]
+    h, w, channels = px.shape
 
     def band(r0, r1):
         yy, xx = coords(r0, r1)
         wy, y0, y1 = _axis_corners(yy, h)
+        del yy
         wx, x0, x1 = _axis_corners(xx, w)
-        top = px[y0, x0] * (1.0 - wx) + px[y0, x1] * wx
-        bot = px[y1, x0] * (1.0 - wx) + px[y1, x1] * wx
-        top *= 1.0 - wy
-        bot *= wy
-        top += bot
-        return top
+        del xx
+        # the four corners' uint8 pixels, (rows, width, channels) each
+        corners = [px[y0, x0], px[y0, x1], px[y1, x0], px[y1, x1]]
+        del y0, y1, x0, x1
+        out = np.empty(corners[0].shape)
+        for c in range(channels):
+            g00, g01, g10, g11 = (g[:, :, c] for g in corners)
+            top = g00 * (1.0 - wx)
+            top += g01 * wx
+            bot = g10 * (1.0 - wx)
+            bot += g11 * wx
+            top *= 1.0 - wy
+            bot *= wy
+            np.add(top, bot, out=out[:, :, c])
+        return out
 
     return band
 
 
 def _axis_corners(t: np.ndarray, n: int) -> tuple:
     """For float coordinates t along an axis of n samples: the weight of
-    each upper neighbour, with a trailing axis for the channels, and
-    the reflected indices of the lower and upper neighbours."""
-    lower = np.floor(t).astype(np.int64)
-    return ((t - lower)[..., np.newaxis], _reflect_index(lower, n),
-            _reflect_index(lower + 1, n))
+    each upper neighbour and the reflected indices of the lower and
+    upper neighbours."""
+    lower = np.floor(t)
+    weight = t - lower
+    lower = lower.astype(np.int64)
+    low = _reflect_index(lower, n)
+    lower += 1
+    return weight, low, _reflect_index(lower, n)
 
 
 def _scale_about(px: np.ndarray, centre, factor: float) -> np.ndarray:
@@ -505,18 +545,13 @@ def _scaled_quant_table(quality: int) -> np.ndarray:
     return np.clip(table, 1.0, 255.0)
 
 
-def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
-    """Blockwise DCT quantization round-trip on one plane."""
-    qt = _scaled_quant_table(quality)
-    h, w = plane.shape
-    ph = (8 - h % 8) % 8
-    pw = (8 - w % 8) % 8
-    padded = np.pad(plane, ((0, ph), (0, pw)), mode="symmetric")
-    padded -= 128.0
-    bh, bw = padded.shape[0] // 8, padded.shape[1] // 8
-    blocks = padded.reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
+def _jpeg_plane(plane: np.ndarray, qt: np.ndarray) -> np.ndarray:
+    """Blockwise DCT quantization round trip of a plane of whole 8x8
+    blocks, into a new plane."""
+    bh, bw = plane.shape[0] // 8, plane.shape[1] // 8
+    blocks = (plane - 128.0).reshape(bh, 8, bw, 8).transpose(0, 2, 1, 3)
     coeff = np.einsum("ij,abjk,lk->abil", _DCT8, blocks, _DCT8)
-    del padded, blocks
+    del blocks
     coeff /= qt
     np.rint(coeff, out=coeff)
     coeff *= qt
@@ -524,19 +559,45 @@ def _jpeg_plane(plane: np.ndarray, quality: int) -> np.ndarray:
     del coeff
     out = back.transpose(0, 2, 1, 3).reshape(bh * 8, bw * 8)
     out += 128.0
-    return out[:h, :w]
+    return out
 
 
 def _jpeg_like(img: RasterImage, rng, quality: float):
     """Luma-only JPEG proxy; on color images the luma delta is added
-    to every channel, leaving chroma untouched."""
-    y = luma(img)
-    y2 = _jpeg_plane(y, int(quality))
-    if img.channels == 1:
-        return lambda r0, r1: y2[r0:r1, :, np.newaxis]
-    y2 -= y
-    del y
-    return lambda r0, r1: _floats(img.pixels, r0, r1) + y2[r0:r1, :, np.newaxis]
+    to every channel, leaving chroma untouched.
+
+    Each band takes the luma and round trip of the whole 8-row block
+    rows that cover it, rows and columns past the edge reflected as
+    np.pad(mode="symmetric") reflects them.  When a band ends inside
+    a block row, the rest of that block row is kept for the next band,
+    so each block row is computed once."""
+    qt = _scaled_quant_table(int(quality))
+    h, w = img.height, img.width
+    cols = _reflect_index(np.arange(-(-w // 8) * 8), w)
+    first, kept = 0, np.empty((0, w))  # the kept rows, from row first on
+
+    def block_rows(r0, r1):
+        """The output luma (grey) or luma shift (colour) of rows r0 .. r1 - 1."""
+        y = _luma(img.pixels[_reflect_index(np.arange(r0, r1), h)].astype(np.float64))
+        # take, unlike y[:, cols], gives C order, and the DCT's sums follow the layout
+        y = np.take(y, cols, axis=1)
+        y2 = _jpeg_plane(y, qt)
+        if img.channels == 3:
+            y2 -= y
+        return y2[:, :w]
+
+    def band(r0, r1):
+        nonlocal first, kept
+        done = first + len(kept)  # a multiple of 8, at or past r0
+        if r1 > done:
+            kept = np.concatenate([kept[r0 - first:], block_rows(done, -(-r1 // 8) * 8)])
+            first = r0
+        shift = kept[r0 - first:r1 - first, :, np.newaxis]
+        if img.channels == 1:
+            return shift
+        return _floats(img.pixels, r0, r1) + shift
+
+    return band
 
 
 _NON_NEGATIVE = (lambda v: v >= 0.0, ">= 0")
@@ -599,11 +660,11 @@ def attack(img: RasterImage, name: str, value: float | None = None,
     repeated calls deterministic.
     """
     value = check_transform(name, value)
-    need = (img.channels + 24) * img.height * img.width
+    need = (img.channels + 8) * img.height * img.width
     if need > MAX_ATTACK_BYTES:
         raise ImageSizeError(
             f"image {img.width}x{img.height}x{img.channels} needs {need} bytes "
-            f"for its output and three float64 planes, above the limit of "
+            f"for its output and one float64 plane, above the limit of "
             f"{MAX_ATTACK_BYTES}")
     if rng is None:
         rng = stream(0)

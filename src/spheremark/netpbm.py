@@ -124,7 +124,7 @@ def write_image(img: RasterImage, path: str) -> None:
     header = b"%s\n%d %d\n%d\n" % (magic, img.width, img.height, MAXVAL)
     with atomic_write(path, "wb") as fh:
         fh.write(header)
-        fh.write(img.pixels.tobytes())
+        fh.write(img.pixels)  # C-contiguous, so its buffer is the file's bytes
 
 
 def psnr(a: RasterImage, b: RasterImage) -> float:
@@ -135,10 +135,21 @@ def psnr(a: RasterImage, b: RasterImage) -> float:
     if a.pixels.shape != b.pixels.shape:
         raise DimensionMismatchError(
             f"shape mismatch: {a.pixels.shape} vs {b.pixels.shape}")
-    # squared uint8 differences summed exactly in int64; below 2^53 the
-    # float64 sum np.mean would take is the same integer, so the value is too
-    diff = np.subtract(a.pixels, b.pixels, dtype=np.int16)
-    mse = int(np.square(diff, dtype=np.int64).sum()) / diff.size
+    # imagechannel imports this module, so its band split is imported here
+    from .imagechannel import _bands
+
+    # squared uint8 differences, at most 255**2 each, summed exactly in
+    # int64 a band of rows at a time through one int32 buffer; below 2^53
+    # the float64 sum np.mean would take is the same integer, so the
+    # value is too
+    _, rows = next(_bands(a.height, a.width))  # no band is longer than the first
+    buf = np.empty((rows, a.width, a.channels), dtype=np.int32)
+    total = 0
+    for r0, r1 in _bands(a.height, a.width):
+        part = np.subtract(a.pixels[r0:r1], b.pixels[r0:r1], out=buf[:r1 - r0], dtype=np.int32)
+        np.square(part, out=part)
+        total += int(part.sum(dtype=np.int64))
+    mse = total / a.pixels.size
     if mse == 0.0:
         return math.inf
     return 10.0 * math.log10(MAXVAL * MAXVAL / mse)

@@ -251,16 +251,16 @@ class TestAttack:
 
     def test_image_above_attack_limit_is_image_error(self, tmp_path, capsys,
                                                      host_image, monkeypatch):
-        # the 256x256 colour host's uint8 output and three float64 planes
-        # are 1.7 MiB
-        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", (3 + 24) * 256 * 256 - 1)
+        # the 256x256 colour host's uint8 output and one float64 plane
+        # are 0.7 MiB
+        monkeypatch.setattr(imagechannel, "MAX_ATTACK_BYTES", (3 + 8) * 256 * 256 - 1)
         out = tmp_path / "x.ppm"
         rc, payload, err = run_cli(capsys, "attack", "--in", host_image,
                                    "--out", str(out), "--transform", "rotate:5")
         assert rc == EXIT_IMAGE_IO
         assert payload is None
         assert err.startswith("error: ") and "Traceback" not in err
-        assert "limit of 1769471" in err
+        assert "limit of 720895" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

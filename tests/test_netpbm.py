@@ -83,6 +83,26 @@ class TestReadWrite:
         assert img.pixels.shape == (1024, 1024, 3)
         assert peak < 1.5 * size
 
+    @pytest.mark.parametrize("img, name", [(_gray(37, 53), "g.pgm"), (_rgb(37, 53), "c.ppm")])
+    def test_file_bytes_round_trip(self, tmp_path, img, name):
+        path, again = tmp_path / name, tmp_path / ("again-" + name)
+        write_image(img, path)
+        raw = path.read_bytes()
+        magic = b"P5" if img.channels == 1 else b"P6"
+        assert raw == magic + b"\n53 37\n255\n" + img.pixels.tobytes()
+        write_image(read_image(path), again)
+        assert again.read_bytes() == raw
+
+    def test_write_makes_no_copy_of_the_pixels(self, tmp_path):
+        img = RasterImage(np.zeros((1024, 1024, 3), dtype=np.uint8))
+        tracemalloc.start()
+        try:
+            write_image(img, tmp_path / "big.ppm")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < img.pixels.size // 4
+
     def test_written_header_is_canonical(self, tmp_path):
         path = tmp_path / "g.pgm"
         write_image(_gray(3, 2), path)
