@@ -120,9 +120,12 @@ class ChannelProfile:
                    sigma=calibrate(target_cosine, dim))
 
 
-# Default profile set: calibration targets measured at the 42 dB
-# image-embedding operating point, one per attack family/severity.
-# Kept in data/default_profiles.json; loaded lazily.
+# Default profile set: one target cosine per attack family/severity,
+# kept in data/default_profiles.json and loaded lazily.  They were not
+# measured on this package's image channel: they name attacks it does
+# not implement (hue, perspective, Gaussian blur, 90-degree rotation)
+# and give hflip 0.983, where this channel's mark reads at chance
+# (ROADMAP item 17).
 _DEFAULT_PROFILES_RESOURCE = "default_profiles.json"
 
 

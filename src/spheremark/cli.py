@@ -22,6 +22,9 @@ import secrets
 import statistics
 import sys
 import time
+from array import array
+
+import numpy as np
 
 from ._fileio import atomic_write
 from .channel import (Watermark, default_profiles, load_profiles, run_sweep,
@@ -35,8 +38,8 @@ from .errors import (CapacityExceededError, DegenerateLabelsError,
                      UnknownTransformError)
 from .imagechannel import attack as apply_attack
 from .imagechannel import check_transform, embed, transform_names
-from .metrics import (NgramIndex, ScoredSample, bleu4, exact_match,
-                      novelty_score, roc_with_operating_points, write_roc_csv)
+from .metrics import (NgramIndex, bleu4, exact_match, novelty_score,
+                      roc_with_operating_points, write_roc_csv)
 from .netpbm import psnr, read_image, write_image
 from .rotation import SecretKey, load_key, sample_rotation, save_key
 from .sphere import DEFAULT_DIM
@@ -167,13 +170,16 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _read_scores(path: str) -> list[ScoredSample]:
-    samples = []
-    lines = [ln.strip() for ln in _read_lines(path) if ln.strip()]
+def _read_scores(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """float64 scores and bool labels of a score,label CSV; the header
+    row is optional, and roc checks that the scores are finite."""
+    scores, labels = array("d"), bytearray()
+    lines = [ln for ln in map(str.strip, _read_lines(path)) if ln]
     if not lines:
         raise DomainError(f"scores file {path} is empty")
-    start = 1 if lines[0].lower().replace(" ", "") == "score,label" else 0
-    for ln in lines[start:]:
+    if lines[0].lower().replace(" ", "") == "score,label":
+        del lines[0]
+    for ln in lines:
         parts = ln.split(",")
         if len(parts) != 2:
             raise DomainError(f"bad scores row {ln!r}, want score,label")
@@ -184,18 +190,20 @@ def _read_scores(path: str) -> list[ScoredSample]:
             raise DomainError(f"bad scores row {ln!r}: {exc}") from exc
         if label not in (0, 1):
             raise DomainError(f"label must be 0 or 1, got {label}")
-        samples.append(ScoredSample(score=score, label=bool(label)))
-    return samples
+        scores.append(score)
+        labels.append(label)
+    return np.frombuffer(scores), np.frombuffer(labels, dtype=bool)
 
 
 def cmd_roc(args) -> int:
-    samples = _read_scores(args.scores)
-    result, points = roc_with_operating_points(samples, args.target_fpr or [0.01])
+    scores, labels = _read_scores(args.scores)
+    result, points = roc_with_operating_points(scores, args.target_fpr or [0.01],
+                                               labels=labels)
     write_roc_csv(result, args.out)
-    n_pos = sum(s.label for s in samples)
-    _emit({"auc": result.auc, "n_pos": n_pos, "n_neg": len(samples) - n_pos,
+    n_pos = int(np.count_nonzero(labels))
+    _emit({"auc": result.auc, "n_pos": n_pos, "n_neg": len(labels) - n_pos,
            "operating_points": [op.to_json_dict() for op in points], "out": args.out})
-    _note(f"auc={result.auc:.4f} over {len(samples)} samples -> {args.out}")
+    _note(f"auc={result.auc:.4f} over {len(labels)} samples -> {args.out}")
     return EXIT_OK
 
 

@@ -82,9 +82,10 @@ class SignCodec(Codec):
     capacity_bytes is dim // 8.  dim below 2 raises DimensionError.
 
     encode and decode also take one Message or one UnitVector and then
-    return one item, only because perfbench/worker.py calls them that
-    way.  That form goes once the worker signs and opens through
-    Watermark (ROADMAP item 1 step 1).
+    return one item.  Acceptance criterion 06 encodes one Message, so
+    encode keeps that form.  Only perfbench/worker.py decodes one
+    UnitVector, and decode's one-item form goes once the worker opens
+    through Watermark (ROADMAP item 1 step 1).
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):

@@ -5,13 +5,15 @@ exact-match rate.  Detection: ROC curve with a tie-aware trapezoid
 AUC (equal to the Mann-Whitney statistic with half credit for ties)
 and operating-point selection at a target false-positive rate, both
 from one array sort (a tied group's threshold is its first occurrence,
-the one of least input index).
+the one of least input index).  Scores enter as a float64 array and a
+bool label array, or as a ScoredSample list turned into those once.
 Memorization: fraction of a sentence's 4-grams absent from a
 training-corpus index.
 """
 from __future__ import annotations
 
 import math
+import struct
 from collections import Counter
 from dataclasses import asdict, dataclass
 from typing import Sequence
@@ -72,16 +74,53 @@ class ScoredSample:
             raise DomainError(f"score must be finite, got {self.score!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RocResult:
-    """ROC curve: thresholds[i] produced points[i+1]; points[0] is (0,0)."""
+    """ROC curve as three read-only arrays of one row per point: a sample
+    is predicted positive when its score >= cuts[i], which gives
+    (fpr[i], tpr[i]).  cuts holds the distinct scores descending, led by
+    the inf anchor at (0, 0)."""
 
-    thresholds: tuple[float, ...]
-    points: tuple[tuple[float, float], ...]  # (fpr, tpr)
+    cuts: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
     auc: float
 
+    @property
+    def thresholds(self) -> tuple[float, ...]:
+        """The cuts after the anchor, as Python floats."""
+        return tuple(self.cuts[1:].tolist())
 
-def _sweep(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    @property
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """(fpr, tpr) pairs, anchor first, as Python floats."""
+        return tuple(zip(self.fpr.tolist(), self.tpr.tolist()))
+
+
+def _arrays(samples, labels) -> tuple[np.ndarray, np.ndarray]:
+    """float64 scores and bool positives, from a ScoredSample sequence
+    (labels None) or from a score array and its label array; a
+    non-finite score raises DomainError."""
+    if labels is None:
+        # struct packs Python floats and truth values about twice as fast
+        # as numpy converts them one object at a time
+        n = len(samples)
+        scores = np.frombuffer(struct.pack(f"{n}d", *[s.score for s in samples]))
+        positive = np.frombuffer(struct.pack(f"{n}?", *[s.label for s in samples]), bool)
+    else:
+        scores = np.asarray(samples, dtype=np.float64)
+        positive = np.asarray(labels, dtype=bool)
+        if scores.ndim != 1 or positive.shape != scores.shape:
+            raise DomainError(f"want one label per score, got shapes {scores.shape} "
+                              f"and {positive.shape}")
+    finite = np.isfinite(scores)
+    if not finite.all():
+        raise DomainError(f"score must be finite, got {float(scores[~finite][0])!r}")
+    return scores, positive
+
+
+def _sweep(scores: np.ndarray, positive: np.ndarray
+           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Distinct scores descending, and int64 #pos and #neg at or above each,
     all three led by the (inf, 0, 0) anchor.
 
@@ -90,32 +129,36 @@ def _sweep(samples: Sequence[ScoredSample]) -> tuple[np.ndarray, np.ndarray, np.
     tied 0.0/-0.0 group keeps the sign seen first, whatever order the
     sort leaves the group in.
     """
-    scores = np.array([s.score for s in samples], dtype=np.float64)
-    neg = np.array([not s.label for s in samples], dtype=bool)
     if not len(scores):
         return np.array([math.inf]), np.zeros(1, np.int64), np.zeros(1, np.int64)
     order = np.argsort(-scores)
     ranked = scores[order]
     # a group starts where the sorted score changes; 0.0 == -0.0, so they tie
     starts = np.flatnonzero(np.concatenate([[True], ranked[1:] != ranked[:-1]]))
-    ends = np.append(starts[1:], len(ranked))
-    fp = np.concatenate([[0], np.cumsum(neg[order])[ends - 1]])
+    # seen[i] samples score at or above cuts[i]: 0 at the anchor (starts[0]
+    # is 0), then each next group's start, then all of them
+    seen = np.append(starts, len(ranked))
+    tp = np.concatenate([[0], np.cumsum(positive[order])[seen[1:] - 1]])
     first = np.minimum.reduceat(order, starts)
-    return np.concatenate([[math.inf], scores[first]]), np.concatenate([[0], ends]) - fp, fp
+    return np.concatenate([[math.inf], scores[first]]), tp, seen - tp
 
 
-def roc(samples: Sequence[ScoredSample]) -> RocResult:
+def roc(samples: Sequence[ScoredSample] | np.ndarray, *,
+        labels: np.ndarray | None = None) -> RocResult:
     """ROC by descending-threshold sweep; a sample is predicted
     positive when score >= threshold.  Tied scores move as one group.
+
+    `samples` is a ScoredSample sequence, or, with `labels` (True for a
+    positive), a float score array.
 
     The AUC accumulates in exact integer arithmetic (twice the
     Mann-Whitney count, ties worth half) and divides once, so equal
     inputs give bit-equal results regardless of group order.
     """
-    return _roc(*_sweep(samples))
+    return _roc(*_sweep(*_arrays(samples, labels)))
 
 
-def _roc(thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocResult:
+def _roc(cuts: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocResult:
     n_pos, n_neg = int(tp[-1]), int(fp[-1])
     if n_pos == 0 or n_neg == 0:
         raise DegenerateLabelsError(
@@ -123,9 +166,10 @@ def _roc(thresholds: np.ndarray, tp: np.ndarray, fp: np.ndarray) -> RocResult:
     # a negative loses to the positives above its group and ties those in it;
     # the int64 sum is at most n**2 / 2, so it is exact for n < 2**32 samples
     twice_u = int(np.diff(fp) @ (tp[:-1] + tp[1:]))
-    return RocResult(thresholds=tuple(thresholds[1:].tolist()),
-                     points=tuple(zip((fp / n_neg).tolist(), (tp / n_pos).tolist())),
-                     auc=twice_u / (2 * n_pos * n_neg))
+    fpr, tpr = fp / n_neg, tp / n_pos
+    for column in (cuts, fpr, tpr):
+        column.flags.writeable = False
+    return RocResult(cuts=cuts, fpr=fpr, tpr=tpr, auc=twice_u / (2 * n_pos * n_neg))
 
 
 @dataclass(frozen=True)
@@ -144,14 +188,16 @@ class OperatingPoint:
         return asdict(self)
 
 
-def roc_with_operating_points(samples: Sequence[ScoredSample], target_fprs: Sequence[float]
+def roc_with_operating_points(samples: Sequence[ScoredSample] | np.ndarray,
+                              target_fprs: Sequence[float], *,
+                              labels: np.ndarray | None = None
                               ) -> tuple[RocResult, list[OperatingPoint]]:
     """`roc` and then `threshold_at_fpr` for each target in turn, from
     one sweep.
 
     Results and errors are those of these calls, made in that order.
     """
-    groups = _sweep(samples)
+    groups = _sweep(*_arrays(samples, labels))
     return _roc(*groups), _operating_points(*groups, target_fprs)
 
 
@@ -160,7 +206,7 @@ def _check_target(target_fpr: float) -> None:
         raise DomainError(f"target fpr {target_fpr} outside (0, 1]")
 
 
-def _operating_points(thresholds: np.ndarray, tps: np.ndarray, fps: np.ndarray,
+def _operating_points(cuts: np.ndarray, tps: np.ndarray, fps: np.ndarray,
                       target_fprs: Sequence[float]) -> list[OperatingPoint]:
     points: list[OperatingPoint] = []
     n_pos, n_neg = int(tps[-1]), int(fps[-1])
@@ -171,10 +217,10 @@ def _operating_points(thresholds: np.ndarray, tps: np.ndarray, fps: np.ndarray,
         _check_target(target_fpr)
         # fp never falls along the sweep, so the passing groups are a prefix
         k = int(np.searchsorted(fprs, target_fpr, side="right")) - 1
-        chosen = float(thresholds[k])
+        chosen = float(cuts[k])
         if k == 0:  # only the anchor passes; past 2**53 the + 1 is lost
-            chosen = float(thresholds[1]) + 1.0
-            k = 1 if chosen == thresholds[1] else 0
+            chosen = float(cuts[1]) + 1.0
+            k = 1 if chosen == cuts[1] else 0
         tp, fp = int(tps[k]), int(fps[k])
         points.append(OperatingPoint(target_fpr=target_fpr, threshold=chosen,
                                      achieved_tpr=tp / n_pos if n_pos else 0.0,
@@ -182,17 +228,19 @@ def _operating_points(thresholds: np.ndarray, tps: np.ndarray, fps: np.ndarray,
     return points
 
 
-def threshold_at_fpr(samples: Sequence[ScoredSample], target_fpr: float) -> OperatingPoint:
+def threshold_at_fpr(samples: Sequence[ScoredSample] | np.ndarray, target_fpr: float, *,
+                     labels: np.ndarray | None = None) -> OperatingPoint:
     """Smallest observed score whose false-positive rate is within target.
 
     One O(n log n) descending sweep shared with `roc`: the threshold is
     the last distinct score in that order with fp / n_neg <= target_fpr,
     compared as that exact float division.  If even the largest score
     misses, the threshold is max score + 1 (rejects everything).
-    Positives are optional; with none, achieved_tpr is 0.
+    Positives are optional; with none, achieved_tpr is 0.  `samples`
+    and `labels` are as in `roc`.
     """
     _check_target(target_fpr)
-    return _operating_points(*_sweep(samples), [target_fpr])[0]
+    return _operating_points(*_sweep(*_arrays(samples, labels)), [target_fpr])[0]
 
 
 @dataclass(frozen=True)
@@ -222,10 +270,15 @@ def novelty_score(tokens: Sequence[str], index: NgramIndex) -> float | None:
     return novel / len(grams)
 
 
+_CSV_BLOCK = 1 << 16  # rows formatted per write
+
+
 def write_roc_csv(result: RocResult, path: str) -> None:
     """threshold,fpr,tpr rows; the (0,0) anchor gets threshold inf."""
+    row = "{:.10g},{:.6f},{:.6f}\n".format
     with atomic_write(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("threshold,fpr,tpr\n")
-        fh.write("inf,0.000000,0.000000\n")
-        for theta, (fpr, tpr) in zip(result.thresholds, result.points[1:]):
-            fh.write(f"{theta:.10g},{fpr:.6f},{tpr:.6f}\n")
+        for at in range(0, len(result.cuts), _CSV_BLOCK):
+            block = slice(at, at + _CSV_BLOCK)
+            fh.write("".join(map(row, result.cuts[block].tolist(),
+                                 result.fpr[block].tolist(), result.tpr[block].tolist())))

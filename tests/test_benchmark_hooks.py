@@ -19,6 +19,7 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 SWEEP_SPANS = {"codec.encode", "codec.decode", "rotation.rotate", "rotation.unrotate",
                "confidence.assess", "sphere.cosine"}
 IMAGE_SPANS = {"imagechannel.generate", "imagechannel.embed", "imagechannel.extract"}
+ROC_SPANS = {"metrics.roc", "metrics.threshold_at_fpr"}
 
 
 @pytest.fixture
@@ -52,3 +53,11 @@ def test_image_spans(tracer, monkeypatch):
     sealed = spheremark.embed(make_image(2, 64, 64), wm.sign(spheremark.Message(b"hook")), key)
     wm.open(sealed, 100.0)
     assert IMAGE_SPANS <= _span_names(tracer)
+
+
+def test_roc_spans(tracer):
+    # the benchmark calls both on a ScoredSample list, as here
+    samples = [spheremark.ScoredSample(score=k / 4, label=k % 3 == 0) for k in range(12)]
+    spheremark.roc(samples)
+    spheremark.threshold_at_fpr(samples, 0.1)
+    assert ROC_SPANS <= _span_names(tracer)

@@ -13,8 +13,8 @@ from spheremark import (ChannelProfile, Codec, ConfidenceReport,
                         SignCodec, SweepRow, UnitVector, Watermark,
                         assess, calibrate, cosine, default_profiles, embed,
                         extract, load_profiles, perturb, rotate, run_sweep,
-                        sample_rotation, sample_uniform, unrotate,
-                        write_sweep_csv)
+                        sample_rotation, sample_uniform, spherical_p_value,
+                        unrotate, write_sweep_csv)
 from spheremark import channel
 from spheremark.channel import SWEEP_CSV_HEADER, profiles_from_dicts
 from spheremark.streams import label_entropy, stream, stream_key
@@ -272,6 +272,26 @@ class TestRunSweep:
                          message_len=16, ell_threshold=100.0)
         assert abs(rows[0].mean_cosine - 0.984) <= 0.005
         assert rows[0].exact_match == 1.0
+
+    # Largest |exact match - closed form| over the built-in profiles at
+    # n = 20000 was 0.0264 (jpeg_60, 9 standard errors there): every bit
+    # flips against the same fixed-length noise, so flips are not quite
+    # independent and the product overstates exact match a little.
+    CLOSED_FORM_GAP = 0.027
+
+    def test_exact_match_follows_closed_form(self):
+        # bit i flips when the noise's i-th coordinate outweighs the
+        # signal's 1/sqrt(d); the noise is a uniform direction of length
+        # sigma, so that is half a spherical cap's two-sided tail
+        codec, key = self._codec_key()
+        n, d = 2000, 256
+        profiles = default_profiles(d)
+        rows = run_sweep(profiles, codec, key, n, stream(17))
+        for profile, row in zip(profiles, rows):
+            flip = 0.5 * spherical_p_value(1.0 / (profile.sigma * math.sqrt(d)), d)
+            closed = (1.0 - flip) ** d
+            tol = self.CLOSED_FORM_GAP + 4.0 * math.sqrt(closed * (1.0 - closed) / n)
+            assert abs(row.exact_match - closed) <= tol, (profile.name, row.exact_match, closed)
 
     def test_wrong_key_never_matches(self):
         codec, key = self._codec_key()

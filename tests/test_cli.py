@@ -408,6 +408,14 @@ class TestRoc:
             assert payload is None
             assert "finite" in err
 
+    def test_rows_parse_before_the_finite_check(self, tmp_path, capsys):
+        # the scores are checked once, as an array, after the whole file parses
+        scores = self._scores(tmp_path, ["nan,1", "0.5,0", "x,1"])
+        rc, payload, err = run_cli(capsys, "roc", "--scores", scores,
+                                   "--out", str(tmp_path / "r.csv"))
+        assert rc == EXIT_USAGE and payload is None
+        assert "bad scores row 'x,1'" in err
+
     # digests of the stdout JSON (without its "out" path) and of the CSV,
     # taken from the code that swept once for roc and once more for the
     # operating points
@@ -418,9 +426,9 @@ class TestRoc:
         sweep = metrics._sweep
         calls = []
 
-        def counted(samples):
-            calls.append(len(samples))
-            return sweep(samples)
+        def counted(scores, positive):
+            calls.append(len(scores))
+            return sweep(scores, positive)
 
         monkeypatch.setattr(metrics, "_sweep", counted)
         rows = [f"{round(3 * math.sin(1.3 * i), 1) + (i % 3 != 0)},{int(i % 3 != 0)}"

@@ -1,6 +1,8 @@
+import importlib.util
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -227,9 +229,21 @@ class TestThresholdAtFpr:
             threshold_at_fpr([ScoredSample(1.0, True)], 0.1)
 
 
+def roc_fields(samples, **kwargs):
+    """`roc`'s (thresholds, points, auc): their repr tells -0.0 from 0.0,
+    where a RocResult's array repr would not."""
+    result = roc(samples, **kwargs)
+    return result.thresholds, result.points, result.auc
+
+
+def roc_with_operating_points_fields(samples, targets, **kwargs):
+    result, points = roc_with_operating_points(samples, targets, **kwargs)
+    return (result.thresholds, result.points, result.auc), points
+
+
 def roc_reference(samples):
     """The dict-of-groups ROC that the shared sweep replaced, kept as the
-    reference for bit-equal results."""
+    reference for bit-equal results: (thresholds, points, auc)."""
     n_pos = sum(s.label for s in samples)
     n_neg = len(samples) - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -249,8 +263,7 @@ def roc_reference(samples):
         tp += dp
         fp += dn
         points.append((fp / n_neg, tp / n_pos))
-    auc = twice_u / (2 * n_pos * n_neg)
-    return RocResult(thresholds=tuple(thresholds), points=tuple(points), auc=auc)
+    return tuple(thresholds), tuple(points), twice_u / (2 * n_pos * n_neg)
 
 
 def threshold_at_fpr_reference(samples, target_fpr):
@@ -286,6 +299,12 @@ def _outcome(fn, *args):
         return repr(fn(*args))
     except (DomainError, DegenerateLabelsError) as exc:
         return type(exc).__name__
+
+
+def _score_arrays(samples):
+    """The samples' float64 score array and bool label array."""
+    return (np.array([float(s.score) for s in samples], dtype=np.float64),
+            np.array([bool(s.label) for s in samples], dtype=bool))
 
 
 # quarter-integers in a small range tie often; both zeros test which
@@ -361,7 +380,7 @@ class TestSweepMatchesReference:
         samples = self.CASES[name]
         assert (_outcome(threshold_at_fpr, samples, target)
                 == _outcome(threshold_at_fpr_reference, samples, target))
-        assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+        assert _outcome(roc_fields, samples) == _outcome(roc_reference, samples)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     @pytest.mark.parametrize("targets", [
@@ -369,7 +388,7 @@ class TestSweepMatchesReference:
         [0.2, 0.2], [0.5, 1.5], [1.5, 0.5], [0.0], []])
     def test_named_cases_several_targets(self, name, targets):
         samples = self.CASES[name]
-        assert (_outcome(roc_with_operating_points, samples, targets)
+        assert (_outcome(roc_with_operating_points_fields, samples, targets)
                 == _outcome(roc_with_operating_points_reference, samples, targets))
 
     def test_named_case_outcomes(self):
@@ -393,7 +412,7 @@ def test_sweep_equals_reference_on_ties(samples_target):
     samples, target = samples_target
     assert (_outcome(threshold_at_fpr, samples, target)
             == _outcome(threshold_at_fpr_reference, samples, target))
-    assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+    assert _outcome(roc_fields, samples) == _outcome(roc_reference, samples)
 
 
 @settings(max_examples=300, deadline=None)
@@ -403,7 +422,7 @@ def test_sweep_equals_reference_on_ties(samples_target):
 @example((_mk([1.0], [2.0 ** 53, 2.0 ** 53]), [1.0, 0.5, 2.0]))
 def test_roc_with_operating_points_equal_reference_on_ties(samples_targets):
     samples, targets = samples_targets
-    assert (_outcome(roc_with_operating_points, samples, targets)
+    assert (_outcome(roc_with_operating_points_fields, samples, targets)
             == _outcome(roc_with_operating_points_reference, samples, targets))
 
 
@@ -424,11 +443,14 @@ def long_tied_samples_and_targets(draw):
 @given(long_tied_samples_and_targets())
 def test_long_tied_groups_equal_reference(samples_targets):
     samples, targets = samples_targets
-    assert _outcome(roc, samples) == _outcome(roc_reference, samples)
+    assert _outcome(roc_fields, samples) == _outcome(roc_reference, samples)
     assert (_outcome(threshold_at_fpr, samples, targets[0])
             == _outcome(threshold_at_fpr_reference, samples, targets[0]))
-    assert (_outcome(roc_with_operating_points, samples, targets)
-            == _outcome(roc_with_operating_points_reference, samples, targets))
+    want = _outcome(roc_with_operating_points_reference, samples, targets)
+    assert _outcome(roc_with_operating_points_fields, samples, targets) == want
+    scores, labels = _score_arrays(samples)
+    assert _outcome(lambda s, t: roc_with_operating_points_fields(s, t, labels=labels),
+                    scores, targets) == want
 
 
 DENSE_TARGETS = (1e-3, 1e-2, 0.1, 1.0)
@@ -458,8 +480,8 @@ def _assert_same_text(got, want):
 @pytest.mark.parametrize("zeros", [(0.0, -0.0), (-0.0, 0.0)])
 def test_dense_ties_equal_reference(zeros):
     samples = _dense_tied_samples(zeros)
-    _assert_same_text(repr(roc(samples)), repr(roc_reference(samples)))
-    _assert_same_text(_outcome(roc_with_operating_points, samples, DENSE_TARGETS),
+    _assert_same_text(repr(roc_fields(samples)), repr(roc_reference(samples)))
+    _assert_same_text(_outcome(roc_with_operating_points_fields, samples, DENSE_TARGETS),
                       _outcome(roc_with_operating_points_reference, samples, DENSE_TARGETS))
 
 
@@ -469,9 +491,74 @@ def test_dense_ties_numpy_bool_labels_equal_bool(zeros):
     # against the same samples with Python bool labels instead
     samples = _dense_tied_samples(zeros, label=bool)
     np_samples = _dense_tied_samples(zeros, label=np.bool_)
-    _assert_same_text(repr(roc(np_samples)), repr(roc(samples)))
-    _assert_same_text(_outcome(roc_with_operating_points, np_samples, DENSE_TARGETS),
-                      _outcome(roc_with_operating_points, samples, DENSE_TARGETS))
+    _assert_same_text(repr(roc_fields(np_samples)), repr(roc_fields(samples)))
+    _assert_same_text(_outcome(roc_with_operating_points_fields, np_samples, DENSE_TARGETS),
+                      _outcome(roc_with_operating_points_fields, samples, DENSE_TARGETS))
+
+
+def _benchmark_samples(j):
+    """The benchmark's j-th score set at seed 1, built as its worker builds it."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(inputs)
+    scores, labels = inputs.score_set(inputs.rng_for(1, 6, j))
+    return [ScoredSample(score=s, label=lab) for s, lab in zip(scores, labels)]
+
+
+FORM_CASES = {
+    "dense ties, 0.0 first": lambda: _dense_tied_samples((0.0, -0.0)),
+    "dense ties, -0.0 first": lambda: _dense_tied_samples((-0.0, 0.0)),
+    "zero group led by -0.0 mid-list": lambda: _zero_group_mid_list(-0.0),
+    "zero group led by 0.0 mid-list": lambda: _zero_group_mid_list(0.0),
+    **{f"benchmark score set {j}": (lambda j=j: _benchmark_samples(j)) for j in range(4)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORM_CASES))
+def test_array_form_equals_list_form_and_references(name):
+    samples = FORM_CASES[name]()
+    want = repr((roc_reference(samples), operating_points_reference(samples, DENSE_TARGETS)))
+    scores, labels = _score_arrays(samples)
+    for args, kwargs in (((samples,), {}), ((scores,), {"labels": labels})):
+        got = (roc_fields(*args, **kwargs),
+               [threshold_at_fpr(*args, t, **kwargs) for t in DENSE_TARGETS])
+        _assert_same_text(repr(got), want)
+        _assert_same_text(
+            repr(roc_with_operating_points_fields(*args, DENSE_TARGETS, **kwargs)), want)
+
+
+class TestArrayInput:
+    def test_result_arrays(self):
+        scores, labels = np.array([3.0, 2.0, 2.0, 0.5]), np.array([True, True, False, False])
+        res = roc(scores, labels=labels)
+        assert res.cuts.tolist() == [math.inf, 3.0, 2.0, 0.5]
+        assert res.fpr.tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert res.tpr.tolist() == [0.0, 0.5, 1.0, 1.0]
+        assert res.thresholds == (3.0, 2.0, 0.5)
+        assert res.points == ((0.0, 0.0), (0.0, 0.5), (0.5, 1.0), (1.0, 1.0))
+        assert res.auc == 0.875
+        for column in (res.cuts, res.fpr, res.tpr):
+            with pytest.raises(ValueError):
+                column[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_refused(self, bad):
+        scores, labels = np.array([1.0, bad, 0.0]), np.array([True, False, False])
+        for call in (lambda: roc(scores, labels=labels),
+                     lambda: threshold_at_fpr(scores, 0.5, labels=labels),
+                     lambda: roc_with_operating_points(scores, [0.5], labels=labels)):
+            with pytest.raises(DomainError, match=f"finite, got {bad!r}"):
+                call()
+
+    @pytest.mark.parametrize("scores, labels", [
+        ([1.0, 0.0], [True]),
+        ([[1.0, 0.0]], [[True, False]]),
+        (1.0, True),
+    ])
+    def test_one_label_per_score(self, scores, labels):
+        with pytest.raises(DomainError, match="one label per score"):
+            roc(np.array(scores), labels=np.array(labels))
 
 
 def test_threshold_at_fpr_is_not_quadratic():
