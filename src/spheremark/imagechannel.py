@@ -16,9 +16,9 @@ Generation makes no float sample, and embed and extract work on the
 bits through per-word lookup tables; nothing builds the d*H*W float64
 stack.
 
-Every pass over an image (high-pass, embed's add and norm, and every
-attack) runs over bands of whole rows, at most _BAND_PIXELS pixels at
-a time: it reads the read-only uint8 pixels and writes rounded,
+Every pass over an image (high-pass, superpose, embed's add and norm,
+and every attack) runs over one grid of bands of whole 8-row block
+rows (_bands): it reads the read-only uint8 pixels and writes rounded,
 clipped bytes straight into one uint8 output, so no pass makes a
 float64 copy of the whole image.  What is held whole are float64
 planes of H*W, one value per pixel: embed's delta, extract's
@@ -61,7 +61,7 @@ PSNR_RANGE = (30.0, 60.0)
 # arrays have their own bound: embed holds the float64 delta plane and
 # the uint8 output, extract the float64 high-pass plane (8 * H * W
 # bytes each), and every other temporary is at most one band of
-# _BAND_PIXELS pixels or one 65536-entry word table.
+# max(_BAND_PIXELS, 8 * W) pixels or one 65536-entry word table.
 MAX_CARRIER_BYTES = 2**31
 
 # Most raw Philox words a generation worker draws at once (256 KiB).
@@ -77,17 +77,17 @@ LUMA_WEIGHTS = np.array([0.299, 0.587, 0.114])
 # Domain tag separating carrier streams from rotation streams.
 _CARRIER_DOMAIN = 0x43415252  # "CARR"
 
-# Most pixels that one band of an image pass computes at once.  Every
-# per-pixel temporary of luma, _highpass, superpose, embed, attack and
-# psnr is at most one band long (jpeg_like's at most one band plus the
-# 8-row block rows that cover it); each band gives the bytes that a
-# whole-plane pass would.
+# A band is as many whole 8-row block rows as fit in _BAND_PIXELS
+# pixels, at least one, so at most max(_BAND_PIXELS, 8 * W) pixels.
+# Every per-pixel temporary of luma, _highpass, superpose, embed,
+# attack and psnr is at most one band long; each band gives the bytes
+# that a whole-plane pass would.
 _BAND_PIXELS = 2**15
 
 
 def _bands(height: int, width: int):
-    """(r0, r1) for each band of whole rows, at least one row per band."""
-    rows = max(1, _BAND_PIXELS // width)
+    """(r0, r1) for each band: multiples of 8, but the last r1 (the height)."""
+    rows = 8 * max(1, _BAND_PIXELS // (8 * width))
     for r0 in range(0, height, rows):
         yield r0, min(r0 + rows, height)
 
@@ -134,6 +134,14 @@ def _luma(px: np.ndarray) -> np.ndarray:
     return px @ LUMA_WEIGHTS
 
 
+def _luma_at(px: np.ndarray, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The float64 luma of uint8 pixels px at rows x cols, in C order,
+    indices past an edge reflected as np.pad(mode="symmetric") does."""
+    y = _luma(px[_reflect_index(rows, px.shape[0])].astype(np.float64))
+    # take, unlike y[:, cols], gives C order, and the DCT's sums follow the layout
+    return np.take(y, _reflect_index(cols, px.shape[1]), axis=1)
+
+
 def _highpass(img: RasterImage) -> np.ndarray:
     """The luma plane less its 3x3 box blur, edges reflected
     symmetrically, a band of rows at a time: each band takes the luma
@@ -141,11 +149,10 @@ def _highpass(img: RasterImage) -> np.ndarray:
     uint8 pixels and sums its nine shifted views, so no whole luma
     plane is made."""
     h, w = img.height, img.width
-    cols = _reflect_index(np.arange(-1, w + 1), w)
+    cols = np.arange(-1, w + 1)
     out = np.empty((h, w))
     for r0, r1 in _bands(h, w):
-        rows = _reflect_index(np.arange(r0 - 1, r1 + 1), h)
-        padded = np.take(_luma(img.pixels[rows].astype(np.float64)), cols, axis=1)
+        padded = _luma_at(img.pixels, np.arange(r0 - 1, r1 + 1), cols)
         acc = np.zeros((r1 - r0, w))
         for dy in range(3):
             for dx in range(3):
@@ -249,17 +256,18 @@ class CarrierSet:
         # [g, 0] is the table of word g's low byte, [g, 1] of its high byte
         tables = weights.reshape(-1, 2, 8) @ _BYTE_BITS.T
         tables[0, 1] += float(v @ self.lo)
-        n_px = self.words.shape[1]
-        out = np.zeros(n_px)
+        h, w = self.height, self.width
+        out = np.zeros(h * w)
         table = np.empty((256, 256))
-        part = np.empty(min(_BAND_PIXELS, n_px))
+        _, rows = next(_bands(h, w))  # no band is longer than the first
+        part = np.empty(rows * w)
         for word, (low, high) in zip(self.words, tables):
             np.add(high[:, np.newaxis], low, out=table)
-            for at in range(0, n_px, _BAND_PIXELS):
-                got = part[:min(_BAND_PIXELS, n_px - at)]
+            for r0, r1 in _bands(h, w):
+                got = part[:(r1 - r0) * w]
                 # every uint16 indexes the table; "clip" only skips buffering
-                np.take(table.ravel(), word[at:at + len(got)], out=got, mode="clip")
-                out[at:at + len(got)] += got
+                np.take(table.ravel(), word[r0 * w:r1 * w], out=got, mode="clip")
+                out[r0 * w:r1 * w] += got
         return out
 
     def correlate(self, hp: np.ndarray) -> np.ndarray:
@@ -388,14 +396,13 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 # whole image to float: pointwise ones convert a band of the uint8
 # pixels at a time, crop and rotate gather a band's bilinear corners
 # from the uint8 pixels one channel at a time, jpeg_like takes the DCT
-# round trip of the block rows that cover each band, and contrast
+# round trip of each band's own block rows, and contrast
 # first computes its whole-plane luma mean.
 
 # Largest (C + 8) * H * W that attack() accepts: the bytes of an H x W
 # x C image's uint8 output plus one float64 plane of H x W, the most
 # that any transform holds at once (contrast's luma plane).  Every
-# other buffer is at most one band of _BAND_PIXELS pixels, or for
-# jpeg_like one band plus the 8-row block rows that cover it.
+# other buffer is at most one band of max(_BAND_PIXELS, 8 * W) pixels.
 MAX_ATTACK_BYTES = 2**31
 
 
@@ -568,34 +575,20 @@ def _jpeg_like(img: RasterImage, rng, quality: float):
 
     Each band takes the luma and round trip of the whole 8-row block
     rows that cover it, rows and columns past the edge reflected as
-    np.pad(mode="symmetric") reflects them.  When a band ends inside
-    a block row, the rest of that block row is kept for the next band,
-    so each block row is computed once."""
+    np.pad(mode="symmetric") reflects them.  A band of _bands starts
+    on a block row, so it computes only its own block rows and does
+    not depend on any other band."""
     qt = _scaled_quant_table(int(quality))
-    h, w = img.height, img.width
-    cols = _reflect_index(np.arange(-(-w // 8) * 8), w)
-    first, kept = 0, np.empty((0, w))  # the kept rows, from row first on
-
-    def block_rows(r0, r1):
-        """The output luma (grey) or luma shift (colour) of rows r0 .. r1 - 1."""
-        y = _luma(img.pixels[_reflect_index(np.arange(r0, r1), h)].astype(np.float64))
-        # take, unlike y[:, cols], gives C order, and the DCT's sums follow the layout
-        y = np.take(y, cols, axis=1)
-        y2 = _jpeg_plane(y, qt)
-        if img.channels == 3:
-            y2 -= y
-        return y2[:, :w]
+    cols = np.arange(-(-img.width // 8) * 8)
 
     def band(r0, r1):
-        nonlocal first, kept
-        done = first + len(kept)  # a multiple of 8, at or past r0
-        if r1 > done:
-            kept = np.concatenate([kept[r0 - first:], block_rows(done, -(-r1 // 8) * 8)])
-            first = r0
-        shift = kept[r0 - first:r1 - first, :, np.newaxis]
+        y = _luma_at(img.pixels, np.arange(r0, -(-r1 // 8) * 8), cols)
+        y2 = _jpeg_plane(y, qt)
         if img.channels == 1:
-            return shift
-        return _floats(img.pixels, r0, r1) + shift
+            return y2[:r1 - r0, :img.width, np.newaxis]
+        y2 -= y
+        del y  # not held while the band's pixels are converted
+        return _floats(img.pixels, r0, r1) + y2[:r1 - r0, :img.width, np.newaxis]
 
     return band
 

@@ -218,9 +218,12 @@ def _operating_points(cuts: np.ndarray, tps: np.ndarray, fps: np.ndarray,
         # fp never falls along the sweep, so the passing groups are a prefix
         k = int(np.searchsorted(fprs, target_fpr, side="right")) - 1
         chosen = float(cuts[k])
-        if k == 0:  # only the anchor passes; past 2**53 the + 1 is lost
+        if k == 0:  # only the anchor passes: reject every sample
             chosen = float(cuts[1]) + 1.0
-            k = 1 if chosen == cuts[1] else 0
+            if chosen == cuts[1]:
+                raise DomainError(
+                    f"max score {chosen!r} is at or beyond 2**53 in magnitude, where max "
+                    "score + 1 rounds back to the max, so no threshold rejects every sample")
         tp, fp = int(tps[k]), int(fps[k])
         points.append(OperatingPoint(target_fpr=target_fpr, threshold=chosen,
                                      achieved_tpr=tp / n_pos if n_pos else 0.0,
@@ -235,7 +238,8 @@ def threshold_at_fpr(samples: Sequence[ScoredSample] | np.ndarray, target_fpr: f
     One O(n log n) descending sweep shared with `roc`: the threshold is
     the last distinct score in that order with fp / n_neg <= target_fpr,
     compared as that exact float division.  If even the largest score
-    misses, the threshold is max score + 1 (rejects everything).
+    misses, the threshold is max score + 1 (rejects everything), or
+    DomainError if that rounds back to the max (at or beyond 2**53).
     Positives are optional; with none, achieved_tpr is 0.  `samples`
     and `labels` are as in `roc`.
     """

@@ -416,6 +416,18 @@ class TestRoc:
         assert rc == EXIT_USAGE and payload is None
         assert "bad scores row 'x,1'" in err
 
+    def test_max_score_at_2_pow_53_refused(self, tmp_path, capsys):
+        # only max score + 1 would reject the negative, and it rounds back to 2**53
+        scores = self._scores(tmp_path, ["9007199254740992,0", "1.0,1"])
+        out = tmp_path / "roc.csv"
+        rc, payload, err = run_cli(capsys, "roc", "--scores", scores, "--out", str(out),
+                                   "--target-fpr", "0.5")
+        assert rc == EXIT_USAGE and payload is None
+        assert err.startswith("error: max score 9007199254740992.0 is at or beyond 2**53")
+        assert "no threshold rejects every sample" in err
+        assert "exceeds target" not in err
+        assert not out.exists()
+
     # digests of the stdout JSON (without its "out" path) and of the CSV,
     # taken from the code that swept once for roc and once more for the
     # operating points

@@ -864,6 +864,44 @@ class TestBandedScoring:
             assert psnr(a, b) == 0.0
 
 
+class TestBandGrid:
+    @pytest.mark.parametrize("band", [imagechannel._BAND_PIXELS, 97])
+    @pytest.mark.parametrize("width", [1, 97, 4096, 4097, 5000])
+    def test_bands_on_block_rows(self, monkeypatch, band, width):
+        monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
+        for height in range(1, 24):
+            bands = list(imagechannel._bands(height, width))
+            assert bands[0][0] == 0 and bands[-1][1] == height
+            assert all(r1 == nxt for (_, r1), (nxt, _) in zip(bands, bands[1:]))
+            for r0, r1 in bands:
+                assert r0 % 8 == 0 and r0 < r1
+                assert (r1 - r0) * width <= max(band, 8 * width)
+            # each band but the last holds as many whole block rows as fit, at least one
+            for r0, r1 in bands[:-1]:
+                assert (r1 - r0) % 8 == 0
+                assert r1 - r0 == 8 or (r1 - r0 + 8) * width > band
+
+    # 8 rows of 4100 pixels pass 2**15, so each band is one block row,
+    # and the last band, rows 16 .. 20, is cut short by the edge.  No
+    # band depends on another, so they may be computed in any order.
+    @pytest.mark.parametrize("order", [list, reversed])
+    @pytest.mark.parametrize("color", [True, False])
+    @pytest.mark.parametrize("quality", [13, 80])
+    def test_jpeg_like_one_block_row_per_band(self, order, color, quality):
+        bands = list(imagechannel._bands(21, 4100))
+        assert bands == [(0, 8), (8, 16), (16, 21)]
+        img = make_image(36, height=21, width=4100, color=color)
+        y = _whole_plane_luma(img)
+        y2 = _whole_plane_jpeg(y, quality)
+        if color:
+            want = img.pixels.astype(np.float64) + (y2 - y)[:, :, np.newaxis]
+        else:
+            want = y2[:, :, np.newaxis]
+        rows = imagechannel._jpeg_like(img, None, float(quality))
+        got = {r0: rows(r0, r1) for r0, r1 in order(bands)}
+        assert np.array_equal(np.concatenate([got[r0] for r0, _ in bands]), want)
+
+
 class TestNormWithoutBlas:
     # np.linalg.norm is a BLAS dot whose bits change with the BLAS thread
     # count (by 1-3 ulps at 512x512); embed's norm must not

@@ -397,7 +397,7 @@ class TestSweepMatchesReference:
         assert (op.threshold, op.achieved_tpr, op.achieved_fpr) == (8.0, 0.0, 0.0)
         op = threshold_at_fpr(self.CASES["single distinct score"], 1.0)
         assert (op.threshold, op.achieved_tpr, op.achieved_fpr) == (2.0, 1.0, 1.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"beyond 2\*\*53"):
             threshold_at_fpr(self.CASES["beyond 2**53"], 0.5)
         for first in (-0.0, 0.0):
             zero = roc(self.CASES[f"zero group led by {first} mid-list"]).thresholds[2]
