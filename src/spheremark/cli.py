@@ -7,8 +7,9 @@ errors, 10 for an untrusted verdict from ``open``.
 
 All randomness of attack, sweep and corpus funnels through one root
 seed (--seed, or OS entropy when absent) with a labeled substream per
-command stage, so a fixed seed reproduces outputs byte for byte.  seal
-takes --seed too, for a per-seal nonce to come; the others refuse it.
+command stage and per corpus file, so a fixed seed reproduces outputs
+byte for byte.  seal takes --seed too, for a per-seal nonce to come;
+the others refuse it.
 """
 from __future__ import annotations
 
@@ -74,10 +75,10 @@ def _json_float(x: float):
     return "inf" if math.isinf(x) else x
 
 
-def _stage_rng(args, stage: str):
+def _stage_rng(args, *labels: str):
     # the root seed is resolved once in main(), so every stage of one
     # invocation derives from the same root
-    return stream(args.seed, label_entropy(stage))
+    return stream(args.seed, *map(label_entropy, labels))
 
 
 def _parse_message(args) -> Message:
@@ -165,7 +166,8 @@ def cmd_sweep(args) -> int:
                      ell_threshold=args.ell_threshold,
                      unrotate_key=unrotate_key)
     write_sweep_csv(rows, args.out)
-    _emit({"out": args.out, "profiles": len(rows), "n": args.n})
+    _emit({"out": args.out, "profiles": len(rows), "n": args.n,
+           "profile_source": args.profiles or "built-in"})
     _note(f"swept {len(rows)} profiles x {args.n} messages -> {args.out}")
     return EXIT_OK
 
@@ -318,7 +320,6 @@ def cmd_corpus(args) -> int:
         except UnicodeEncodeError:
             raise ImageFormatError(
                 f"file name {ascii(name)} under {args.dir} is not valid UTF-8") from None
-    rng = _stage_rng(args, "corpus")
     with atomic_write(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("file,psnr_db,cosine,ell,verdict,exact_match\n")
         table = csv.writer(fh, lineterminator="\n")  # quotes odd file names
@@ -326,8 +327,8 @@ def cmd_corpus(args) -> int:
             img = read_image(os.path.join(args.dir, name))
             marked = embed(img, carrier_vec, key, args.psnr)
             attacked = marked
-            if transform is not None:
-                attacked = apply_attack(marked, transform[0], transform[1], rng=rng)
+            if transform is not None:  # noise per file: no row depends on another
+                attacked = apply_attack(marked, *transform, rng=_stage_rng(args, "corpus", name))
             report = watermark.open(attacked, args.ell_threshold)
             match = report.message.data == message.data
             db = psnr(img, marked)

@@ -47,7 +47,7 @@ from .errors import (DimensionError, DomainError, ImageSizeError,
 from .netpbm import MAXVAL, RasterImage
 from .rotation import SecretKey
 from .sphere import UnitVector, unit
-from .streams import stream
+from .streams import stream, stream_key
 
 MIN_SIDE = 32
 PSNR_RANGE = (30.0, 60.0)
@@ -213,12 +213,12 @@ class CarrierSet:
         hi = sqrt((n - k) / (k*n)) where b is 1 and
         lo = -sqrt(k / ((n - k)*n)) where it is 0, so only the bits and
         each carrier's popcount k are computed; no float sample is
-        built.  Word group g (carriers 16g .. 16g + 15) starts at raw
-        word 8*g*n.  Each group is one job on a pool of one thread per
-        usable core, filled from its own copy of the stream skipped
-        ahead to the group's first word, so the bits are the same for
-        any number of cores.  A job's fault is re-raised here once the
-        pool has shut down.
+        built.  The set's Philox key is derived once, and word group g
+        (carriers 16g .. 16g + 15) is the counter block that starts at
+        raw word 8*g*n of that key.  Each group is one job on a pool of
+        one thread per usable core, opened at its own counter, so the
+        bits are the same for any number of cores.  A job's fault is
+        re-raised here once the pool has shut down.
         """
         if dim < 2:
             raise DimensionError(f"carrier count {dim} < 2")
@@ -229,12 +229,12 @@ class CarrierSet:
             raise ImageSizeError(
                 f"{dim} carriers over a {width}x{height} plane are {dim * n_px} "
                 f"samples, above the limit of {MAX_CARRIER_BYTES // 8}")
-        entropy = (key.seed, _CARRIER_DOMAIN, dim, height, width)
+        philox_key = stream_key(key.seed, _CARRIER_DOMAIN, dim, height, width)
         n_words = -(-dim // 16)
         words = np.zeros((n_words, n_px), dtype=np.uint16)
         k = np.zeros(dim, dtype=np.int64)  # each carrier's set bits
         with ThreadPoolExecutor(min(_usable_cpus(), n_words)) as pool:
-            list(pool.map(lambda g: _fill_group(words, k, entropy, dim, g),
+            list(pool.map(lambda g: _fill_group(words, k, philox_key, dim, g),
                           range(n_words)))
         hi = np.sqrt((n_px - k) / (k * n_px))
         lo = -np.sqrt(k / ((n_px - k) * n_px))
@@ -303,21 +303,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _fill_group(words: np.ndarray, counts: np.ndarray, entropy: tuple, dim: int,
+def _fill_group(words: np.ndarray, counts: np.ndarray, key: np.ndarray, dim: int,
                 g: int) -> None:
     """OR the bits of carriers 16*g .. min(16*g + 16, dim) - 1 into
     words[g] and add each carrier's set bits to its entry of counts,
     drawing at most _DRAW_WORDS raw words at a time.
 
-    Half h of the stream belongs to carrier h // n at pixel h % n.  The
-    group starts on raw word 8*g*n, and Philox4x64 makes four words per
-    counter step, so advancing 2*g*n steps puts this copy of the stream
-    exactly where the serial draw would be.
+    Half h of the key's stream belongs to carrier h // n at pixel
+    h % n.  The group starts on raw word 8*g*n, and Philox4x64 makes
+    four words per counter step, so Philox at counter 2*g*n under the
+    key is exactly where the serial draw would be.
     """
     n_px = words.shape[1]
     first, last = 16 * g * n_px, min(16 * g + 16, dim) * n_px
-    philox = stream(*entropy).bit_generator
-    philox.advance(2 * g * n_px)
+    philox = np.random.Philox(key=key, counter=2 * g * n_px)
     for at in range(first, last, 2 * _DRAW_WORDS):
         count = min(2 * _DRAW_WORDS, last - at)
         halves = philox.random_raw(-(-count // 2)).astype("<u8", copy=False).view("<u4")

@@ -8,10 +8,10 @@ the same stream and distinct tuples yield independent streams.
 
 stream() is the definition: a Philox stream is fixed by its two 64-bit
 key words, SeedSequence(entropy).generate_state(2, uint64), and starts
-at counter 0.  Philox is addressed by (key, counter), so one key also
-serves many streams that start at distinct counter blocks: rekey points
-an existing generator at block b of a key, counter (0, b, 0, 0), and
-the stream there owns the 2**64 counter steps before block b + 1.
+at counter 0.  Philox is addressed by (key, counter), so one key from
+stream_key serves many counter blocks: rekey opens block b at counter
+(0, b, 0, 0), owning the 2**64 steps before block b + 1, and a carrier
+set opens each group at the counter where the serial stream reaches it.
 """
 from __future__ import annotations
 

@@ -292,6 +292,7 @@ class TestSweep:
             "--seed", "123")
         assert rc == EXIT_OK
         assert payload["profiles"] == 2
+        assert payload["profile_source"] == self._profiles(tmp_path)
         lines = out.read_text().splitlines()
         assert lines[0].startswith("profile,")
         assert lines[1].startswith("clean,10,1.000000,1.000000")
@@ -310,6 +311,7 @@ class TestSweep:
                                  "--n", "2", "--out", str(out), "--seed", "1")
         assert rc == EXIT_OK
         assert payload["profiles"] == 21
+        assert payload["profile_source"] == "built-in"
 
     def test_wrong_unrotate_key(self, tmp_path, capsys, keyfile):
         other = tmp_path / "other.json"
@@ -692,7 +694,13 @@ class TestPinnedOutputs:
     # distributions.  They were retaken again when each 64-cell block's
     # message bytes, last bytes and noise moved to one draw per field,
     # block k's fields at counter blocks 3k, 3k + 1 and 3k + 2: new draws
-    # from the same distributions once more.
+    # from the same distributions once more.  The "gaussian_noise:4"
+    # CORPUS digest was retaken when each file's attack noise moved from
+    # one stream shared in file order to a stream of its own, keyed by
+    # the root seed, the corpus label and the file name: both rows draw
+    # new noise from the same distribution (a.ppm's cosine 0.989048 ->
+    # 0.989809, b.pgm's 0.879034 -> 0.875251, verdicts and exact match
+    # unchanged), and the other CORPUS digests, which draw no noise, hold.
     OPEN = {
         "right key": "aacff7740c92cbc9fa46485eebb8e1308f8ecd39b885f45cea7327980d84f4e0",
         "unmarked": "93432a50fac4f9d735ec4b413cd46a01396f1bd69da4935a1f46822f6493e92b",
@@ -702,7 +710,7 @@ class TestPinnedOutputs:
         None: "71da8bfb764670e6b507065b75d0af949058775902cf30319f0f39e3b367dcfb",
         "jpeg_like:50": "2ad27a9f99a3d3e15d0bc01e2dd6ad004e0b45a9e59afda8cb9ad01d79ce9fa9",
         "gaussian_noise:4":
-            "95179709dbebdcb1aa22afaa614d4cbd61da1b1db648fd6f2bf41942c73e5858",
+            "4c717de6597e6096afeee15596a980162258659996c89a05b9b3c668042a5b8a",
     }
     SWEEP = {
         "right key": "99af16e7fbb436e392d99785856943a54e1a7f9086d5d0dd8f59cddef3653538",
@@ -771,6 +779,34 @@ class TestPinnedOutputs:
         assert run_cli(capsys, *argv)[0] == EXIT_OK
         got = _sha256(out.read_bytes())
         assert got == self.SWEEP[case], got
+
+
+class TestCorpusRowsIndependent:
+    @pytest.mark.parametrize("transform", list(TestPinnedOutputs.CORPUS))
+    def test_row_same_alone_and_among_others(self, tmp_path, capsys, keyfile,
+                                             transform):
+        # a file's row depends on the seed and its own name, not on the
+        # files sorted before or after it
+        hosts = {"a.ppm": make_image(1), "b.pgm": make_image(2, 64, 96, color=False),
+                 "c.ppm": make_image(3, 48, 40)}
+
+        def rows(names):
+            imgdir = tmp_path / "-".join(names)
+            imgdir.mkdir()
+            for name in names:
+                write_image(hosts[name], str(imgdir / name))
+            out = imgdir / "corpus.csv"
+            argv = ["corpus", "--dir", str(imgdir), "--key", keyfile,
+                    "--message", "batch payload", "--out", str(out), "--seed", "4"]
+            if transform is not None:
+                argv += ["--transform", transform]
+            assert run_cli(capsys, *argv)[0] == EXIT_OK
+            lines = out.read_bytes().splitlines()[1:]
+            return {line.split(b",")[0].decode(): line for line in lines}
+
+        together = rows(sorted(hosts))
+        for name in hosts:
+            assert rows([name]) == {name: together[name]}, name
 
 
 class TestModuleEntry:

@@ -114,6 +114,20 @@ class TestCarriers:
         got = CarrierSet.generate(KEY, dim, height, width).words
         assert np.array_equal(got, _integers_words(dim, height, width))
 
+    @pytest.mark.parametrize("dim, height, width", [
+        (67, 64, 64),    # five groups, the last one partly used
+        (256, 33, 35),   # odd H*W: carrier rows straddle raw words
+    ])
+    def test_groups_opened_at_counter_under_one_key(self, monkeypatch, dim, height,
+                                                    width):
+        # the set's key is derived once; no group builds its own stream
+        def no_stream(*entropy):
+            raise AssertionError("a carrier group built its own stream")
+
+        monkeypatch.setattr(imagechannel, "stream", no_stream)
+        got = CarrierSet.generate(KEY, dim, height, width).words
+        assert np.array_equal(got, _integers_words(dim, height, width))
+
     @pytest.mark.parametrize("cpus", [1, 2, 3, 5])
     @pytest.mark.parametrize("dim, height, width", [
         (2, 32, 32),     # one word: more workers than words
@@ -810,8 +824,8 @@ BANDS = [imagechannel._BAND_PIXELS, 97, 300]
 
 class TestBandedScoring:
     # heights and widths that are not multiples of 8, the JPEG block;
-    # at 97 and 300 pixels a band of the wide images is one row, so a
-    # band ends inside a block row
+    # at 97 and 300 pixels a band of the wide images is one whole 8-row
+    # block row, and only the last band is short
     SHAPES = [(97, 1031, True), (1031, 97, False), (45, 61, True), (45, 61, False),
               (1, 40, True), (7, 3, False)]
 
