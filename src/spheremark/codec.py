@@ -85,7 +85,7 @@ class SignCodec(Codec):
     return one item.  Acceptance criterion 06 encodes one Message, so
     encode keeps that form.  Only perfbench/worker.py decodes one
     UnitVector, and decode's one-item form goes once the worker opens
-    through Watermark (ROADMAP item 1 step 1).
+    through Watermark (ROADMAP item 1 step C).
     """
 
     def __init__(self, dim: int = DEFAULT_DIM):

@@ -21,9 +21,8 @@ and every attack) runs over one grid of bands of whole 8-row block
 rows (_bands): it reads the read-only uint8 pixels and writes rounded,
 clipped bytes straight into one uint8 output, so no pass makes a
 float64 copy of the whole image.  What is held whole are float64
-planes of H*W, one value per pixel: embed's delta, extract's
-high-pass and contrast's luma.  The bytes do not depend on the band
-split.
+planes of H*W, one value per pixel: embed's delta and extract's
+high-pass.  The bytes do not depend on the band split.
 
 Attacks are classical pixel-domain transforms, including a
 quantization-only JPEG proxy (blockwise DCT against the standard
@@ -79,7 +78,7 @@ _CARRIER_DOMAIN = 0x43415252  # "CARR"
 
 # A band is as many whole 8-row block rows as fit in _BAND_PIXELS
 # pixels, at least one, so at most max(_BAND_PIXELS, 8 * W) pixels.
-# Every per-pixel temporary of luma, _highpass, superpose, embed,
+# Every per-pixel temporary of _highpass, superpose, embed,
 # attack and psnr is at most one band long; each band gives the bytes
 # that a whole-plane pass would.
 _BAND_PIXELS = 2**15
@@ -117,14 +116,6 @@ def _reflect_index(idx: np.ndarray, n: int) -> np.ndarray:
     m = np.mod(idx, period)
     np.subtract(period - 1, m, out=m, where=m >= n)
     return m
-
-
-def luma(img: RasterImage) -> np.ndarray:
-    """Float64 luma plane in [0, 255], converted a band of rows at a time."""
-    out = np.empty((img.height, img.width))
-    for r0, r1 in _bands(img.height, img.width):
-        out[r0:r1] = _luma(_floats(img.pixels, r0, r1))
-    return out
 
 
 def _luma(px: np.ndarray) -> np.ndarray:
@@ -394,14 +385,13 @@ def extract(img: RasterImage, key: SecretKey, dim: int) -> UnitVector:
 # uint8 output, for attacks and embed alike.  No transform copies the
 # whole image to float: pointwise ones convert a band of the uint8
 # pixels at a time, crop and rotate gather a band's bilinear corners
-# from the uint8 pixels one channel at a time, jpeg_like takes the DCT
-# round trip of each band's own block rows, and contrast
-# first computes its whole-plane luma mean.
+# from the uint8 pixels one channel at a time, and jpeg_like takes the
+# DCT round trip of each band's own block rows.  So every transform
+# holds only its output and one band.
 
 # Largest (C + 8) * H * W that attack() accepts: the bytes of an H x W
-# x C image's uint8 output plus one float64 plane of H x W, the most
-# that any transform holds at once (contrast's luma plane).  Every
-# other buffer is at most one band of max(_BAND_PIXELS, 8 * W) pixels.
+# x C image's uint8 output plus one float64 plane of H x W, a margin
+# over the output and one band that a transform holds.
 MAX_ATTACK_BYTES = 2**31
 
 
@@ -462,7 +452,10 @@ def _scale_about(px: np.ndarray, centre, factor: float) -> np.ndarray:
 
 
 def _contrast(img: RasterImage, rng, factor: float):
-    centre = float(np.mean(luma(img)))
+    # the mean luma from exact integer channel sums: no plane is made
+    weights = (1.0,) if img.channels == 1 else LUMA_WEIGHTS
+    sums = (w * int(img.pixels[:, :, c].sum(dtype=np.uint64)) for c, w in enumerate(weights))
+    centre = math.fsum(sums) / (img.height * img.width)
     return lambda r0, r1: _scale_about(_floats(img.pixels, r0, r1), centre, factor)
 
 

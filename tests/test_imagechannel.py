@@ -16,8 +16,8 @@ from spheremark import (CarrierSet, DimensionError, DomainError, ImageSizeError,
                         psnr, rotate, sample_rotation, transform_names,
                         unrotate, write_image)
 from spheremark import imagechannel
-from spheremark.imagechannel import (_CARRIER_DOMAIN, _Q_LUMA,
-                                     _scaled_quant_table, luma)
+from spheremark.imagechannel import (_CARRIER_DOMAIN, _Q_LUMA, _luma,
+                                     _scaled_quant_table)
 from spheremark.streams import stream
 from conftest import make_image
 
@@ -667,11 +667,10 @@ class TestAttackMemory:
     # at 512x512 colour the uint8 output is 0.75 MiB, and so is one band
     # of 2**15 float64 colour pixels: the pointwise transforms hold the
     # output and one or two bands (measured 1.5-1.8 MiB, gaussian_noise's
-    # noise band 2.25), contrast also its 2 MiB luma plane (3.0), crop
-    # and rotate a band's weights and corner pixels (2.8 and 3.2), and
-    # jpeg_like a band's block rows and their DCT round trip (2.6)
-    PEAK_MIB = {"gaussian_noise": 2.5, "contrast": 3.25, "crop": 3.0, "rotate": 3.5,
-                "jpeg_like": 3.0}
+    # noise band 2.25), crop and rotate a band's weights and corner
+    # pixels (2.8 and 3.2), and jpeg_like a band's block rows and their
+    # DCT round trip (2.6)
+    PEAK_MIB = {"gaussian_noise": 2.5, "crop": 3.0, "rotate": 3.5, "jpeg_like": 3.0}
 
     @pytest.mark.parametrize("name", sorted(ONE_VALUE))
     def test_peak_within_banded_bound(self, name):
@@ -751,13 +750,26 @@ class TestJpegTables:
 
 class TestLuma:
     def test_weights(self):
-        px = np.zeros((4, 4, 3), dtype=np.uint8)
+        px = np.zeros((4, 4, 3))
         px[:, :, 0] = 100
-        assert np.allclose(luma(RasterImage(px)), 29.9)
+        assert np.allclose(_luma(px), 29.9)
 
     def test_grayscale_passthrough(self):
-        img = make_image(19, color=False)
-        assert np.allclose(luma(img), img.pixels[:, :, 0].astype(np.float64))
+        px = make_image(19, color=False).pixels.astype(np.float64)
+        assert np.array_equal(_luma(px), px[:, :, 0])
+
+
+class TestContrastCentre:
+    # at factor 0 every sample becomes the centre, the image's mean luma
+    def test_colour_centre_is_mean_luma(self):
+        px = np.empty((40, 56, 3), dtype=np.uint8)
+        px[:, :] = (200, 100, 50)  # luma 0.299*200 + 0.587*100 + 0.114*50 = 124.2
+        out = attack(RasterImage(px), "contrast", 0.0)
+        assert np.all(out.pixels == 124)
+
+    def test_grey_centre_keeps_value(self):
+        px = np.full((40, 56, 1), 77, dtype=np.uint8)
+        assert np.array_equal(attack(RasterImage(px), "contrast", 0.0).pixels, px)
 
 
 def _whole_plane_luma(img):
@@ -784,9 +796,8 @@ class TestBandedPlanes:
     def test_bit_equal_to_whole_plane(self, monkeypatch, band, height, width, color):
         monkeypatch.setattr(imagechannel, "_BAND_PIXELS", band)
         img = make_image(28, height=height, width=width, color=color)
-        plane = luma(img)
-        assert np.array_equal(plane, _whole_plane_luma(img))
-        assert np.array_equal(imagechannel._highpass(img), _whole_plane_highpass(plane))
+        assert np.array_equal(imagechannel._highpass(img),
+                              _whole_plane_highpass(_whole_plane_luma(img)))
 
 
 def _whole_plane_jpeg(plane, quality):
