@@ -44,7 +44,7 @@ from .confidence import ConfidenceReport, assess, check_ell_threshold
 from .errors import DomainError
 from .imagechannel import extract
 from .netpbm import RasterImage
-from .rotation import SecretKey, rotate, sample_rotation, unrotate
+from .rotation import SecretKey, check_rotation_dim, rotate, sample_rotation, unrotate
 from .sphere import UnitVector, _from_rows, _row_dots, cosine, unit
 from .streams import label_entropy, rekey, stream_key
 
@@ -100,10 +100,7 @@ def perturb(v: UnitVector, sigma: float, rng: np.random.Generator) -> UnitVector
     _check_sigma(sigma)
     if sigma == 0.0:
         return v
-    while True:
-        noisy = v.components + _noise(rng, 1, v.dim, sigma)[0]
-        if float(np.linalg.norm(noisy)) > 0.0:
-            return unit(noisy)
+    return unit(v.components + _noise(rng, 1, v.dim, sigma)[0])
 
 
 @dataclass(frozen=True)
@@ -173,9 +170,9 @@ class Watermark:
     sign is the one-row form of sign_many."""
 
     def __init__(self, key: SecretKey, codec: Codec):
+        check_rotation_dim(codec.dim)
         self.key = key
         self.codec = codec
-        self.rotation = sample_rotation(key, codec.dim)
 
     def sign(self, message: Message) -> UnitVector:
         if message.data.endswith(b"\x00"):
@@ -183,15 +180,15 @@ class Watermark:
         return _from_rows(self.sign_many(_octets(message))[1], one=True)
 
     def open(self, img: RasterImage, ell_threshold: float) -> ConfidenceReport:
-        v_hat = unrotate(self.rotation, extract(img, self.key, self.codec.dim))
-        return assess(self.codec, v_hat, ell_threshold)
+        v = extract(img, self.key, self.codec.dim)  # before the QR, whose BLAS threads then spin
+        return assess(self.codec, unrotate(sample_rotation(self.key, v.dim), v), ell_threshold)
 
     def sign_many(self, octets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """sign for an (n, L) uint8 block of zero-padded messages: the
         (n, d) encoded rows, and the same rows signed by one product with
         the rotation."""
         v = self.codec.encode(octets)
-        return v, rotate(self.rotation, v)
+        return v, rotate(sample_rotation(self.key, self.codec.dim), v)
 
 
 @dataclass(frozen=True)
@@ -294,7 +291,7 @@ def run_sweep(profiles: list[ChannelProfile], codec: Codec, key: SecretKey,
         _check_sigma(profile.sigma)
     sender = Watermark(key, codec)
     dim = codec.dim
-    receive = sender.rotation if unrotate_key is None else sample_rotation(unrotate_key, dim)
+    receive = sample_rotation(key if unrotate_key is None else unrotate_key, dim)
     # one root draw; each profile's key derives from (root, profile name)
     # so the table does not depend on profile order
     root = int(rng.integers(0, 2**63))

@@ -98,14 +98,13 @@ def _floats(px: np.ndarray, r0: int, r1: int) -> np.ndarray:
 
 def _render(shape: tuple, band) -> RasterImage:
     """The uint8 image of this shape whose rows r0 .. r1 - 1 are the
-    float pixels band(r0, r1), rounded half to even and clipped in
-    place, one band of rows at a time."""
+    float pixels band(r0, r1), rounded half to even in place and
+    clipped straight into the output, one band of rows at a time."""
     out = np.empty(shape, dtype=np.uint8)
     for r0, r1 in _bands(*shape[:2]):
         values = band(r0, r1)
         np.rint(values, out=values)
-        np.clip(values, 0, MAXVAL, out=values)
-        out[r0:r1] = values
+        np.clip(values, 0, MAXVAL, out=out[r0:r1], casting="unsafe")
         del values  # not held while the next band is computed
     return RasterImage(out)
 
@@ -323,10 +322,10 @@ def _fill_group(words: np.ndarray, counts: np.ndarray, key: np.ndarray, dim: int
         del bits
 
 
-# The last carrier set used, under its (seed, dim, height, width).  No
-# caller comes back to an older plane, so one set is held; a miss
-# empties the dict before generating, which frees the old set first
-# and leaves the dict empty if generate refuses the plane.
+# The last carrier set used, under its (seed, dim, height, width).  One
+# set is held to bound memory, though a mixed-size corpus comes back to
+# older planes; a miss empties the dict before generating, which frees
+# the old set first and leaves the dict empty if generate refuses it.
 _held_carriers: dict[tuple, CarrierSet] = {}
 _carrier_lock = threading.Lock()
 

@@ -8,6 +8,7 @@ tolerate '#' comments anywhere in the header; writers never emit them.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,27 +53,24 @@ class RasterImage:
         return int(self.pixels.shape[2])
 
 
+# Header whitespace and # comments, and one header token.  One \s* takes a
+# run of spaces; (?:\s|#[^\n]*)* repeats per byte, slower than a Python loop.
+_SEPARATOR = re.compile(rb"\s*(?:#[^\n]*\s*)*")
+_TOKEN = re.compile(rb"[^\s#]+")
+
+
 def _read_header_tokens(buf: bytes, start: int, count: int) -> tuple[list[bytes], int]:
     """Collect whitespace-separated header tokens, skipping # comments."""
     tokens = []
     i = start
-    n = len(buf)
-    while len(tokens) < count:
-        while i < n and buf[i:i + 1].isspace():
-            i += 1
-        if i < n and buf[i] == ord("#"):
-            while i < n and buf[i] != ord("\n"):
-                i += 1
-            continue
-        j = i
-        while j < n and not buf[j:j + 1].isspace() and buf[j] != ord("#"):
-            j += 1
-        if j == i:
+    for _ in range(count):
+        token = _TOKEN.match(buf, _SEPARATOR.match(buf, i).end())
+        if token is None:
             raise ImageFormatError("truncated netpbm header")
-        tokens.append(buf[i:j])
-        i = j
+        tokens.append(token.group())
+        i = token.end()
     # exactly one whitespace byte separates the header from pixel data
-    if i >= n or not buf[i:i + 1].isspace():
+    if not buf[i:i + 1].isspace():
         raise ImageFormatError("netpbm header not terminated by whitespace")
     return tokens, i + 1
 

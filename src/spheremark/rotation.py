@@ -97,6 +97,11 @@ class RotationMatrix:
         return int(self.entries.shape[0])
 
 
+def check_rotation_dim(dim: int) -> None:
+    if not 1 <= dim <= MAX_DIM:
+        raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
+
+
 def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:
     """Draw the rotation selected by (key, dim) from Haar measure on SO(d).
 
@@ -104,8 +109,7 @@ def sample_rotation(key: SecretKey, dim: int) -> RotationMatrix:
     process that asks again, such as every sweep with a right and a
     wrong key, gets the same read-only matrix without a second QR.
     """
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionError(f"rotation dimension {dim} outside [1, {MAX_DIM}]")
+    check_rotation_dim(dim)
     return _draw_rotation(key.seed, dim)
 
 

@@ -196,7 +196,7 @@ class TestWatermark:
 
     def test_rotation_follows_codec_dim(self):
         wm = Watermark(self.KEY, SignCodec(64))
-        assert np.array_equal(wm.rotation.entries,
+        assert np.array_equal(sample_rotation(wm.key, wm.codec.dim).entries,
                               sample_rotation(self.KEY, 64).entries)
         with pytest.raises(DimensionError):
             Watermark(self.KEY, SignCodec(4097))
@@ -213,9 +213,29 @@ class TestWatermark:
         codec = SignCodec(dim)
         wm = Watermark(self.KEY, codec)
         sealed = embed(make_image(3), wm.sign(Message(b"open")), self.KEY)
-        v_hat = unrotate(wm.rotation, extract(sealed, self.KEY, dim))
+        v_hat = unrotate(sample_rotation(self.KEY, dim), extract(sealed, self.KEY, dim))
         assert wm.open(sealed, 100.0) == assess(codec, v_hat, 100.0)
         assert wm.open(sealed, 100.0).message == Message(b"open")
+
+    def test_open_extracts_before_sampling_the_rotation(self, monkeypatch):
+        # a one-shot open generates the carriers before the rotation's QR,
+        # and building a Watermark does neither
+        sealed = embed(make_image(3), Watermark(self.KEY, SignCodec(256)).sign(Message(b"order")),
+                       self.KEY)
+        calls = []
+
+        def recorder(name, fn):
+            def record(*args):
+                calls.append(name)
+                return fn(*args)
+            return record
+
+        for name in ("extract", "sample_rotation"):
+            monkeypatch.setattr(channel, name, recorder(name, getattr(channel, name)))
+        wm = Watermark(self.KEY, SignCodec(256))
+        assert calls == []
+        assert wm.open(sealed, 100.0).message == Message(b"order")
+        assert calls == ["extract", "sample_rotation"]
 
     @pytest.mark.parametrize("messages", [[b"ab\x00"], [b"\x00"], [b"ok", b"ok\x00"]])
     def test_refuses_trailing_nul(self, messages):
@@ -237,20 +257,21 @@ class TestWatermark:
         assert np.array_equal(v, codec.encode(octets(messages)))
         for row, m in zip(signed, messages):
             assert np.allclose(row, wm.sign(Message(m)).components, rtol=0, atol=1e-15)
-        v_hat = unrotate(wm.rotation, signed)
+        v_hat = unrotate(sample_rotation(self.KEY, 256), signed)
         block = assess(codec, v_hat, 100.0)
         for k, m in enumerate(messages):
             assert np.allclose(v_hat[k], codec.encode(Message(m)).components, rtol=0, atol=1e-14)
-            assert_row_is_report(block, k, assess(codec, unrotate(wm.rotation,
-                                                                  wm.sign(Message(m))), 100.0))
+            assert_row_is_report(block, k, assess(
+                codec, unrotate(sample_rotation(self.KEY, 256), wm.sign(Message(m))), 100.0))
         # sign is the one-row form of sign_many, and open scores one row
         for m in messages:
             assert np.array_equal(wm.sign(Message(m)).components,
                                   wm.sign_many(octets([m]))[1][0])
         sealed = embed(make_image(3, 64, 64), wm.sign(Message(messages[0])), self.KEY)
         row = extract(sealed, self.KEY, 256).components[None, :]
-        assert_row_is_report(assess(codec, unrotate(wm.rotation, row), 100.0), 0,
-                             wm.open(sealed, 100.0))
+        assert_row_is_report(
+            assess(codec, unrotate(sample_rotation(self.KEY, 256), row), 100.0), 0,
+            wm.open(sealed, 100.0))
 
 
 class TestRunSweep:

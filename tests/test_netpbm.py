@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spheremark import (DimensionMismatchError, ImageFormatError, RasterImage,
                         psnr, read_image, write_image)
+from spheremark.netpbm import _read_header_tokens
 from spheremark.streams import stream
 
 # closed forms: a uniform +1 error is 48.1308 dB, +2 is 42.1102 dB
@@ -209,6 +210,13 @@ class TestReadWrite:
         path.write_bytes(b"P5\n002 01\n0255\n\x07\x09")
         assert read_image(path).pixels.ravel().tolist() == [7, 9]
 
+    @pytest.mark.parametrize("padding", [b"#" + b"c" * 5 * 2**20 + b"\n", b" \n" * 5 * 2**19])
+    def test_reader_reads_5mb_header(self, tmp_path, padding):
+        # the header is scanned by compiled patterns, not byte by byte
+        path = tmp_path / "c.pgm"
+        path.write_bytes(b"P5\n" + padding + b"2 1" + padding + b"255\n\x07\x09")
+        assert read_image(path).pixels.ravel().tolist() == [7, 9]
+
 
 _JUNK_TOKEN = st.one_of(
     st.sampled_from([b"1_0", b"+2", b"-1", b"0x10", b"2.0", b"#c\n", b""]),
@@ -249,6 +257,58 @@ def test_reader_reads_or_refuses_any_bytes(data):
             return
     assert img.pixels.dtype == np.uint8
     assert img.pixels.size == img.height * img.width * img.channels
+
+
+def _loop_header_tokens(buf: bytes, start: int, count: int) -> tuple[list[bytes], int]:
+    """The header scanner as a per-byte loop: the oracle for the
+    compiled patterns of _read_header_tokens."""
+    tokens = []
+    i = start
+    n = len(buf)
+    while len(tokens) < count:
+        while i < n and buf[i:i + 1].isspace():
+            i += 1
+        if i < n and buf[i] == ord("#"):
+            while i < n and buf[i] != ord("\n"):
+                i += 1
+            continue
+        j = i
+        while j < n and not buf[j:j + 1].isspace() and buf[j] != ord("#"):
+            j += 1
+        if j == i:
+            raise ImageFormatError("truncated netpbm header")
+        tokens.append(buf[i:j])
+        i = j
+    if i >= n or not buf[i:i + 1].isspace():
+        raise ImageFormatError("netpbm header not terminated by whitespace")
+    return tokens, i + 1
+
+
+_WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]  # all six that bytes.isspace takes
+_HEADER_TOKEN = st.lists(
+    st.one_of(st.sampled_from([bytes([c]) for c in b"0123456789+_\x1c\x1f"]),
+              st.integers(0x80, 0xFF).map(lambda c: bytes([c]))),
+    min_size=1, max_size=4).map(b"".join)
+_COMMENT = st.builds(lambda body, closed: b"#" + body + (b"\n" if closed else b""),
+                     st.binary(max_size=5).map(lambda b: b.replace(b"\n", b"")),
+                     st.booleans())
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.one_of(_HEADER_TOKEN, st.sampled_from(_WHITESPACE), _COMMENT), max_size=12),
+       st.integers(1, 4))
+def test_header_scan_matches_per_byte_loop(parts, count):
+    """The compiled patterns return the loop's tokens and data offset,
+    or refuse with the loop's message."""
+    buf = b"P5" + b"".join(parts)
+
+    def scan(scanner):
+        try:
+            return scanner(buf, 2, count)
+        except ImageFormatError as exc:
+            return str(exc)
+
+    assert scan(_read_header_tokens) == scan(_loop_header_tokens)
 
 
 class TestPsnr:
