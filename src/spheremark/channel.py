@@ -73,15 +73,9 @@ def _check_sigma(sigma: float) -> None:
 
 def _noise(rng: np.random.Generator, n: int, dim: int, sigma: float) -> np.ndarray:
     """An (n, dim) block of rows in uniform directions, each of length
-    sigma.  A zero-norm Gaussian row (chance ~0) is redrawn, one row at
-    a time, from the same stream after the block's rows."""
+    sigma."""
     rows = rng.standard_normal((n, dim))
-    norms = np.sqrt(_row_dots(rows, rows))
-    for j in np.flatnonzero(norms == 0.0):
-        while norms[j] == 0.0:
-            rows[j] = rng.standard_normal(dim)
-            norms[j] = math.sqrt(np.dot(rows[j], rows[j]))
-    rows *= (sigma / norms)[:, None]
+    rows *= (sigma / np.sqrt(_row_dots(rows, rows)))[:, None]
     return rows
 
 

@@ -174,26 +174,33 @@ def cmd_sweep(args) -> int:
 
 def _read_scores(path: str) -> tuple[np.ndarray, np.ndarray]:
     """float64 scores and bool labels of a score,label CSV; the header
-    row is optional, and roc checks that the scores are finite."""
+    row is optional, and roc checks that the scores are finite.  A bad
+    row is refused with its file and 1-based line number."""
     scores, labels = array("d"), bytearray()
-    lines = [ln for ln in map(str.strip, _read_lines(path)) if ln]
-    if not lines:
-        raise DomainError(f"scores file {path} is empty")
-    if lines[0].lower().replace(" ", "") == "score,label":
-        del lines[0]
-    for ln in lines:
+    blank = True  # no non-blank line yet
+    for number, ln in enumerate(_read_lines(path), 1):
+        ln = ln.strip()
+        if not ln:
+            continue
+        if blank:
+            blank = False
+            if ln.lower().replace(" ", "") == "score,label":
+                continue
         parts = ln.split(",")
         if len(parts) != 2:
-            raise DomainError(f"bad scores row {ln!r}, want score,label")
+            raise DomainError(f"{path}:{number}: bad scores row {ln!r}, want score,label")
         try:
             score = float(parts[0])
             label = int(parts[1])
         except ValueError as exc:
-            raise DomainError(f"bad scores row {ln!r}: {exc}") from exc
+            raise DomainError(f"{path}:{number}: bad scores row {ln!r}: {exc}") from exc
         if label not in (0, 1):
-            raise DomainError(f"label must be 0 or 1, got {label}")
+            raise DomainError(f"{path}:{number}: bad scores row {ln!r}: "
+                              f"label must be 0 or 1, got {label}")
         scores.append(score)
         labels.append(label)
+    if blank:
+        raise DomainError(f"scores file {path} is empty")
     return np.frombuffer(scores), np.frombuffer(labels, dtype=bool)
 
 

@@ -53,7 +53,7 @@ class SecretKey:
         if not 0 <= self.seed <= MAX_SEED:
             raise KeyFileError(f"key seed {self.seed} outside [0, 2^64)")
         if self.label is not None and not isinstance(self.label, str):
-            raise KeyFileError("key label must be text or None")
+            raise KeyFileError("key has a non-text label")
 
 
 def save_key(key: SecretKey, path: str) -> None:
@@ -64,17 +64,15 @@ def save_key(key: SecretKey, path: str) -> None:
 
 
 def load_key(path: str) -> SecretKey:
-    """Read a key file; a missing or malformed seed field is refused."""
+    """Read a key file, a JSON object with a seed field; SecretKey checks
+    the fields, and every refusal names the file."""
     payload = read_json(path, KeyFileError, "key file")
     if not isinstance(payload, dict) or "seed" not in payload:
         raise KeyFileError(f"key file {path} lacks a seed field")
-    label = payload.get("label")
-    if label is not None and not isinstance(label, str):
-        raise KeyFileError(f"key file {path} has a non-text label")
-    seed = payload["seed"]
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise KeyFileError(f"key file {path} has a non-integer seed")
-    return SecretKey(seed=seed, label=label)
+    try:
+        return SecretKey(seed=payload["seed"], label=payload.get("label"))
+    except KeyFileError as exc:
+        raise KeyFileError(f"key file {path}: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)

@@ -106,14 +106,11 @@ def sample_uniform(dim: int, rng: np.random.Generator) -> UnitVector:
     UnitVector
         A normalized vector of ``dim`` independent Gaussian draws.
         Rotation invariance of the Gaussian makes the direction
-        uniform on the sphere.  A zero-norm draw is resampled.
+        uniform on the sphere.
     """
     if dim < 2:
         raise DimensionError(f"dimension {dim} < 2")
-    while True:
-        g = rng.standard_normal(dim)
-        if g.any():
-            return unit(g)
+    return unit(rng.standard_normal(dim))
 
 
 def cosine(a: UnitVector | np.ndarray, b: UnitVector | np.ndarray) -> float | np.ndarray:

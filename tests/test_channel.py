@@ -708,27 +708,6 @@ class TestSweepBlocks:
         assert peak < 6 * 2**20, peak
 
 
-class ZeroRowGenerator:
-    """A numpy Generator whose (n, d) normal draws come back with one row
-    zeroed."""
-
-    generator = np.random.Generator
-
-    def __init__(self, bit_generator, row=0):
-        self.inner = self.generator(bit_generator)
-        self.bit_generator = self.inner.bit_generator
-        self.row = row
-
-    def integers(self, *args, **kwargs):
-        return self.inner.integers(*args, **kwargs)
-
-    def standard_normal(self, shape):
-        g = self.inner.standard_normal(shape)
-        if g.ndim == 2:
-            g[self.row] = 0.0
-        return g
-
-
 class TestBlockDraws:
     PROFILE_KEY = stream_key(3, 4)
     SIGMA = 0.3
@@ -765,23 +744,6 @@ class TestBlockDraws:
         assert np.array_equal(body[:, -1], fields[1].integers(1, 256, size=BLOCK))
         g = fields[2].standard_normal((BLOCK, 256))
         assert np.array_equal(noise[5], self.SIGMA / np.linalg.norm(g[5]) * g[5])
-
-    def test_zero_norm_row_is_redrawn(self):
-        body, noise = self._draw(1, 5, ZeroRowGenerator(np.random.Philox(key=0), row=2))
-        want_body, want = self._draw(1, 5)
-        assert np.array_equal(body, want_body)
-        assert np.all(np.isfinite(noise))
-        assert np.array_equal(np.delete(noise, 2, axis=0), np.delete(want, 2, axis=0))
-        # the redraw is the noise stream's next row after the block's rows
-        g = np.random.Generator(np.random.Philox(
-            key=self.PROFILE_KEY, counter=[0, 5, 0, 0])).standard_normal((6, 256))[5]
-        assert np.array_equal(noise[2], self.SIGMA / np.linalg.norm(g) * g)
-
-    def test_zero_norm_row_does_not_raise_in_sweep(self, monkeypatch):
-        monkeypatch.setattr(np.random, "Generator", ZeroRowGenerator)
-        prof = ChannelProfile.from_target("p", 0.984, 256)
-        rows = run_sweep([prof], SignCodec(256), SecretKey(seed=5), BLOCK + 1, stream(47))
-        assert rows[0].exact_match == 1.0 and 0.9 < rows[0].mean_cosine < 1.0
 
     def test_mean_cosine_matches_per_cell_layout(self):
         # old and new draws share a distribution: over 2000 cells each

@@ -395,11 +395,24 @@ class TestRoc:
         assert rc == EXIT_USAGE
 
     def test_bad_rows_rejected(self, tmp_path, capsys):
-        for row in ("1.0", "x,1", "1.0,7"):
-            scores = self._scores(tmp_path, ["1.0,1", "0.5,0", row])
-            rc, _, _ = run_cli(capsys, "roc", "--scores", scores,
-                               "--out", str(tmp_path / "r.csv"))
-            assert rc == EXIT_USAGE, row
+        # each refusal names the file and the row's 1-based line, blank
+        # lines counted, and quotes the row
+        for rows, line in ((["1.0,1", "0.5,0"], 4), (["1.0,1", "", "0.5,0"], 5)):
+            for row in ("1.0", "x,1", "1.0,7", "0.7,1,3", "0.5,2"):
+                scores = self._scores(tmp_path, rows + [row])
+                rc, payload, err = run_cli(capsys, "roc", "--scores", scores,
+                                           "--out", str(tmp_path / "r.csv"))
+                assert rc == EXIT_USAGE and payload is None, row
+                assert err.startswith(f"error: {scores}:{line}: bad scores row {row!r}"), err
+
+    def test_header_is_the_first_non_blank_line(self, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        scores.write_text("\n\nscore,label\n1.0,1\n0.5,0\n0.5,2\n")
+        rc, _, err = run_cli(capsys, "roc", "--scores", str(scores),
+                             "--out", str(tmp_path / "r.csv"))
+        assert rc == EXIT_USAGE
+        assert err.startswith(f"error: {scores}:6: bad scores row '0.5,2': "
+                              "label must be 0 or 1, got 2")
 
     def test_non_finite_scores_rejected(self, tmp_path, capsys):
         for row in ("nan,1", "inf,0", "-inf,1"):
@@ -1102,6 +1115,25 @@ REFUSALS = [
       "--out", "@out.csv"], EXIT_IMAGE_IO, r"'\udcff.ppm'"),
     ("key-label-not-text", {"k.json": b'{"seed": 7, "label": 5}'},
      ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "non-text label"),
+    # SecretKey checks a key file's fields, and load_key names the file
+    ("key-seed-negative", {"k.json": b'{"seed": -3}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key seed -3 outside [0, 2^64)"),
+    ("key-seed-2-pow-64", {"k.json": b'{"seed": 18446744073709551616}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key seed 18446744073709551616 outside [0, 2^64)"),
+    ("key-seed-float", {"k.json": b'{"seed": 1.5}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key seed must be an integer"),
+    ("key-seed-bool", {"k.json": b'{"seed": true}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key seed must be an integer"),
+    ("key-seed-text", {"k.json": b'{"seed": "7"}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key seed must be an integer"),
+    ("key-label-list", {"k.json": b'{"seed": 7, "label": ["x"]}'},
+     ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY,
+     "k.json: key has a non-text label"),
     ("key-not-utf8", {"k.json": NOT_UTF8},
      ["open", "--in", "@host.ppm", "--key", "@k.json"], EXIT_KEY, "cannot read key file"),
     ("calibrate-underflow", {}, ["calibrate", "--target-cosine", "1e-170"],

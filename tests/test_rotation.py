@@ -76,6 +76,23 @@ class TestSecretKey:
         with pytest.raises(KeyFileError):
             load_key(path)
 
+    @pytest.mark.parametrize("payload", [
+        '{"seed": -3}', '{"seed": 18446744073709551616}', '{"seed": 1.5}',
+        '{"seed": true}', '{"seed": "7"}', '{"seed": 7, "label": 5}'])
+    def test_load_refusal_names_the_file(self, tmp_path, payload):
+        # SecretKey checks the fields; load_key adds the file's name
+        path = tmp_path / "k.json"
+        path.write_text(payload)
+        with pytest.raises(KeyFileError) as excinfo:
+            load_key(path)
+        assert str(excinfo.value).startswith(f"key file {path}: key ")
+
+    def test_load_reports_the_seed_before_the_label(self, tmp_path):
+        path = tmp_path / "k.json"
+        path.write_text('{"seed": -1, "label": 5}')
+        with pytest.raises(KeyFileError, match="seed -1 outside"):
+            load_key(path)
+
     def test_load_rejects_malformed_json(self, tmp_path):
         path = tmp_path / "k.json"
         path.write_text("{nope")

@@ -94,22 +94,6 @@ class TestSampling:
         assert abs(first.mean()) <= 4.0 * (1.0 / math.sqrt(64)) / math.sqrt(n)
         assert abs(first.var() - 1.0 / 64) <= 0.1 * (1.0 / 64)
 
-    def test_zero_norm_draw_resampled(self):
-        class StubRng:
-            def __init__(self):
-                self.calls = 0
-
-            def standard_normal(self, n):
-                self.calls += 1
-                if self.calls == 1:
-                    return np.zeros(n)
-                return np.arange(1.0, n + 1.0)
-
-        stub = StubRng()
-        v = sample_uniform(4, stub)
-        assert stub.calls == 2
-        assert abs(float(np.linalg.norm(v.components)) - 1.0) <= 1e-9
-
 
 class TestCosine:
     def test_orthogonal_and_parallel(self):
